@@ -27,10 +27,8 @@ from .trinity import (
     HYPERGRAPH_CODES,
     InternalConsistencyError,
     Trinity,
-    adjacency_matrix,
     build_trinity,
     directed_dual,
-    enumerate_tutte_matchings,
     magic_number_report,
 )
 
@@ -212,24 +210,13 @@ def cmd_polytope(args) -> int:
     code = args.hypergraph
     if code not in HYPERGRAPH_CODES:
         raise DocumentError(f"unknown hypergraph selector {code!r}")
-    if args.which == "gp":
-        listing = _polytope_listing(polytopes.gp_polytope_of(t, code))
-    elif args.which == "trimmed":
-        listing = _polytope_listing(polytopes.trimmed_gp_of(t, code))
-    elif args.which == "hypertree":
-        listing = _polytope_listing(polytopes.hypertree_polytope_of(t, code))
-    else:
-        from .trinity import colour_of_hypergraph, hypergraph_view
-
-        cm, x_ids, y_ids = hypergraph_view(t, code)
-        rp = polytopes.root_polytope(cm, y_ids, x_ids)
-        from .geometry import lattice_points
-
-        listing = {
-            "vertices": [format_point(v) for v in rp.polytope.vertices],
-            "lattice_points": [list(int(x) for x in p) for p in lattice_points(rp.polytope)],
-            "affine_dim": rp.dim,
-        }
+    build = {
+        "gp": polytopes.gp_polytope_of,
+        "trimmed": polytopes.trimmed_gp_of,
+        "hypertree": polytopes.hypertree_polytope_of,
+        "root": polytopes.hypergraph_root_polytope_of,
+    }[args.which]
+    listing = _polytope_listing(build(t, code))
     _emit({"hypergraph": code, "which": args.which, "polytope": listing}, args.format)
     return EXIT_OK
 

@@ -41,24 +41,65 @@ class GraphDocument:
         return self.vertex_names.index(name)
 
 
+_KEYS = {"format_version", "violet", "emerald", "edges", "rotations", "outer_face_hint"}
+_HINT_KEYS = {"edge", "side"}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _str_list(x, what: str) -> tuple[str, ...]:
+    if not isinstance(x, list) or not all(isinstance(v, str) for v in x):
+        raise DocumentError(f"{what} must be a list of strings")
+    return tuple(x)
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    keys = [k for k, _v in pairs]
+    if len(set(keys)) != len(keys):
+        raise DocumentError(f"duplicate keys in a JSON object: {sorted(keys)}")
+    return dict(pairs)
+
+
+def _keys(raw: dict, allowed: set[str], what: str) -> None:
+    if set(raw) != allowed:
+        missing, unknown = sorted(allowed - set(raw)), sorted(set(raw) - allowed)
+        raise DocumentError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+
+
 def parse_graph_document(text: str) -> GraphDocument:
+    """Parse and validate a document; every value must have exactly its
+    canonical JSON type (nothing is coerced) and no key may be unknown."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
-    if raw.get("format_version") != FORMAT_VERSION:
-        raise DocumentError(f"unsupported format_version {raw.get('format_version')!r}")
-    try:
-        violet = tuple(str(x) for x in raw["violet"])
-        emerald = tuple(str(x) for x in raw["emerald"])
-        edges = tuple((str(u), str(v)) for u, v in raw["edges"])
-        rotations = {str(k): tuple(int(e) for e in v) for k, v in raw["rotations"].items()}
-        hint = raw["outer_face_hint"]
-        outer = (int(hint["edge"]), str(hint["side"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed document: {exc}") from exc
+    version = raw.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise DocumentError(f"unsupported format_version {version!r}")
+    _keys(raw, _KEYS, "document")
+    violet = _str_list(raw["violet"], "violet")
+    emerald = _str_list(raw["emerald"], "emerald")
+    if not isinstance(raw["edges"], list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e) for e in raw["edges"]
+    ):
+        raise DocumentError("edges must be a list of [violet, emerald] name pairs")
+    edges = tuple((u, v) for u, v in raw["edges"])
+    if not isinstance(raw["rotations"], dict) or not all(
+        isinstance(v, list) and all(_is_int(e) for e in v) for v in raw["rotations"].values()
+    ):
+        raise DocumentError("rotations must map each vertex name to a list of edge indices")
+    rotations = {k: tuple(v) for k, v in raw["rotations"].items()}
+    hint = raw["outer_face_hint"]
+    if not isinstance(hint, dict):
+        raise DocumentError("outer_face_hint must be an object")
+    _keys(hint, _HINT_KEYS, "outer_face_hint")
+    if not _is_int(hint["edge"]) or not isinstance(hint["side"], str):
+        raise DocumentError("outer_face_hint must name an edge index and a side")
+    outer = (hint["edge"], hint["side"])
     names = violet + emerald
     if len(set(names)) != len(names):
         raise DocumentError("vertex names must be unique")

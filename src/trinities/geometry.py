@@ -2,7 +2,8 @@
 
 Membership is LP feasibility ("is x a convex combination of the vertices"),
 lattice points come from a pruned bounding-box search, and simplex volumes are
-normalized to the direction lattice of the affine span.
+normalized to the direction lattice of the affine span. ``integer_rank`` is the
+exact rank of an integer matrix without any Fraction.
 """
 
 from __future__ import annotations
@@ -96,8 +97,22 @@ class VPolytope:
         )
 
 
-def contains_point(p: VPolytope, x: Sequence) -> bool:
-    return p.contains(x)
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free elimination."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row zero at earlier pivots)
+    for row in rows:
+        row = list(row)
+        for col, prow in basis:
+            if row[col]:
+                a, b = prow[col], row[col]
+                row = [a * x - b * y for x, y in zip(row, prow)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            g = math.gcd(*row)
+            basis.append((lead, [x // g for x in row]))
+            if len(basis) == len(row):
+                break
+    return len(basis)
 
 
 def affine_dim(points: Sequence[Sequence]) -> int:

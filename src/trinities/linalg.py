@@ -27,21 +27,8 @@ def fmat(rows: Iterable[Iterable]) -> RatMat:
     return tuple(fvec(r) for r in rows)
 
 
-def vec_add(a: RatVec, b: RatVec) -> RatVec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: RatVec, b: RatVec) -> RatVec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c, a: RatVec) -> RatVec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
-def vec_neg(a: RatVec) -> RatVec:
-    return tuple(-x for x in a)
 
 
 def dot(a: RatVec, b: RatVec) -> Fraction:
@@ -225,11 +212,6 @@ def lp_solve(a_rows: Sequence[RatVec], b: RatVec, c: RatVec) -> tuple[str, Optio
         x[bi] = tab[i][-1]
     value = dot(fvec(c), tuple(x))
     return OPTIMAL, value, tuple(x)
-
-
-def lp_feasible(a_rows: Sequence[RatVec], b: RatVec, n_vars: int) -> bool:
-    status, _, _ = lp_solve(a_rows, b, tuple([Fraction(0)] * n_vars))
-    return status == OPTIMAL
 
 
 # ---------------------------------------------------------------------------

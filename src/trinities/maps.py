@@ -33,13 +33,6 @@ class Bipartition:
     class_a: frozenset[int]
     class_b: frozenset[int]
 
-    def side_of(self, v: int) -> str:
-        if v in self.class_a:
-            return "a"
-        if v in self.class_b:
-            return "b"
-        raise KeyError(v)
-
 
 @dataclass(frozen=True)
 class PlanarMap:

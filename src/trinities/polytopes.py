@@ -5,18 +5,25 @@ triangulations, slice identities and face-count polynomials.
 Hypergraphs are named by two-letter colour selectors ("VE", "ER", ...): the
 first letter is the vertex class X, the second the hyperedge class Y; the
 backing bipartite graph is the colour graph of the remaining colour.
+
+The GP, trimmed and hypertree polytopes are built from their subset-inequality
+descriptions in integer arithmetic, and each is checked against a second,
+independent description of its lattice points: the sums of generators, the
+set-difference trimming and the spanning-tree hypertrees. The LP search of
+``geometry`` serves the root polytope listing and the Cayley slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .geometry import (
     VPolytope,
     canonical_lattice_set,
+    integer_rank,
     intersect_in_common_face,
     lattice_points,
     prune_to_vertices,
@@ -73,10 +80,6 @@ def hyperedges(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]) -> tupl
     return tuple(out)
 
 
-def _unit(i: int, dim: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(dim))
-
-
 def _generator_sums(edges: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], ...]:
     sums = {tuple([0] * dim)}
     for e in edges:
@@ -84,44 +87,152 @@ def _generator_sums(edges: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[i
     return canonical_lattice_set(sums)
 
 
+# ---------------------------------------------------------------------------
+# Subset-inequality descriptions. A bound b lists b(S) for every subset S of
+# the n coordinates, as a bitmask, with b(0) = 0; it describes
+#     {x : x(S) <= b(S) for every nonempty S, x(all) = b(all)}.
+# ---------------------------------------------------------------------------
+
+
+def _masks(sets: Sequence[Sequence[int]]) -> list[int]:
+    return [sum(1 << i for i in s) for s in sets]
+
+
+def _coverage_bound(he: Sequence[tuple[int, ...]], n: int) -> list[int]:
+    """f(S) = number of hyperedges meeting S (Postnikov's GP polytope)."""
+    he_masks = _masks(he)
+    return [sum(1 for h in he_masks if h & s) for s in range(1 << n)]
+
+
+def _hypertree_bound(he: Sequence[tuple[int, ...]]) -> list[int]:
+    """mu(S) = |N(S)| - c(S) over sets S of hyperedges (Kalman's hypertree
+    polytope): N(S) is the union of S and c(S) the number of connected
+    components of the bipartite graph on S and N(S)."""
+    he_masks = _masks(he)
+    bound = []
+    for s in range(1 << len(he)):
+        comps: list[int] = []  # vertex masks of the components so far
+        for y, h in enumerate(he_masks):
+            if s >> y & 1:
+                merged = h
+                rest = []
+                for c in comps:
+                    if c & merged:
+                        merged |= c
+                    else:
+                        rest.append(c)
+                comps = rest + [merged]
+        bound.append(sum(bin(c).count("1") for c in comps) - len(comps))
+    return bound
+
+
+def _subset_lattice(bound: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """Lattice points of the polytope, in lexicographic order.
+
+    Coordinates are fixed one at a time. Every set whose largest element is
+    the coordinate k bounds x_k from above by b(S) - x(S - k) and, through
+    x(S) = x(all) - x(all - S), from below by b(all) - b(all - S) - x(S - k),
+    so each set is checked exactly once along a branch.
+    """
+    full = (1 << n) - 1
+    total = bound[full]
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def descend(k: int, sums: list[int]) -> None:
+        # sums[S] = x(S) for every subset S of the first k coordinates.
+        if k == n:
+            out.append(tuple(prefix))
+            return
+        bit = 1 << k
+        hi = min(bound[s | bit] - x for s, x in enumerate(sums))
+        lo = max(total - bound[full ^ (s | bit)] - x for s, x in enumerate(sums))
+        for v in range(lo, hi + 1):
+            prefix.append(v)
+            descend(k + 1, sums + [x + v for x in sums])
+            prefix.pop()
+
+    descend(0, [0])
+    return tuple(out)
+
+
+def _subset_vertices(bound: Sequence[int], n: int, points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The points at which the tight sets (the whole set among them) have rank n:
+    the integral vertices, so all of them when the polytope is integral. The
+    GP and hypertree polytopes are (their bounds are submodular), and so is the
+    trimmed one of a connected hypergraph, which is the dual hypertree polytope
+    (Kalman-Postnikov)."""
+    rows = [[s >> i & 1 for i in range(n)] for s in range(1 << n)]
+    out = []
+    for p in points:
+        sums = [0]
+        for v in p:
+            sums += [x + v for x in sums]
+        tight = [rows[s] for s in range(1, 1 << n) if sums[s] == bound[s]]
+        if integer_rank(tight) == n:
+            out.append(p)
+    return out
+
+
+def _tagged(
+    bound: Sequence[int], n: int, lattice: tuple[tuple[int, ...], ...], tag: str, kind: str
+) -> TaggedPolytope:
+    vertices = _subset_vertices(bound, n, lattice)
+    poly = VPolytope.from_points(vertices, assume_vertices=True)
+    return TaggedPolytope(polytope=poly, lattice=lattice, hypergraph=tag or None, kind=kind)
+
+
 def gp_polytope(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
     """Minkowski sum over hyperedges y of the simplex on the vertices of y."""
-    dim = len(x_ids)
+    n = len(x_ids)
     he = hyperedges(m, x_ids, y_ids)
-    points = _generator_sums(he, dim)
-    poly = VPolytope.from_points(points)
-    if lattice_points(poly) != points:
+    bound = _coverage_bound(he, n)
+    lattice = _subset_lattice(bound, n)
+    if _generator_sums(he, n) != lattice:
         raise InternalConsistencyError("sums of generators do not exhaust the lattice points")
-    return TaggedPolytope(polytope=poly, lattice=points, hypergraph=tag or None, kind="gp")
+    return _tagged(bound, n, lattice, tag, "gp")
+
+
+def _trimmed(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]):
+    """Bound and lattice points of the GP polytope minus the standard simplex.
+
+    x + Delta lies in the GP polytope iff x + e_i does for every i, so the
+    bound is f - 1 on nonempty sets. The lattice points are checked against
+    the integer points x with every x + e_i a sum of generators.
+    """
+    n = len(x_ids)
+    he = hyperedges(m, x_ids, y_ids)
+    bound = [0] + [c - 1 for c in _coverage_bound(he, n)[1:]]
+    lattice = _subset_lattice(bound, n)
+    pts = set(_generator_sums(he, n))
+    candidates = {tuple(p[j] - (1 if j == i else 0) for j in range(n)) for p in pts for i in range(n)}
+    trimmed = [
+        x
+        for x in candidates
+        if all(tuple(x[j] + (1 if j == i else 0) for j in range(n)) in pts for i in range(n))
+    ]
+    if not trimmed:
+        raise InternalConsistencyError("trimmed polytope has no lattice points")
+    if canonical_lattice_set(trimmed) != lattice:
+        raise InternalConsistencyError("trimmed lattice set is not convexly closed")
+    return bound, lattice
 
 
 def trimmed_gp(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
     """Minkowski difference of the GP polytope by the standard simplex on X."""
-    dim = len(x_ids)
-    gp = gp_polytope(m, x_ids, y_ids, tag)
-    pts = {tuple(int(c) for c in p) for p in gp.lattice}
-    candidates = {tuple(p[j] - (1 if j == i else 0) for j in range(dim)) for p in pts for i in range(dim)}
-    trimmed = [
-        x
-        for x in candidates
-        if all(tuple(x[j] + (1 if j == i else 0) for j in range(dim)) in pts for i in range(dim))
-    ]
-    lattice = canonical_lattice_set(trimmed)
-    if not lattice:
-        raise InternalConsistencyError("trimmed polytope has no lattice points")
-    poly = VPolytope.from_points(lattice)
-    if lattice_points(poly) != lattice:
-        raise InternalConsistencyError("trimmed lattice set is not convexly closed")
-    return TaggedPolytope(polytope=poly, lattice=lattice, hypergraph=tag or None, kind="trimmed")
+    bound, lattice = _trimmed(m, x_ids, y_ids)
+    return _tagged(bound, len(x_ids), lattice, tag, "trimmed")
 
 
 def hypertree_polytope(m: PlanarMap, y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
     """Convex hull of the hypertree vectors, indexed by the hyperedge class."""
     hs = trees.hypertree_set_of_graph(m, y_ids)
-    poly = VPolytope.from_points(hs)
-    if lattice_points(poly) != hs:
+    y_set = set(y_ids)
+    he = hyperedges(m, [v for v in range(m.n_vertices) if v not in y_set], y_ids)
+    bound = _hypertree_bound(he)
+    if _subset_lattice(bound, len(y_ids)) != hs:
         raise InternalConsistencyError("hypertree set is not convexly closed")
-    return TaggedPolytope(polytope=poly, lattice=hs, hypergraph=tag or None, kind="hypertree")
+    return _tagged(bound, len(y_ids), hs, tag, "hypertree")
 
 
 def gp_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
@@ -151,7 +262,7 @@ def root_polytope(m: PlanarMap, u_ids: Sequence[int], v_ids: Sequence[int]) -> R
         p[u_pos[u]] = 1
         p[v_pos[v]] = -1
         gens.append(fvec(p))
-    poly = VPolytope.from_points(gens)
+    poly = VPolytope.from_points(gens, assume_vertices=True)  # every e_u - e_v is a vertex
     return RootPolytope(polytope=poly, generators=tuple(gens), u_size=len(u_ids), v_size=len(v_ids))
 
 
@@ -165,6 +276,15 @@ def root_polytope_of(t: Trinity, colour: str, u_colour: Optional[str] = None) ->
     a, b = sorted(bip.class_a), sorted(bip.class_b)
     u_ids, v_ids = (a, b) if u_colour == class_a_colour else (b, a)
     return root_polytope(cm, u_ids, v_ids)
+
+
+def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
+    """Root polytope of the hypergraph's bipartite graph, Y coordinates first,
+    with its lattice points from the LP-pruned search."""
+    cm, x_ids, y_ids = hypergraph_view(t, code)
+    rp = root_polytope(cm, y_ids, x_ids)
+    lattice = lattice_points(rp.polytope)
+    return TaggedPolytope(polytope=rp.polytope, lattice=lattice, hypergraph=code, kind="root")
 
 
 def tree_simplex(rp: RootPolytope, tree_edges: Sequence[int]) -> VPolytope:
@@ -300,7 +420,8 @@ def verify_duality_suite(t: Trinity) -> dict:
     trimmed_matches = {}
     for code in HYPERGRAPH_CODES:
         rev = code[::-1]
-        trimmed_matches[code] = trimmed_gp_of(t, code).lattice == trees.hypertree_set(t, rev)
+        _bound, lattice = _trimmed(*hypergraph_view(t, code))
+        trimmed_matches[code] = lattice == trees.hypertree_set(t, rev)
     reflections = {}
     for c1, c2 in (("VE", "RE"), ("RV", "EV"), ("VR", "ER")):
         s1 = trees.hypertree_set(t, c1)

@@ -133,6 +133,15 @@ def test_cli_polytope_listing(capsys):
         capsys, "polytope", fixture_path("g1.json"), "--hypergraph", "VE", "--which", "trimmed"
     )
     assert json.loads(out)["polytope"]["lattice_points"] == [[0, 0, 1], [0, 1, 0]]
+    code, out = run_cli(
+        capsys, "polytope", fixture_path("g1.json"), "--hypergraph", "VE", "--which", "root"
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)["polytope"]
+    assert payload["affine_dim"] == 3
+    assert payload["lattice_points"] == [
+        [0, 1, 0, -1, 0], [0, 1, 0, 0, -1], [1, 0, -1, 0, 0], [1, 0, 0, -1, 0], [1, 0, 0, 0, -1]
+    ]  # e_y - e_x for the edges (e1, v1..v3) and (e2, v2..v3) of the worked example
 
 
 def test_cli_homfly_with_pd(capsys):
@@ -158,6 +167,60 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     assert main(["report", str(bad)]) == EXIT_INVALID_INPUT
     assert main(["report", str(tmp_path / "missing.json")]) == EXIT_INVALID_INPUT
+
+
+# One edge between violet "a" and emerald "b"; each mutation below used to be
+# coerced into this same document and verified with exit 0.
+SINGLE_EDGE_AB = {
+    "format_version": 1,
+    "violet": ["a"],
+    "emerald": ["b"],
+    "edges": [["a", "b"]],
+    "rotations": {"a": [0], "b": [0]},
+    "outer_face_hint": {"edge": 0, "side": "violet"},
+}
+
+
+def test_cli_verifies_the_uncoerced_document(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(SINGLE_EDGE_AB))
+    assert main(["verify", str(doc)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda raw: raw.__setitem__("violet", "a"), id="names-as-string"),
+        pytest.param(lambda raw: raw.__setitem__("emerald", "b"), id="emerald-as-string"),
+        pytest.param(lambda raw: raw.__setitem__("edges", ["ab"]), id="edge-as-string"),
+        pytest.param(lambda raw: raw.__setitem__("rotations", {"a": "0", "b": [0]}), id="rotation-as-string"),
+        pytest.param(lambda raw: raw["rotations"].__setitem__("a", [0.0]), id="rotation-index-as-float"),
+        pytest.param(lambda raw: raw["rotations"].__setitem__("a", [False]), id="rotation-index-as-bool"),
+        pytest.param(lambda raw: raw["outer_face_hint"].__setitem__("edge", False), id="hint-edge-as-bool"),
+        pytest.param(lambda raw: raw["outer_face_hint"].__setitem__("edge", "0"), id="hint-edge-as-string"),
+        pytest.param(lambda raw: raw.__setitem__("format_version", True), id="version-as-bool"),
+        pytest.param(
+            lambda raw: raw.update(violet=[1], edges=[[1, "b"]], rotations={"1": [0], "b": [0]}),
+            id="name-as-number",
+        ),
+        pytest.param(lambda raw: raw.__setitem__("comment", "x"), id="unknown-top-level-key"),
+        pytest.param(lambda raw: raw["outer_face_hint"].__setitem__("face", 0), id="unknown-hint-key"),
+    ],
+)
+def test_cli_rejects_coercible_documents(tmp_path, capsys, mutate):
+    raw = json.loads(json.dumps(SINGLE_EDGE_AB))
+    mutate(raw)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    assert main(["verify", str(doc)]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_rejects_duplicate_keys(tmp_path, capsys):
+    text = json.dumps(SINGLE_EDGE_AB)
+    doc = tmp_path / "doc.json"
+    doc.write_text(text.replace('"violet": ["a"]', '"violet": ["b"], "violet": ["a"]'))
+    assert main(["verify", str(doc)]) == EXIT_INVALID_INPUT
 
 
 def test_cli_root_triangle_override(capsys):

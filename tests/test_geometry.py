@@ -7,6 +7,7 @@ from trinities.geometry import (
     VPolytope,
     affine_dim,
     canonical_lattice_set,
+    integer_rank,
     intersect_in_common_face,
     lattice_points,
     placing_triangulation,
@@ -14,7 +15,7 @@ from trinities.geometry import (
     simplex_normalized_volume,
     total_normalized_volume,
 )
-from trinities.linalg import fvec
+from trinities.linalg import fvec, rank
 
 
 def test_canonical_lattice_set_dedupes_and_sorts():
@@ -108,3 +109,12 @@ def test_placing_triangulation_covers_square():
     assert sum(
         simplex_normalized_volume([[(0, 0), (1, 0), (0, 1), (1, 1)][i] for i in s]) for s in tri
     ) == 2
+
+
+def test_integer_rank_matches_rational_rank():
+    rng = random.Random(31)
+    for _ in range(200):
+        n_rows, n_cols = rng.randint(0, 6), rng.randint(1, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(n_cols)] for _ in range(n_rows)]
+        assert integer_rank(rows) == rank(rows)
+    assert integer_rank([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]) == 3

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from trinities import polytopes, trees
+from trinities.geometry import VPolytope, lattice_points, prune_to_vertices
 from trinities.maps import build_map
 from trinities.polytopes import (
     arborescence_triangulation,
@@ -11,6 +15,7 @@ from trinities.polytopes import (
     gp_polytope_of,
     h_vector,
     hyperedges,
+    hypergraph_root_polytope_of,
     hypertree_polytope_of,
     root_polytope,
     root_polytope_of,
@@ -20,9 +25,9 @@ from trinities.polytopes import (
     trimmed_gp_of,
     verify_duality_suite,
 )
-from trinities.trinity import COLOURS, RED
+from trinities.trinity import COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, hypergraph_view
 
-from helpers import g1_map, g1_trinity, single_edge_trinity
+from helpers import fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
 
 
 def vset(poly):
@@ -145,3 +150,106 @@ def test_single_edge_polytopes_are_points():
     assert gp_polytope_of(t, "VE").lattice == ((1,),)
     assert trimmed_gp_of(t, "VE").lattice == ((0,),)
     assert verify_duality_suite(t)["all_hold"]
+
+
+# ---------------------------------------------------------------------------
+# The subset-inequality polytopes against the LP path: the LP lattice points
+# and LP-pruned vertices of the convex hull of an independent point set (the
+# Minkowski sums of the generators, their set-difference trimming, and the
+# spanning-tree hypertrees).
+# ---------------------------------------------------------------------------
+
+
+def _lp_lattice_and_vertices(points):
+    return lattice_points(VPolytope.from_points(points)), prune_to_vertices(points)
+
+
+def _minkowski_sums(he, n):
+    return {tuple(sum(1 for i in choice if i == j) for j in range(n)) for choice in product(*he)}
+
+
+def _set_difference_trimming(points, n):
+    def plus(x, i):
+        return tuple(c + (j == i) for j, c in enumerate(x))
+
+    candidates = {tuple(c - (j == i) for j, c in enumerate(p)) for p in points for i in range(n)}
+    return {x for x in candidates if all(plus(x, i) in points for i in range(n))}
+
+
+def assert_matches_lp_path(t):
+    for code in HYPERGRAPH_CODES:
+        cm, x_ids, y_ids = hypergraph_view(t, code)
+        sums = _minkowski_sums(polytopes.hyperedges(cm, x_ids, y_ids), len(x_ids))
+        trimmed = _set_difference_trimming(sums, len(x_ids))
+        hypertrees = trees.hypertree_set(t, code)
+        for tp, independent in (
+            (gp_polytope_of(t, code), sums),
+            (trimmed_gp_of(t, code), trimmed),
+            (hypertree_polytope_of(t, code), hypertrees),
+        ):
+            lattice, vertices = _lp_lattice_and_vertices(independent)
+            assert tp.lattice == lattice, (code, tp.kind)
+            assert tp.polytope.vertices == vertices, (code, tp.kind)
+
+
+@pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
+def test_fixture_polytopes_match_the_lp_path(build):
+    assert_matches_lp_path(build())
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_corpus_polytopes_match_the_lp_path(chunk):
+    # The same seeded corpus as test_random_properties.
+    rng = random.Random(9000 + chunk)
+    for _ in range(20):
+        assert_matches_lp_path(random_trinity(rng))
+
+
+def _drop_last(points):
+    return points[:-1]
+
+
+def _add_far_point(points):
+    return tuple(sorted(points + (tuple(c + 1 for c in points[-1]),)))
+
+
+@pytest.mark.parametrize("change", [_drop_last, _add_far_point])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (gp_polytope_of, "sums of generators do not exhaust the lattice points"),
+        (trimmed_gp_of, "trimmed lattice set is not convexly closed"),
+        (hypertree_polytope_of, "hypertree set is not convexly closed"),
+    ],
+)
+def test_each_description_check_catches_a_changed_lattice(monkeypatch, build, message, change):
+    subset_lattice = polytopes._subset_lattice
+    monkeypatch.setattr(polytopes, "_subset_lattice", lambda *args: change(subset_lattice(*args)))
+    with pytest.raises(InternalConsistencyError, match=message):
+        build(g1_trinity(), "VE")
+
+
+@pytest.mark.parametrize("change", [_drop_last, _add_far_point])
+def test_gp_check_catches_changed_generator_sums(monkeypatch, change):
+    generator_sums = polytopes._generator_sums
+    monkeypatch.setattr(polytopes, "_generator_sums", lambda *args: change(generator_sums(*args)))
+    with pytest.raises(InternalConsistencyError, match="sums of generators"):
+        gp_polytope_of(g1_trinity(), "VE")
+
+
+@pytest.mark.parametrize("change", [_drop_last, _add_far_point])
+def test_hypertree_check_catches_changed_tree_hypertrees(monkeypatch, change):
+    hypertree_set_of_graph = trees.hypertree_set_of_graph
+    monkeypatch.setattr(trees, "hypertree_set_of_graph", lambda *args: change(hypertree_set_of_graph(*args)))
+    with pytest.raises(InternalConsistencyError, match="hypertree set is not convexly closed"):
+        hypertree_polytope_of(g1_trinity(), "VE")
+
+
+def test_root_polytope_listing_lattice_points_are_the_generators():
+    t = g1_trinity()
+    for code in HYPERGRAPH_CODES:
+        tp = hypergraph_root_polytope_of(t, code)
+        cm, x_ids, y_ids = hypergraph_view(t, code)
+        gens = root_polytope(cm, y_ids, x_ids).generators
+        assert tp.lattice == tuple(sorted({tuple(int(c) for c in g) for g in gens}))
+        assert tp.polytope.vertices == prune_to_vertices(gens)
