@@ -19,6 +19,7 @@ from .documents import (
     GraphDocument,
     document_to_map,
     format_point,
+    format_rational,
     parse_graph_document,
 )
 from .maps import Bipartition, MapError, betti1
@@ -49,8 +50,6 @@ def _load_trinity(path: str, root_triangle: Optional[int]) -> tuple[GraphDocumen
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        from .documents import format_rational
-
         return format_rational(x)
     if isinstance(x, links.LaurentPoly2):
         return links.format_poly(x)
@@ -278,7 +277,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--root-triangle", type=int, default=None, help="white triangle id overriding the default root")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--crossing-cap", type=int, default=16)
-        p.add_argument("--seed", type=int, default=0, help="accepted for reproducibility bookkeeping")
 
     p = sub.add_parser("report", help="full report: every route to the magic number")
     common(p)
@@ -299,7 +297,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite on the document")
     common(p)
-    p.add_argument("--all", action="store_true", help="kept for compatibility; the full suite always runs")
     p.set_defaults(func=cmd_verify)
 
     return parser

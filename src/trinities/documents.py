@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .maps import Bipartition, MapError, PlanarMap, build_map
+from .maps import Bipartition, PlanarMap, build_map
 
 FORMAT_VERSION = 1
 

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import canonical_lattice_set
-from .maps import betti1
-from .trinity import COLOUR_CLASSES, COLOURS, InternalConsistencyError, Trinity
+from .links import component_count, median_diagram
+from .maps import Bipartition, betti1
+from .trinity import COLOUR_CLASSES, InternalConsistencyError, Trinity
 from . import trees
 
 IntVec = tuple[int, ...]
@@ -53,10 +54,6 @@ def sfh_support(t: Trinity) -> SupportSet:
     return SupportSet(points=via_er, ambient="R")
 
 
-def sfh_dimension(t: Trinity) -> int:
-    return sfh_support(t).size
-
-
 def tight_contact_count(t: Trinity, colour: str) -> int:
     """Number of tight classes: the hypertree count of the colour graph, which
     must agree between the hypergraph and its abstract dual."""
@@ -68,12 +65,6 @@ def tight_contact_count(t: Trinity, colour: str) -> int:
     if n1 != n2:
         raise InternalConsistencyError("hypertree counts of dual hypergraphs differ")
     return n1
-
-
-def spin_c_tight_support(t: Trinity) -> SupportSet:
-    """The spin-c structures carrying tight classes: equal to the sutured
-    support by construction (the equality is the theorem being modelled)."""
-    return sfh_support(t)
 
 
 def affine_equivalent(
@@ -112,9 +103,6 @@ class SuturedSummary:
 
 
 def sutured_summary(t: Trinity) -> SuturedSummary:
-    from .links import component_count, median_diagram
-    from .maps import Bipartition
-
     d = median_diagram(t.map, Bipartition(t.violet, t.emerald), violet=t.violet)
     support = sfh_support(t)
     return SuturedSummary(

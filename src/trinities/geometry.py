@@ -9,10 +9,9 @@ exact rank of an integer matrix without any Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
     OPTIMAL,
@@ -21,6 +20,7 @@ from .linalg import (
     fvec,
     lp_solve,
     rank,
+    solve_affine,
     vec_sub,
 )
 from .linalg import simplex_normalized_volume as _simplex_normalized_volume
@@ -209,8 +209,6 @@ def _span_coordinates(points: Sequence[RatVec]) -> list[RatVec]:
     for d in dirs:
         if rank(basis + [d]) > len(basis):
             basis.append(d)
-    from .linalg import solve_affine
-
     coords = []
     for d in dirs:
         sol = solve_affine(basis, d)
@@ -221,8 +219,6 @@ def _span_coordinates(points: Sequence[RatVec]) -> list[RatVec]:
 
 def _facet_inequality(coords: Sequence[RatVec], facet: Sequence[int], opposite: int):
     """Hyperplane (normal, offset) through the facet with the opposite vertex strictly inside."""
-    from .linalg import solve_affine
-
     pts = [coords[i] for i in facet]
     d = len(pts[0])
     # Normal n, offset c with n.p = c for facet points; fix scale via an

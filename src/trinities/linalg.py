@@ -6,6 +6,7 @@ Everything operates on tuples of ``fractions.Fraction``; no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -221,8 +222,6 @@ def lp_solve(a_rows: Sequence[RatVec], b: RatVec, c: RatVec) -> tuple[str, Optio
 
 def _int_minors_gcd(rows: list[list[int]], k: int) -> int:
     """gcd of all k x k minors of an integer matrix with exactly k rows."""
-    from itertools import combinations
-
     n_cols = len(rows[0])
     g = 0
     for cols in combinations(range(n_cols), k):

@@ -14,10 +14,11 @@ that these diagrams come out positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .maps import Bipartition, PlanarMap
+from .polytopes import arborescence_triangulation, h_vector
 from .trinity import RED, InternalConsistencyError, Trinity
 
 
@@ -332,23 +333,6 @@ def _split_factor(n_components: int) -> LaurentPoly2:
     return out
 
 
-def _live_components(crossings: Sequence[Crossing]) -> int:
-    succ: dict[int, int] = {}
-    for c in crossings:
-        succ[c.over_in] = c.over_out
-        succ[c.under_in] = c.under_out
-    seen: set[int] = set()
-    n = 0
-    for a in sorted(succ):
-        if a not in seen:
-            n += 1
-            cur = a
-            while cur not in seen:
-                seen.add(cur)
-                cur = succ[cur]
-    return n
-
-
 def _homfly(crossings: list[Crossing], free: int) -> LaurentPoly2:
     free = _remove_r1(crossings, free)
     if not crossings:
@@ -356,7 +340,7 @@ def _homfly(crossings: list[Crossing], free: int) -> LaurentPoly2:
     i = _first_ascending(crossings)
     if i is None:
         # Descending diagram: an unlink of its components.
-        return _split_factor(_live_components(crossings) + free)
+        return _split_factor(component_count(LinkDiagram(tuple(crossings), free)))
     c = crossings[i]
     switched = [x for x in crossings]
     switched[i] = c.switched()
@@ -403,8 +387,6 @@ def verify_homfly_h_vector(t: Trinity, root: Optional[int] = None, crossing_cap:
     The identity checked is top = v^(E+V-1) * h(v^-2); the record also reports
     the h(v^-1) substitution for reference.
     """
-    from .polytopes import arborescence_triangulation, h_vector
-
     m = t.map
     d = median_diagram(m, Bipartition(t.violet, t.emerald), violet=t.violet)
     p = homfly(d, crossing_cap)

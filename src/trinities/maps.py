@@ -9,7 +9,20 @@ each dart; bounded faces come out counter-clockwise in the plane picture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Sequence, TypeVar
+
+T = TypeVar("T")
+
+
+def memo(obj: object, key: Hashable, build: Callable[[], T]) -> T:
+    """``build()``, computed once per ``key`` and kept in the frozen ``obj``'s
+    ``__dict__``. The value must be immutable and depend only on ``obj`` and
+    ``key``; it lives and dies with ``obj``, and an equal object derives its own."""
+    try:
+        return obj.__dict__["_memo"][key]
+    except KeyError:
+        value = obj.__dict__.setdefault("_memo", {})[key] = build()
+        return value
 
 
 class MapError(ValueError):
@@ -62,38 +75,26 @@ class PlanarMap:
         return d >> 1
 
     def sigma_inv(self, d: int) -> int:
-        return self._sigma_inv[d]
-
-    @property
-    def _sigma_inv(self) -> tuple[int, ...]:
-        inv = getattr(self, "_sigma_inv_cache", None)
-        if inv is None:
-            inv = [0] * len(self.sigma)
-            for d, s in enumerate(self.sigma):
-                inv[s] = d
-            inv = tuple(inv)
-            object.__setattr__(self, "_sigma_inv_cache", inv)
-        return inv
+        return memo(self, "sigma_inv", lambda: _inverse(self.sigma))[d]
 
     def next_in_face(self, d: int) -> int:
         """Next dart along the face on the left of d."""
         return self.sigma_inv(self.alpha(d))
 
     def darts_of_vertex(self, v: int) -> tuple[int, ...]:
-        got = getattr(self, "_vertex_darts_cache", None)
-        if got is None:
-            buckets: dict[int, list[int]] = {u: [] for u in range(self.n_vertices)}
-            seen = [False] * self.n_darts
-            for d in range(self.n_darts):
-                if not seen[d]:
-                    cur = d
-                    while not seen[cur]:
-                        seen[cur] = True
-                        buckets[self.vertex_of[cur]].append(cur)
-                        cur = self.sigma[cur]
-            got = tuple(tuple(buckets[u]) for u in range(self.n_vertices))
-            object.__setattr__(self, "_vertex_darts_cache", got)
-        return got[v]
+        return memo(self, "vertex_darts", self._vertex_darts)[v]
+
+    def _vertex_darts(self) -> tuple[tuple[int, ...], ...]:
+        buckets: dict[int, list[int]] = {u: [] for u in range(self.n_vertices)}
+        seen = [False] * self.n_darts
+        for d in range(self.n_darts):
+            if not seen[d]:
+                cur = d
+                while not seen[cur]:
+                    seen[cur] = True
+                    buckets[self.vertex_of[cur]].append(cur)
+                    cur = self.sigma[cur]
+        return tuple(tuple(buckets[u]) for u in range(self.n_vertices))
 
     def degree(self, v: int) -> int:
         return len(self.darts_of_vertex(v))
@@ -102,10 +103,15 @@ class PlanarMap:
         return self.vertex_of[self.alpha(d)]
 
 
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for d, s in enumerate(perm):
+        inv[s] = d
+    return tuple(inv)
+
+
 def _face_orbits(sigma: Sequence[int], n_darts: int) -> tuple[tuple[int, ...], ...]:
-    sigma_inv = [0] * n_darts
-    for d, s in enumerate(sigma):
-        sigma_inv[s] = d
+    sigma_inv = _inverse(sigma)
     seen = [False] * n_darts
     faces = []
     for d in range(n_darts):

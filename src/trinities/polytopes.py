@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 from .geometry import (
     VPolytope,
+    affine_dim,
     canonical_lattice_set,
     integer_rank,
     intersect_in_common_face,
@@ -31,8 +33,16 @@ from .geometry import (
     total_normalized_volume,
 )
 from .linalg import RatVec, fvec, rank, solve_affine, vec_sub
-from .maps import PlanarMap
-from .trinity import COLOUR_CLASSES, InternalConsistencyError, Trinity, hypergraph_view
+from .maps import PlanarMap, memo
+from .trinity import (
+    COLOUR_CLASSES,
+    HYPERGRAPH_CODES,
+    InternalConsistencyError,
+    Trinity,
+    colour_graph,
+    directed_dual,
+    hypergraph_view,
+)
 from . import trees
 
 
@@ -267,15 +277,16 @@ def root_polytope(m: PlanarMap, u_ids: Sequence[int], v_ids: Sequence[int]) -> R
 
 
 def root_polytope_of(t: Trinity, colour: str, u_colour: Optional[str] = None) -> RootPolytope:
-    from .trinity import colour_graph
+    """Root polytope of the colour graph, the u_colour class (by default class
+    b) first, built once per trinity, colour and side."""
+    a_first = u_colour == COLOUR_CLASSES[colour][0]
 
-    cm, bip = colour_graph(t, colour)
-    class_a_colour, class_b_colour = COLOUR_CLASSES[colour]
-    if u_colour is None:
-        u_colour = class_b_colour
-    a, b = sorted(bip.class_a), sorted(bip.class_b)
-    u_ids, v_ids = (a, b) if u_colour == class_a_colour else (b, a)
-    return root_polytope(cm, u_ids, v_ids)
+    def build() -> RootPolytope:
+        cm, bip = colour_graph(t, colour)
+        a, b = sorted(bip.class_a), sorted(bip.class_b)
+        return root_polytope(cm, a, b) if a_first else root_polytope(cm, b, a)
+
+    return memo(t, ("root_polytope", colour, a_first), build)
 
 
 def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
@@ -289,35 +300,37 @@ def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
 
 def tree_simplex(rp: RootPolytope, tree_edges: Sequence[int]) -> VPolytope:
     pts = [rp.generators[e] for e in tree_edges]
-    from .geometry import affine_dim
-
-    if affine_dim(pts) != len(pts) - 1:
+    dim = affine_dim(pts)
+    if dim != len(pts) - 1:
         raise ValueError("edge set does not span a simplex (contains a cycle)")
-    return VPolytope.from_points(pts, assume_vertices=True)
+    return VPolytope(vertices=tuple(sorted(pts)), ambient_dim=len(pts[0]), affine_dim=dim)
 
 
 def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = None) -> Triangulation:
     """Triangulation of the colour graph's root polytope by the simplices of
-    the spanning trees dual to the arborescences at the given root."""
-    from .trinity import directed_dual
-
-    dd = directed_dual(t, colour)
+    the spanning trees dual to the arborescences at the given root (by default
+    the root triangle's corner), built once per trinity, colour and root."""
     if root is None:
         root = t.triangles[t.root_triangle].corner(colour)[1]
+    key = ("arborescence_triangulation", colour, root)
+    return memo(t, key, lambda: _arborescence_triangulation(t, colour, root))
+
+
+def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangulation:
     rp = root_polytope_of(t, colour)
-    arbs = trees.enumerate_arborescences(dd, root)
+    arbs = trees.enumerate_arborescences(directed_dual(t, colour), root)
     tree_sets = tuple(trees.arborescence_to_spanning_tree(t, colour, a) for a in arbs)
-    simplices = tuple(tree_simplex(rp, tr).vertices for tr in tree_sets)
+    polys = [tree_simplex(rp, tr) for tr in tree_sets]
+    simplices = tuple(p.vertices for p in polys)
     # Validation: unit volumes, pairwise common-face intersections, total volume.
     for s in simplices:
         if simplex_normalized_volume(s) != 1:
             raise InternalConsistencyError("tree simplex is not unimodular")
-    for s1, s2 in combinations(simplices, 2):
-        p1 = VPolytope.from_points(s1, assume_vertices=True)
-        p2 = VPolytope.from_points(s2, assume_vertices=True)
+    for p1, p2 in combinations(polys, 2):
         if not intersect_in_common_face(p1, p2):
             raise InternalConsistencyError("simplices do not meet in a common face")
-    if len(simplices) != total_normalized_volume(rp.polytope.vertices):
+    volume = memo(rp, "normalized_volume", lambda: total_normalized_volume(rp.polytope.vertices))
+    if len(simplices) != volume:
         raise InternalConsistencyError("triangulation volume does not cover the root polytope")
     return Triangulation(parent=rp, trees=tree_sets, simplices=simplices)
 
@@ -402,8 +415,6 @@ def f_vector(tr: Triangulation) -> tuple[int, ...]:
 
 def h_vector(tr: Triangulation) -> tuple[int, ...]:
     """Coefficients of h(x) = f(x-1), highest degree first."""
-    from math import comb
-
     f = f_vector(tr)
     top = len(f) - 1
     by_power = [0] * len(f)  # by_power[j] = coefficient of x^j
@@ -415,8 +426,6 @@ def h_vector(tr: Triangulation) -> tuple[int, ...]:
 
 
 def verify_duality_suite(t: Trinity) -> dict:
-    from .trinity import HYPERGRAPH_CODES
-
     trimmed_matches = {}
     for code in HYPERGRAPH_CODES:
         rev = code[::-1]

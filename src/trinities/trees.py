@@ -14,8 +14,16 @@ from typing import Iterable, Sequence
 
 from .geometry import canonical_lattice_set
 from .linalg import det_exact
-from .maps import PlanarMap
-from .trinity import COLOUR_CLASSES, DirectedDual, InternalConsistencyError, Trinity, colour_graph, directed_dual
+from .maps import PlanarMap, memo
+from .trinity import (
+    COLOUR_CLASSES,
+    DirectedDual,
+    InternalConsistencyError,
+    Trinity,
+    colour_graph,
+    directed_dual,
+    hypergraph_view,
+)
 
 
 class _DSU:
@@ -68,7 +76,9 @@ def enumerate_spanning_trees(n_vertices: int, edges: Sequence[tuple[int, int]]) 
 
 
 def spanning_trees_of_map(m: PlanarMap) -> tuple[tuple[int, ...], ...]:
-    return enumerate_spanning_trees(m.n_vertices, m.edges)
+    """The spanning trees of the map, enumerated once per map: a hypergraph
+    and its transpose share the enumeration of their colour graph."""
+    return memo(m, "spanning_trees", lambda: enumerate_spanning_trees(m.n_vertices, m.edges))
 
 
 def hypertree_of(
@@ -96,12 +106,11 @@ def hypertree_set(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
     """Hypertrees of the (X, Y) hypergraph named by a two-letter selector.
 
     Hyperedges are Y, so the vectors are indexed by the Y-class vertices of the
-    underlying colour graph, in increasing id order.
+    underlying colour graph, in increasing id order. Derived once per trinity
+    and selector.
     """
-    from .trinity import hypergraph_view
-
     cm, _x_ids, y_ids = hypergraph_view(t, code)
-    return hypertree_set_of_graph(cm, y_ids)
+    return memo(t, ("hypertree_set", code), lambda: hypertree_set_of_graph(cm, y_ids))
 
 
 def count_arborescences(dd: DirectedDual, root: int) -> int:

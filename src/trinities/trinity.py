@@ -11,10 +11,12 @@ violet-to-emerald direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
 
-from .maps import Bipartition, MapError, PlanarMap, build_map_from_darts
+from .linalg import det_exact
+from .maps import Bipartition, MapError, PlanarMap, build_map_from_darts, memo
 
 VIOLET = "violet"
 EMERALD = "emerald"
@@ -132,29 +134,19 @@ def build_trinity(
                 colour="white" if white else "black",
             )
         )
-    triangles = tuple(triangles)
+    if root_triangle is None:
+        outer_whites = [tr.dart for tr in triangles if tr.colour == "white" and tr.red == outer_face]
+        if not outer_whites:
+            raise InternalConsistencyError("outer face meets no white triangle")
+        root_triangle = min(outer_whites)
+    elif not (0 <= root_triangle < m.n_darts) or triangles[root_triangle].colour != "white":
+        raise MapError(f"root triangle {root_triangle} is not a white triangle")
     t = Trinity(
         map=m,
         violet=frozenset(violet),
         emerald=frozenset(emerald),
         outer_face=outer_face,
-        triangles=triangles,
-        root_triangle=-1,
-    )
-    if root_triangle is None:
-        outer_whites = [d for d in t.white_triangles if triangles[d].red == outer_face]
-        if not outer_whites:
-            raise InternalConsistencyError("outer face meets no white triangle")
-        root_triangle = min(outer_whites)
-    else:
-        if not (0 <= root_triangle < m.n_darts) or triangles[root_triangle].colour != "white":
-            raise MapError(f"root triangle {root_triangle} is not a white triangle")
-    t = Trinity(
-        map=m,
-        violet=t.violet,
-        emerald=t.emerald,
-        outer_face=outer_face,
-        triangles=triangles,
+        triangles=tuple(triangles),
         root_triangle=root_triangle,
     )
     _validate_triangle_colouring(t)
@@ -193,12 +185,17 @@ def _validate_triangle_colouring(t: Trinity) -> None:
 
 
 def colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
-    """The colour-c subgraph of the trinity as an embedded map.
+    """The colour-c subgraph of the trinity as an embedded map, built once per
+    trinity and colour.
 
     Vertex ids: class_a vertices (in id order) then class_b vertices; edge i
     corresponds to the i-th white triangle (for red, edge ids match the input
     graph's edge ids, and the map IS the input map).
     """
+    return memo(t, ("colour_graph", colour), lambda: _colour_graph(t, colour))
+
+
+def _colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
     if colour == RED:
         return t.map, Bipartition(class_a=t.violet, class_b=t.emerald)
     m = t.map
@@ -253,7 +250,12 @@ def colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
 
 
 def directed_dual(t: Trinity, colour: str) -> DirectedDual:
-    m = t.map
+    """The balanced directed dual of the colour graph, built once per trinity
+    and colour."""
+    return memo(t, ("directed_dual", colour), lambda: _directed_dual(t, colour))
+
+
+def _directed_dual(t: Trinity, colour: str) -> DirectedDual:
     whites = t.white_triangles
     edges = []
     for w in whites:
@@ -268,8 +270,6 @@ def directed_dual(t: Trinity, colour: str) -> DirectedDual:
 
 
 def _check_balanced(dd: DirectedDual) -> None:
-    from collections import Counter
-
     indeg: Counter = Counter()
     outdeg: Counter = Counter()
     for tail, head in dd.edges:
@@ -366,10 +366,7 @@ def magic_number_report(t: Trinity) -> dict:
         dd = directed_dual(t, colour)
         root = t.triangles[t.root_triangle].corner(colour)[1]
         rho[colour] = trees.count_arborescences(dd, root)
-    hyper = {}
-    for code in HYPERGRAPH_CODES:
-        cm, x_ids, y_ids = hypergraph_view(t, code)
-        hyper[code] = len(trees.hypertree_set_of_graph(cm, y_ids))
+    hyper = {code: len(trees.hypertree_set(t, code)) for code in HYPERGRAPH_CODES}
     values = [det_route, matchings, *rho.values(), *hyper.values()]
     return {
         "det": det_route,
@@ -382,6 +379,4 @@ def magic_number_report(t: Trinity) -> dict:
 
 
 def round_det(t: Trinity):
-    from .linalg import det_exact
-
     return det_exact(adjacency_matrix(t).entries)

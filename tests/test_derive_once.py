@@ -1,0 +1,78 @@
+"""Each colour graph, directed dual, hypertree set, root polytope and
+triangulation is derived once per trinity, and never shared between two
+trinities. The counts come from wrappers around the enumerators."""
+
+from collections import Counter
+from importlib import resources
+
+from trinities import links, polytopes, trees
+from trinities.cli import EXIT_OK, build_report, main
+from trinities.documents import document_to_map, parse_graph_document
+from trinities.trinity import COLOURS, build_trinity, colour_graph, directed_dual, magic_number_report
+
+FIG7 = str(resources.files("trinities") / "fixtures" / "fig7.json")
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its call arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def load_fig7():
+    doc = parse_graph_document((resources.files("trinities") / "fixtures" / "fig7.json").read_text())
+    m, bip, outer = document_to_map(doc)
+    return doc, build_trinity(m, bip, outer_face=outer)
+
+
+def test_report_enumerates_spanning_trees_once_per_colour_graph(monkeypatch):
+    calls = count_calls(monkeypatch, trees, "enumerate_spanning_trees")
+    doc, t = load_fig7()
+    report, code = build_report(doc, t, crossing_cap=16, emit_pd=False)
+    assert code == EXIT_OK and report["magic"]["magic_number"] == 11
+    assert len(calls) == 3
+    assert sorted(n for n, _edges in calls) == sorted(colour_graph(t, c)[0].n_vertices for c in COLOURS)
+
+
+def test_verify_triangulates_once_per_colour_and_root(monkeypatch, capsys):
+    # The link identity reuses the red triangulation at the default root, and
+    # every root of a colour shares one root polytope and its volume.
+    calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
+    volumes = count_calls(monkeypatch, polytopes, "total_normalized_volume")
+    assert main(["verify", FIG7]) == EXIT_OK
+    assert '"ok": true' in capsys.readouterr().out
+    pairs = Counter((dd.colour, root) for dd, root in calls)
+    _doc, t = load_fig7()
+    assert pairs == Counter((c, root) for c in COLOURS for root in directed_dual(t, c).vertices)
+    assert 1 <= len(volumes) <= 3
+
+
+def test_two_trinities_of_one_document_derive_separately(monkeypatch):
+    calls = count_calls(monkeypatch, trees, "enumerate_spanning_trees")
+    _doc, t1 = load_fig7()
+    _doc, t2 = load_fig7()
+    assert magic_number_report(t1) == magic_number_report(t2)
+    assert len(calls) == 6
+    for colour in COLOURS:
+        assert colour_graph(t1, colour) is colour_graph(t1, colour)
+        assert colour_graph(t1, colour) is not colour_graph(t2, colour)
+        assert colour_graph(t1, colour) == colour_graph(t2, colour)
+        assert trees.hypertree_set(t1, "ER") is trees.hypertree_set(t1, "ER")
+
+
+def test_default_and_explicit_root_share_one_triangulation(monkeypatch):
+    calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
+    _doc, t = load_fig7()
+    default_root = t.triangles[t.root_triangle].corner("red")[1]
+    tr = polytopes.arborescence_triangulation(t, "red")
+    assert polytopes.arborescence_triangulation(t, "red", default_root) is tr
+    assert len(calls) == 1
+    assert links.verify_homfly_h_vector(t)["holds"]
+    assert len(calls) == 1

@@ -228,3 +228,11 @@ def test_cli_root_triangle_override(capsys):
     assert code == EXIT_OK
     assert json.loads(out)["root_triangle"] == 6
     assert main(["report", fixture_path("g1.json"), "--root-triangle", "1"]) == EXIT_INVALID_INPUT
+
+
+@pytest.mark.parametrize("flags", [["--seed", "0"], ["--all"]])
+def test_removed_noop_flags_fail_argument_parsing(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", fixture_path("g1.json"), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -4,9 +4,7 @@ from trinities.floer import (
     affine_equivalent,
     canonical_translate,
     negate,
-    sfh_dimension,
     sfh_support,
-    spin_c_tight_support,
     sutured_summary,
     tight_contact_count,
 )
@@ -26,7 +24,7 @@ def test_g1_support():
     assert s.points == ((0, 1), (1, 0))
     assert s.ambient == "R"
     assert s.size == 2
-    assert sfh_dimension(g1_trinity()) == 2
+    assert sfh_support(g1_trinity()).size == 2
 
 
 def test_single_edge_support():
@@ -38,14 +36,9 @@ def test_single_edge_support():
 def test_support_size_equals_magic_number():
     for t in (g1_trinity(), single_edge_trinity(), fig7_trinity()):
         magic = magic_number_report(t)["magic_number"]
-        assert sfh_dimension(t) == magic
+        assert sfh_support(t).size == magic
         for colour in COLOURS:
             assert tight_contact_count(t, colour) == magic
-
-
-def test_spin_c_support_matches_sutured_support():
-    t = g1_trinity()
-    assert spin_c_tight_support(t) == sfh_support(t)
 
 
 def test_affine_equivalent_translates():
