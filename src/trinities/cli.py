@@ -8,6 +8,7 @@ emitted, minus the link polynomial).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .documents import (
     format_rational,
     parse_graph_document,
 )
-from .maps import Bipartition, MapError, betti1
+from .maps import MapError, betti1
 from .trinity import (
     COLOURS,
     HYPERGRAPH_CODES,
@@ -109,13 +110,11 @@ def _polytope_listing(tp: polytopes.TaggedPolytope) -> dict:
 
 
 def _homfly_section(t: Trinity, crossing_cap: int, root: Optional[int], emit_pd: bool) -> tuple[dict, int]:
-    m = t.map
-    bip = Bipartition(t.violet, t.emerald)
-    diagram = links.median_diagram(m, bip, violet=t.violet)
+    diagram = links.median_diagram_of(t)
     section: dict = {
         "crossings": diagram.n_crossings,
         "components": links.component_count(diagram),
-        "seifert": links.seifert_data(m, bip),
+        "seifert": links.seifert_data(t),
     }
     if emit_pd:
         section["pd_code"] = links.pd_code(diagram).split("\n")
@@ -268,7 +267,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_CHECKS_FAILED
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use (not at
+    import); parsing does not change it."""
     parser = argparse.ArgumentParser(prog="trinities", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -303,8 +305,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DocumentError, MapError, FileNotFoundError) as exc:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import canonical_lattice_set
-from .links import component_count, median_diagram
-from .maps import Bipartition, betti1
+from .links import component_count, median_diagram_of
+from .maps import betti1
 from .trinity import COLOUR_CLASSES, InternalConsistencyError, Trinity
 from . import trees
 
@@ -103,7 +103,7 @@ class SuturedSummary:
 
 
 def sutured_summary(t: Trinity) -> SuturedSummary:
-    d = median_diagram(t.map, Bipartition(t.violet, t.emerald), violet=t.violet)
+    d = median_diagram_of(t)
     support = sfh_support(t)
     return SuturedSummary(
         genus=betti1(t.map),

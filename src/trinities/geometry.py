@@ -2,8 +2,8 @@
 
 Membership is LP feasibility ("is x a convex combination of the vertices"),
 lattice points come from a pruned bounding-box search, and simplex volumes are
-normalized to the direction lattice of the affine span. ``integer_rank`` is the
-exact rank of an integer matrix without any Fraction.
+normalized to the direction lattice of the affine span. Dimensions and the
+placing triangulation run fraction-free on integers.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from .linalg import (
     OPTIMAL,
     DimensionError,
     RatVec,
+    extend_basis,
     fvec,
+    integer_det,
+    integer_rank,
+    integral_row,
     lp_solve,
-    rank,
-    solve_affine,
-    vec_sub,
 )
 from .linalg import simplex_normalized_volume as _simplex_normalized_volume
 
@@ -97,29 +98,18 @@ class VPolytope:
         )
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free elimination."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row zero at earlier pivots)
-    for row in rows:
-        row = list(row)
-        for col, prow in basis:
-            if row[col]:
-                a, b = prow[col], row[col]
-                row = [a * x - b * y for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            g = math.gcd(*row)
-            basis.append((lead, [x // g for x in row]))
-            if len(basis) == len(row):
-                break
-    return len(basis)
+def _integral_points(points: Sequence[Sequence]) -> list[list[int]]:
+    """The points scaled by one positive integer to integer vectors."""
+    scaled = [integral_row(p) for p in points]
+    scale = math.lcm(*(s for s, _ in scaled))
+    return [[x * (scale // s) for x in row] for s, row in scaled]
 
 
 def affine_dim(points: Sequence[Sequence]) -> int:
-    pts = [fvec(p) for p in points]
-    if not pts:
+    if not points:
         raise ValueError("affine_dim of empty point set")
-    return rank([vec_sub(q, pts[0]) for q in pts[1:]])
+    pts = _integral_points(points)
+    return integer_rank([[x - y for x, y in zip(q, pts[0], strict=True)] for q in pts[1:]])
 
 
 def lattice_points(p: VPolytope) -> tuple[IntVec, ...]:
@@ -167,7 +157,8 @@ def intersect_in_common_face(s1: VPolytope, s2: VPolytope) -> bool:
 
     Barycentric coordinates in a simplex are unique, so the intersection lies
     inside conv(shared) iff no intersection point puts positive weight on a
-    non-shared vertex; each such weight is maximized by an exact LP.
+    non-shared vertex; each such weight is maximized by an exact LP. The
+    test oracle of ``polytopes.tree_simplices_meet_in_common_face``.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionError("simplices live in different ambient spaces")
@@ -200,71 +191,6 @@ def intersect_in_common_face(s1: VPolytope, s2: VPolytope) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _span_coordinates(points: Sequence[RatVec]) -> list[RatVec]:
-    """Coordinates of the points in an affine basis of their span (rational)."""
-    base = points[0]
-    dirs = [vec_sub(p, base) for p in points]
-    # Row-reduce a copy to pick an independent direction basis.
-    basis: list[RatVec] = []
-    for d in dirs:
-        if rank(basis + [d]) > len(basis):
-            basis.append(d)
-    coords = []
-    for d in dirs:
-        sol = solve_affine(basis, d)
-        assert sol is not None
-        coords.append(sol)
-    return coords
-
-
-def _facet_inequality(coords: Sequence[RatVec], facet: Sequence[int], opposite: int):
-    """Hyperplane (normal, offset) through the facet with the opposite vertex strictly inside."""
-    pts = [coords[i] for i in facet]
-    d = len(pts[0])
-    # Normal n, offset c with n.p = c for facet points; fix scale via an
-    # inhomogeneous solve: unknowns (n, c), equations n.p - c = 0 plus a
-    # normalization picked deterministically.
-    base = pts[0]
-    rows = [vec_sub(p, base) for p in pts[1:]]
-    # Normal = any nonzero solution of rows . n = 0.
-    n_vec = _kernel_vector(rows, d)
-    c = sum(a * b for a, b in zip(n_vec, base))
-    opp = sum(a * b for a, b in zip(n_vec, coords[opposite]))
-    if opp > c:
-        n_vec = tuple(-x for x in n_vec)
-        c = -c
-    elif opp == c:
-        raise ValueError("degenerate facet")
-    return n_vec, c
-
-
-def _kernel_vector(rows: Sequence[RatVec], n_cols: int) -> RatVec:
-    """A nonzero vector orthogonal to all rows (rows have rank n_cols - 1)."""
-    a = [list(r) for r in rows]
-    pivots: dict[int, list[Fraction]] = {}
-    for row in a:
-        row = list(row)
-        for col, prow in pivots.items():
-            if row[col] != 0:
-                f = row[col]
-                row = [x - f * y for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is not None:
-            inv = 1 / row[lead]
-            row = [x * inv for x in row]
-            for col, prow in pivots.items():
-                if prow[lead] != 0:
-                    f = prow[lead]
-                    pivots[col] = [x - f * y for x, y in zip(prow, row)]
-            pivots[lead] = row
-    free = next(j for j in range(n_cols) if j not in pivots)
-    v = [Fraction(0)] * n_cols
-    v[free] = Fraction(1)
-    for col, prow in pivots.items():
-        v[col] = -prow[free]
-    return tuple(v)
-
-
 def placing_triangulation(points: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     """Triangulation of conv(points) by placing the points in the given order.
 
@@ -272,38 +198,39 @@ def placing_triangulation(points: Sequence[Sequence]) -> tuple[tuple[int, ...], 
     vertex of the hull of its predecessors plus itself (true for the root
     polytopes this serves); collinear degeneracies inside the current hull are
     rejected.
+
+    Integer arithmetic throughout (rational points are scaled to integers
+    first). The directions from the first point that span the placed points
+    are kept as an echelon basis; projecting onto its pivot columns is
+    injective on their span, so a point lies beyond a boundary facet exactly
+    when the integer determinants of the facet against it and against the
+    opposite vertex, over those columns, have opposite signs.
     """
-    pts = [fvec(p) for p in points]
-    coords = _span_coordinates(pts)
+    pts = _integral_points(points)
+    dirs = [[x - y for x, y in zip(p, pts[0])] for p in pts]
+    basis: list[tuple[int, list[int]]] = []
     simplices: list[tuple[int, ...]] = [(0,)]
-    span_basis_rank = 0
-    placed = [0]
     for idx in range(1, len(pts)):
-        d = rank([vec_sub(coords[j], coords[placed[0]]) for j in placed])
-        d_new = rank([vec_sub(coords[j], coords[placed[0]]) for j in placed + [idx]])
-        if d_new > d:
+        if extend_basis(basis, dirs[idx]):
             # Dimension jump: cone every simplex over the new point.
-            simplices = [tuple(sorted(s + (idx,))) for s in simplices]
-        else:
-            restricted = _restrict(coords, placed + [idx])
-            new_simplices = []
-            for facet, opposite in _boundary_facets(simplices):
-                n_vec, c = _facet_inequality(restricted, facet, opposite)
-                val = sum(a * b for a, b in zip(n_vec, restricted[idx]))
-                if val > c:
-                    new_simplices.append(tuple(sorted(facet + (idx,))))
-            if not new_simplices:
-                raise ValueError("placed point is not outside the current hull")
-            simplices = simplices + new_simplices
-        placed.append(idx)
+            simplices = [s + (idx,) for s in simplices]
+            continue
+        cols = [col for col, _ in basis]
+
+        def side(facet: tuple[int, ...], q: int) -> int:
+            return integer_det([[dirs[j][c] - dirs[q][c] for c in cols] for j in facet])
+
+        new_simplices = []
+        for facet, opposite in _boundary_facets(simplices):
+            inside = side(facet, opposite)
+            if inside == 0:
+                raise ValueError("degenerate facet")
+            if side(facet, idx) * inside < 0:
+                new_simplices.append(facet + (idx,))
+        if not new_simplices:
+            raise ValueError("placed point is not outside the current hull")
+        simplices = simplices + new_simplices
     return tuple(sorted(simplices))
-
-
-def _restrict(coords: Sequence[RatVec], active: Sequence[int]) -> dict[int, RatVec]:
-    """Coordinates of the active points in a basis of their own span."""
-    sub = [coords[i] for i in active]
-    local = _span_coordinates(sub)
-    return {i: local[k] for k, i in enumerate(active)}
 
 
 def _boundary_facets(simplices: Sequence[tuple[int, ...]]):

@@ -1,13 +1,16 @@
-"""Exact rational linear algebra: determinants, ranks, linear solves, simplex LP.
+"""Exact linear algebra: determinants, ranks, linear solves, simplex LP.
 
-Everything operates on tuples of ``fractions.Fraction``; no floats anywhere.
+Determinants and ranks run fraction-free on Python integers; a rational
+matrix is first scaled row by row to integers. Solves and the LP operate on
+tuples of ``fractions.Fraction``. No floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import chain, combinations
+from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
 Frac = Fraction
@@ -36,54 +39,88 @@ def dot(a: RatVec, b: RatVec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
+def integral_row(row: Sequence) -> tuple[int, list[int]]:
+    """(s, s * row) for the least common denominator s of the row's entries."""
+    q = [x if isinstance(x, Rational) else Fraction(x) for x in row]
+    s = lcm(*(x.denominator for x in q))
+    return s, [x.numerator * (s // x.denominator) for x in q]
+
+
 def det_exact(m: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination (exact)."""
+    """Determinant of a rational matrix (exact): each row is scaled to integers
+    and the integer determinant divided by the product of the scales."""
+    scale, rows = 1, []
+    for row in m:
+        s, ints = integral_row(row)
+        scale *= s
+        rows.append(ints)
+    return Fraction(integer_det(rows), scale)
+
+
+def integer_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss elimination: every division
+    is exact, so no Fraction is built."""
     n = len(m)
     for row in m:
         if len(row) != n:
             raise DimensionError("matrix is not square")
     if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
+        return 1
+    a = [list(row) for row in m]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for row in a[k + 1 :]:
+            f = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    n_cols = len(a[0])
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pr = a[r]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col] / pr[col]
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        r += 1
-        if r == len(a):
+def extend_basis(basis: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
+    """Reduce an integer row against an echelon basis of (pivot column, row)
+    pairs, fraction-free; if anything is left, append it (divided by its gcd)
+    with its first nonzero column as pivot and return True.
+
+    Each basis row is zero at the pivots of the rows before it, so the basis
+    restricted to its pivot columns is triangular with a nonzero diagonal:
+    projecting the row span onto the pivot columns is injective.
+    """
+    row = list(row)
+    for col, prow in basis:
+        if row[col]:
+            a, b = prow[col], row[col]
+            row = [a * x - b * y for x, y in zip(row, prow)]
+    lead = next((j for j, x in enumerate(row) if x), None)
+    if lead is None:
+        return False
+    g = gcd(*row)
+    basis.append((lead, [x // g for x in row]))
+    return True
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free elimination."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if extend_basis(basis, row) and len(basis) == len(row):
             break
-    return r
+    return len(basis)
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a rational matrix: the integer rank of its rows scaled to integers."""
+    return integer_rank([integral_row(row)[1] for row in rows])
 
 
 def solve_affine(columns: Sequence[RatVec], target: RatVec) -> Optional[RatVec]:
@@ -220,13 +257,12 @@ def lp_solve(a_rows: Sequence[RatVec], b: RatVec, c: RatVec) -> tuple[str, Optio
 # ---------------------------------------------------------------------------
 
 
-def _int_minors_gcd(rows: list[list[int]], k: int) -> int:
-    """gcd of all k x k minors of an integer matrix with exactly k rows."""
-    n_cols = len(rows[0])
+def _int_minors_gcd(rows: list[list[int]], first: Sequence[int]) -> int:
+    """gcd of all maximal minors of an integer matrix of full row rank, trying
+    the columns ``first`` (a nonzero minor) before the others."""
     g = 0
-    for cols in combinations(range(n_cols), k):
-        sub = [[row[c] for c in cols] for row in rows]
-        g = gcd(g, int(det_exact(sub)))
+    for cols in chain([first], combinations(range(len(rows[0])), len(rows))):
+        g = gcd(g, integer_det([[row[c] for c in cols] for row in rows]))
         if g == 1:
             return 1
     return g
@@ -239,18 +275,21 @@ def simplex_normalized_volume(vertices: Sequence[Sequence]) -> int:
     index of the edge lattice inside its saturation, which is exactly the
     volume in a lattice basis of the span. Degenerate input returns 0.
     """
-    vs = [fvec(v) for v in vertices]
-    if not vs:
+    if not vertices:
         raise DimensionError("empty vertex list")
+    vs = []
+    for v in vertices:
+        s, ints = integral_row(v)
+        if s != 1:
+            raise ValueError("normalized volume requires integer vertices")
+        vs.append(ints)
     if len(vs) == 1:
         return 1
-    edges = [vec_sub(v, vs[0]) for v in vs[1:]]
-    k = len(edges)
-    if rank(edges) < k:
-        return 0
-    int_rows = []
+    edges = [[x - y for x, y in zip(v, vs[0], strict=True)] for v in vs[1:]]
+    basis: list[tuple[int, list[int]]] = []
     for e in edges:
-        if any(x.denominator != 1 for x in e):
-            raise ValueError("normalized volume requires integer vertices")
-        int_rows.append([int(x) for x in e])
-    return abs(_int_minors_gcd(int_rows, k))
+        if not extend_basis(basis, e):
+            return 0
+    # The echelon pivot columns carry a nonzero minor, which is 1 for a
+    # unimodular simplex.
+    return _int_minors_gcd(edges, sorted(col for col, _ in basis))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .maps import Bipartition, PlanarMap
+from .maps import Bipartition, PlanarMap, memo
 from .polytopes import arborescence_triangulation, h_vector
 from .trinity import RED, InternalConsistencyError, Trinity
 
@@ -92,6 +92,13 @@ def median_diagram(m: PlanarMap, bip: Bipartition, violet: Optional[frozenset[in
     return LinkDiagram(crossings=tuple(crossings))
 
 
+def median_diagram_of(t: Trinity) -> LinkDiagram:
+    """The trinity's median diagram (violet circles counter-clockwise), built
+    once per trinity."""
+    bip = Bipartition(t.violet, t.emerald)
+    return memo(t, "median_diagram", lambda: median_diagram(t.map, bip, violet=t.violet))
+
+
 def mirror(d: LinkDiagram) -> LinkDiagram:
     return LinkDiagram(
         crossings=tuple(c.switched() for c in d.crossings), free_circles=d.free_circles
@@ -115,10 +122,11 @@ def component_count(d: LinkDiagram) -> int:
     return n + d.free_circles
 
 
-def seifert_data(m: PlanarMap, bip: Bipartition) -> dict:
+def seifert_data(t: Trinity) -> dict:
     """Component count, Euler characteristic and genus of the median Seifert
     surface (a disc per vertex, a band per edge)."""
-    d = median_diagram(m, bip)
+    m = t.map
+    d = median_diagram_of(t)
     comps = component_count(d)
     chi = m.n_vertices - m.n_edges
     genus2 = 2 - chi - comps
@@ -388,8 +396,7 @@ def verify_homfly_h_vector(t: Trinity, root: Optional[int] = None, crossing_cap:
     the h(v^-1) substitution for reference.
     """
     m = t.map
-    d = median_diagram(m, Bipartition(t.violet, t.emerald), violet=t.violet)
-    p = homfly(d, crossing_cap)
+    p = homfly(median_diagram_of(t), crossing_cap)
     top = homfly_top(p)
     tr = arborescence_triangulation(t, RED, root)
     h = h_vector(tr)

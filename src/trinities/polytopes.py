@@ -25,14 +25,12 @@ from .geometry import (
     VPolytope,
     affine_dim,
     canonical_lattice_set,
-    integer_rank,
-    intersect_in_common_face,
     lattice_points,
     prune_to_vertices,
     simplex_normalized_volume,
     total_normalized_volume,
 )
-from .linalg import RatVec, fvec, rank, solve_affine, vec_sub
+from .linalg import RatVec, fvec, integer_rank, rank, solve_affine, vec_sub
 from .maps import PlanarMap, memo
 from .trinity import (
     COLOUR_CLASSES,
@@ -225,7 +223,12 @@ def _trimmed(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]):
         raise InternalConsistencyError("trimmed polytope has no lattice points")
     if canonical_lattice_set(trimmed) != lattice:
         raise InternalConsistencyError("trimmed lattice set is not convexly closed")
-    return bound, lattice
+    return tuple(bound), lattice
+
+
+def _trimmed_of(t: Trinity, code: str):
+    """``_trimmed`` of the selector's hypergraph, once per trinity and selector."""
+    return memo(t, ("trimmed", code), lambda: _trimmed(*hypergraph_view(t, code)))
 
 
 def trimmed_gp(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
@@ -251,8 +254,9 @@ def gp_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
 
 
 def trimmed_gp_of(t: Trinity, code: str) -> TaggedPolytope:
-    cm, x_ids, y_ids = hypergraph_view(t, code)
-    return trimmed_gp(cm, x_ids, y_ids, code)
+    _cm, x_ids, _y_ids = hypergraph_view(t, code)
+    bound, lattice = _trimmed_of(t, code)
+    return _tagged(bound, len(x_ids), lattice, code, "trimmed")
 
 
 def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
@@ -320,19 +324,67 @@ def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangula
     rp = root_polytope_of(t, colour)
     arbs = trees.enumerate_arborescences(directed_dual(t, colour), root)
     tree_sets = tuple(trees.arborescence_to_spanning_tree(t, colour, a) for a in arbs)
-    polys = [tree_simplex(rp, tr) for tr in tree_sets]
-    simplices = tuple(p.vertices for p in polys)
+    simplices = tuple(tree_simplex(rp, tr).vertices for tr in tree_sets)
     # Validation: unit volumes, pairwise common-face intersections, total volume.
     for s in simplices:
         if simplex_normalized_volume(s) != 1:
             raise InternalConsistencyError("tree simplex is not unimodular")
-    for p1, p2 in combinations(polys, 2):
-        if not intersect_in_common_face(p1, p2):
+    for t1, t2 in combinations(tree_sets, 2):
+        if not tree_simplices_meet_in_common_face(rp, t1, t2):
             raise InternalConsistencyError("simplices do not meet in a common face")
     volume = memo(rp, "normalized_volume", lambda: total_normalized_volume(rp.polytope.vertices))
     if len(simplices) != volume:
         raise InternalConsistencyError("triangulation volume does not cover the root polytope")
     return Triangulation(parent=rp, trees=tree_sets, simplices=simplices)
+
+
+def tree_simplices_meet_in_common_face(rp: RootPolytope, tree1: Sequence[int], tree2: Sequence[int]) -> bool:
+    """Whether the simplices of two spanning trees meet in a common face.
+
+    Postnikov (*Permutohedra, associahedra, and beyond*, 2009, Lemma 12.6):
+    they do iff the directed graph U(T, T'), T's edges oriented u -> v and
+    T''s edges v -> u, has no directed cycle of length >= 4. An edge's
+    (u, v) is read off its generator e_u - e_v.
+
+    U's two-cycles are the edges of both trees; they form a forest, and each
+    of its trees is contracted to one node. The graph is bipartite, so a
+    cycle of length >= 4 is any cycle longer than two; it uses an arc without
+    its reverse and becomes a loop or a cycle of the contracted graph.
+    Conversely such a loop or cycle lifts, through the two-cycles, to a
+    closed walk along an arc x -> y without its reverse, and a shortest path
+    back from y to x closes a cycle of length >= 4 with it. So the test is
+    whether the contracted graph, loops included, is acyclic (Kahn's
+    algorithm, linear time).
+    """
+    ends = memo(rp, "edge_ends", lambda: tuple((g.index(1), g.index(-1)) for g in rp.generators))
+    forward = {ends[e] for e in tree1}
+    backward = {ends[e] for e in tree2}
+    shared = forward & backward
+    head = list(range(rp.u_size + rp.v_size))
+
+    def find(x: int) -> int:
+        while head[x] != x:
+            x = head[x]
+        return x
+
+    for u, v in shared:
+        head[find(u)] = find(v)
+    node = [find(x) for x in range(len(head))]
+    succ: dict[int, list[int]] = {x: [] for x in node}
+    indegree = dict.fromkeys(node, 0)
+    arcs = [(u, v) for u, v in forward - shared] + [(v, u) for u, v in backward - shared]
+    for x, y in arcs:
+        succ[node[x]].append(node[y])
+        indegree[node[y]] += 1
+    ready = [x for x, d in indegree.items() if not d]
+    removed = 0
+    while ready:
+        removed += 1
+        for y in succ[ready.pop()]:
+            indegree[y] -= 1
+            if not indegree[y]:
+                ready.append(y)
+    return removed == len(indegree)
 
 
 def cayley_slice(rp: RootPolytope, side: str) -> VPolytope:
@@ -396,20 +448,31 @@ def slice_matches_scaled_gp(rp: RootPolytope, side: str, gp: TaggedPolytope) -> 
 
 
 def f_vector(tr: Triangulation) -> tuple[int, ...]:
-    """Face counts as polynomial coefficients, highest degree first.
+    """Face counts as polynomial coefficients, highest degree first, computed
+    once per triangulation.
 
     The coefficient of y^(d+1-k) counts the (k-1)-dimensional faces, starting
     from the single empty face at y^(d+1) down to the top simplices.
     """
-    d = len(tr.simplices[0]) - 1
-    faces: set[frozenset] = set()
+    return memo(tr, "f_vector", lambda: _f_vector(tr))
+
+
+def _f_vector(tr: Triangulation) -> tuple[int, ...]:
+    # A face is a bitmask over the root polytope's vertices, so edges with
+    # equal generators share one bit.
+    vertex_bit = {v: 1 << i for i, v in enumerate(tr.parent.polytope.vertices)}
+    faces: set[int] = set()
     for s in tr.simplices:
-        for k in range(len(s) + 1):
-            for sub in combinations(s, k):
-                faces.add(frozenset(sub))
-    counts = [0] * (d + 2)
+        mask = sum(vertex_bit[v] for v in s)
+        sub = mask
+        while True:  # every submask of the simplex
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    counts = [0] * (len(tr.simplices[0]) + 1)
     for f in faces:
-        counts[len(f)] += 1
+        counts[f.bit_count()] += 1
     return tuple(counts)  # counts[k] = #(k-1)-faces = coefficient of y^(d+1-k)
 
 
@@ -429,7 +492,7 @@ def verify_duality_suite(t: Trinity) -> dict:
     trimmed_matches = {}
     for code in HYPERGRAPH_CODES:
         rev = code[::-1]
-        _bound, lattice = _trimmed(*hypergraph_view(t, code))
+        _bound, lattice = _trimmed_of(t, code)
         trimmed_matches[code] = lattice == trees.hypertree_set(t, rev)
     reflections = {}
     for c1, c2 in (("VE", "RE"), ("RV", "EV"), ("VR", "ER")):

@@ -82,3 +82,16 @@ def random_plane_bipartite(rng: random.Random, max_edges: int = 8) -> PlanarMap:
 def random_trinity(rng: random.Random, max_edges: int = 8) -> Trinity:
     m = random_plane_bipartite(rng, max_edges)
     return build_trinity(m, bipartition(m), outer_face=0)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its call arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -1,29 +1,19 @@
-"""Each colour graph, directed dual, hypertree set, root polytope and
-triangulation is derived once per trinity, and never shared between two
-trinities. The counts come from wrappers around the enumerators."""
+"""Each colour graph, directed dual, hypertree set, trimmed lattice, root
+polytope, triangulation and median diagram is derived once per trinity, and
+never shared between two trinities. The counts come from wrappers around the
+builders."""
 
 from collections import Counter
 from importlib import resources
 
-from trinities import links, polytopes, trees
+from trinities import cli, links, polytopes, trees
 from trinities.cli import EXIT_OK, build_report, main
 from trinities.documents import document_to_map, parse_graph_document
 from trinities.trinity import COLOURS, build_trinity, colour_graph, directed_dual, magic_number_report
 
+from helpers import count_calls
+
 FIG7 = str(resources.files("trinities") / "fixtures" / "fig7.json")
-
-
-def count_calls(monkeypatch, module, name):
-    """Replace module.name by a wrapper; returns the list of its call arguments."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def load_fig7():
@@ -76,3 +66,29 @@ def test_default_and_explicit_root_share_one_triangulation(monkeypatch):
     assert len(calls) == 1
     assert links.verify_homfly_h_vector(t)["holds"]
     assert len(calls) == 1
+
+
+def test_report_trims_once_per_selector(monkeypatch):
+    # The polytope listing and the duality suite share one trimmed lattice.
+    calls = count_calls(monkeypatch, polytopes, "_trimmed")
+    doc, t = load_fig7()
+    build_report(doc, t, crossing_cap=16, emit_pd=False)
+    assert len(calls) == 6
+
+
+def test_report_builds_one_median_diagram(monkeypatch):
+    # The homfly section, the Seifert data, the link identity and the sutured
+    # summary share the trinity's diagram.
+    calls = count_calls(monkeypatch, links, "median_diagram")
+    doc, t = load_fig7()
+    build_report(doc, t, crossing_cap=16, emit_pd=False)
+    assert len(calls) == 1
+    assert links.median_diagram_of(t) is links.median_diagram_of(t)
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli.make_parser.cache_clear()
+    for _ in range(2):
+        assert main(["verify", str(resources.files("trinities") / "fixtures" / "g1.json")]) == EXIT_OK
+    assert '"ok": true' in capsys.readouterr().out
+    assert cli.make_parser.cache_info().misses == 1

@@ -7,7 +7,6 @@ from trinities.geometry import (
     VPolytope,
     affine_dim,
     canonical_lattice_set,
-    integer_rank,
     intersect_in_common_face,
     lattice_points,
     placing_triangulation,
@@ -15,7 +14,7 @@ from trinities.geometry import (
     simplex_normalized_volume,
     total_normalized_volume,
 )
-from trinities.linalg import fvec, rank
+from trinities.linalg import fvec, integer_rank, rank
 
 
 def test_canonical_lattice_set_dedupes_and_sorts():

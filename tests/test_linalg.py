@@ -12,6 +12,7 @@ from trinities.linalg import (
     det_exact,
     fmat,
     fvec,
+    integer_det,
     lp_solve,
     rank,
     simplex_normalized_volume,
@@ -38,6 +39,15 @@ def test_det_matches_cofactor_expansion_on_random_matrices():
         n = rng.randint(0, 5)
         m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         assert det_exact(m) == laplace_det(m)
+
+
+def test_integer_det_matches_cofactor_expansion_on_random_matrices():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        d = integer_det(m)
+        assert type(d) is int and d == laplace_det(m)
 
 
 def test_det_empty_and_singular():

@@ -20,7 +20,7 @@ from trinities.links import (
 )
 from trinities.maps import bipartition, build_map
 
-from helpers import fig7_map, g1_map, g1_trinity
+from helpers import fig7_map, fig7_trinity, g1_map, g1_trinity
 
 V = LaurentPoly2.monomial
 
@@ -125,16 +125,14 @@ def test_pd_code_is_deterministic():
 
 
 def test_seifert_data():
-    m = g1_map()
-    assert seifert_data(m, bipartition(m)) == {
+    assert seifert_data(g1_trinity()) == {
         "components": 2,
         "euler_characteristic": 0,
         "genus": 0,
         "seifert_circles": 5,
         "writhe": 5,
     }
-    f7 = fig7_map()
-    data = seifert_data(f7, bipartition(f7))
+    data = seifert_data(fig7_trinity())
     assert data["components"] == 2
     assert data["genus"] == 1
     assert data["writhe"] == 11
