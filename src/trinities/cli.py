@@ -30,6 +30,7 @@ from .trinity import (
     InternalConsistencyError,
     Trinity,
     build_trinity,
+    colour_of_hypergraph,
     directed_dual,
     magic_number_report,
 )
@@ -241,6 +242,10 @@ def cmd_verify(args) -> int:
         counts = {r: trees.count_arborescences(dd, r) for r in dd.vertices}
         if len(set(counts.values())) != 1:
             failures.append(f"arborescence-root-dependence-{colour}")
+        # Both sides' hypertrees, read off each triangulation's trees, are
+        # the hypertree sets, each vector once.
+        sides = [code for code in HYPERGRAPH_CODES if colour_of_hypergraph(code) == colour]
+        hypertrees_hold = True
         for root in dd.vertices:
             try:
                 tr = polytopes.arborescence_triangulation(t, colour, root)
@@ -249,6 +254,11 @@ def cmd_verify(args) -> int:
                 continue
             if len(tr.simplices) != magic["magic_number"]:
                 failures.append(f"triangulation-size-{colour}-root-{root}")
+            hypertrees_hold &= all(
+                polytopes.triangulation_hypertrees(t, code, root) == trees.hypertree_set(t, code) for code in sides
+            )
+        if not hypertrees_hold:
+            failures.append(f"hypertrees-triangulation-{colour}")
     try:
         support = floer.sfh_support(t)
         if support.size != magic["magic_number"]:
@@ -283,23 +293,19 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full report: every route to the magic number")
     common(p)
     p.add_argument("--emit-pd", action="store_true")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("polytope", help="vertex and lattice listings of one polytope")
     common(p)
     p.add_argument("--hypergraph", required=True, choices=HYPERGRAPH_CODES)
     p.add_argument("--which", required=True, choices=("gp", "trimmed", "hypertree", "root"))
-    p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("homfly", help="link polynomial of the median diagram")
     common(p)
     p.add_argument("--root-dual-vertex", type=int, default=None)
     p.add_argument("--emit-pd", action="store_true")
-    p.set_defaults(func=cmd_homfly)
 
     p = sub.add_parser("verify", help="run the invariant suite on the document")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -307,7 +313,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # By name, so a cached parser holds no handler and the module's
+        # current cmd_* binding runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (DocumentError, MapError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT

@@ -9,8 +9,11 @@ backing bipartite graph is the colour graph of the remaining colour.
 The GP, trimmed and hypertree polytopes are built from their subset-inequality
 descriptions in integer arithmetic, and each is checked against a second,
 independent description of its lattice points: the sums of generators, the
-set-difference trimming and the spanning-tree hypertrees. The LP search of
-``geometry`` serves the root polytope listing and the Cayley slices.
+set-difference trimming, and the hypertrees of the trees of an arborescence
+triangulation of the root polytope (Postnikov, *Permutohedra, associahedra,
+and beyond*, 2009, section 12: each hypertree exactly once). The lattice
+points of a root polytope are its generators. The LP search of ``geometry``
+serves the Cayley slices.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .geometry import (
     VPolytope,
     affine_dim,
     canonical_lattice_set,
-    lattice_points,
+    lattice_points,  # noqa: F401  (no caller here; perfbench/tests wraps this binding)
     prune_to_vertices,
     simplex_normalized_volume,
     total_normalized_volume,
@@ -38,6 +41,7 @@ from .trinity import (
     InternalConsistencyError,
     Trinity,
     colour_graph,
+    colour_of_hypergraph,
     directed_dual,
     hypergraph_view,
 )
@@ -237,15 +241,16 @@ def trimmed_gp(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int], tag: st
     return _tagged(bound, len(x_ids), lattice, tag, "trimmed")
 
 
-def hypertree_polytope(m: PlanarMap, y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
-    """Convex hull of the hypertree vectors, indexed by the hyperedge class."""
-    hs = trees.hypertree_set_of_graph(m, y_ids)
-    y_set = set(y_ids)
-    he = hyperedges(m, [v for v in range(m.n_vertices) if v not in y_set], y_ids)
-    bound = _hypertree_bound(he)
-    if _subset_lattice(bound, len(y_ids)) != hs:
-        raise InternalConsistencyError("hypertree set is not convexly closed")
-    return _tagged(bound, len(y_ids), hs, tag, "hypertree")
+def hypertree_lattice_of(t: Trinity, code: str):
+    """Kalman's bound mu and its lattice points, the hypertrees of the
+    selector's hypergraph, once per trinity and selector."""
+
+    def build():
+        cm, x_ids, y_ids = hypergraph_view(t, code)
+        bound = _hypertree_bound(hyperedges(cm, x_ids, y_ids))
+        return tuple(bound), _subset_lattice(bound, len(y_ids))
+
+    return memo(t, ("hypertree_lattice", code), build)
 
 
 def gp_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
@@ -260,8 +265,16 @@ def trimmed_gp_of(t: Trinity, code: str) -> TaggedPolytope:
 
 
 def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
-    cm, _x_ids, y_ids = hypergraph_view(t, code)
-    return hypertree_polytope(cm, y_ids, code)
+    """Convex hull of the hypertree vectors, indexed by the hyperedge class.
+
+    The lattice of mu is checked against the hypertrees of the triangulation
+    trees at the colour's default root: equal sets, no vector repeated.
+    """
+    _cm, _x_ids, y_ids = hypergraph_view(t, code)
+    bound, lattice = hypertree_lattice_of(t, code)
+    if triangulation_hypertrees(t, code) != lattice:
+        raise InternalConsistencyError("hypertree set is not convexly closed")
+    return _tagged(bound, len(y_ids), lattice, code, "hypertree")
 
 
 def root_polytope(m: PlanarMap, u_ids: Sequence[int], v_ids: Sequence[int]) -> RootPolytope:
@@ -294,11 +307,15 @@ def root_polytope_of(t: Trinity, colour: str, u_colour: Optional[str] = None) ->
 
 
 def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
-    """Root polytope of the hypergraph's bipartite graph, Y coordinates first,
-    with its lattice points from the LP-pruned search."""
+    """Root polytope of the hypergraph's bipartite graph, Y coordinates first.
+
+    Its lattice points are its generators: it lies in the product of the
+    simplex on Y and the negated simplex on X, whose lattice points e_u - e_v
+    are all vertices of that product.
+    """
     cm, x_ids, y_ids = hypergraph_view(t, code)
     rp = root_polytope(cm, y_ids, x_ids)
-    lattice = lattice_points(rp.polytope)
+    lattice = canonical_lattice_set(rp.generators)
     return TaggedPolytope(polytope=rp.polytope, lattice=lattice, hypergraph=code, kind="root")
 
 
@@ -310,25 +327,59 @@ def tree_simplex(rp: RootPolytope, tree_edges: Sequence[int]) -> VPolytope:
     return VPolytope(vertices=tuple(sorted(pts)), ambient_dim=len(pts[0]), affine_dim=dim)
 
 
+def _default_root(t: Trinity, colour: str) -> int:
+    """The root triangle's corner of the colour."""
+    return t.triangles[t.root_triangle].corner(colour)[1]
+
+
+def arborescence_trees(t: Trinity, colour: str, root: int) -> tuple[tuple[int, ...], ...]:
+    """The colour graph's spanning trees dual to the arborescences of its
+    directed dual at ``root``, enumerated once per trinity, colour and root."""
+
+    def build():
+        arbs = trees.enumerate_arborescences(directed_dual(t, colour), root)
+        return tuple(trees.arborescence_to_spanning_tree(t, colour, a) for a in arbs)
+
+    return memo(t, ("arborescence_trees", colour, root), build)
+
+
+def triangulation_hypertrees(t: Trinity, code: str, root: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+    """The selector's hypertrees read off the arborescence trees of its colour
+    at ``root`` (by default the root triangle's corner), sorted, repeats kept.
+
+    When those trees triangulate the root polytope, each hypertree of either
+    side is the degree-minus-one vector of exactly one of them (Postnikov,
+    2009, section 12), so this is the hypertree set itself.
+    """
+    cm, _x_ids, y_ids = hypergraph_view(t, code)
+    colour = colour_of_hypergraph(code)
+    if root is None:
+        root = _default_root(t, colour)
+    return tuple(sorted(trees.hypertree_of(tr, cm.edges, y_ids) for tr in arborescence_trees(t, colour, root)))
+
+
 def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = None) -> Triangulation:
     """Triangulation of the colour graph's root polytope by the simplices of
     the spanning trees dual to the arborescences at the given root (by default
     the root triangle's corner), built once per trinity, colour and root."""
     if root is None:
-        root = t.triangles[t.root_triangle].corner(colour)[1]
+        root = _default_root(t, colour)
     key = ("arborescence_triangulation", colour, root)
     return memo(t, key, lambda: _arborescence_triangulation(t, colour, root))
 
 
 def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangulation:
     rp = root_polytope_of(t, colour)
-    arbs = trees.enumerate_arborescences(directed_dual(t, colour), root)
-    tree_sets = tuple(trees.arborescence_to_spanning_tree(t, colour, a) for a in arbs)
+    tree_sets = arborescence_trees(t, colour, root)
     simplices = tuple(tree_simplex(rp, tr).vertices for tr in tree_sets)
-    # Validation: unit volumes, pairwise common-face intersections, total volume.
+    # Validation: unit volumes, distinct simplices (parallel edges share a
+    # generator, so two trees can span one simplex), pairwise common-face
+    # intersections, total volume.
     for s in simplices:
         if simplex_normalized_volume(s) != 1:
             raise InternalConsistencyError("tree simplex is not unimodular")
+    if len(set(simplices)) != len(simplices):
+        raise InternalConsistencyError("triangulation repeats a simplex")
     for t1, t2 in combinations(tree_sets, 2):
         if not tree_simplices_meet_in_common_face(rp, t1, t2):
             raise InternalConsistencyError("simplices do not meet in a common face")

@@ -1,20 +1,21 @@
-"""Spanning trees, hypertrees and arborescences.
+"""Hypertrees and arborescences.
 
-Spanning trees are enumerated by contraction/deletion and reported as sorted
-edge-id tuples; hypertrees are the degree-minus-one vectors their restriction
-induces on one side of a bipartite graph; arborescence counts come from the
-directed matrix-tree theorem.
+Hypertrees are the lattice points of Kalman's hypertree polytope, taken from
+its subset-inequality description in ``polytopes``; a spanning tree of the
+bipartite graph induces one as its degree-minus-one vector on the hyperedge
+side. Arborescence counts come from the directed matrix-tree theorem, and the
+arborescences themselves, enumerated, give the colour graph's spanning trees
+that triangulate its root polytope. Exhaustive spanning-tree enumeration is
+a test oracle (``tests/oracles.py``), not part of the library.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .geometry import canonical_lattice_set
-from .linalg import det_exact
-from .maps import PlanarMap, memo
+from .linalg import integer_det
+from .maps import PlanarMap
 from .trinity import (
     COLOUR_CLASSES,
     DirectedDual,
@@ -22,63 +23,8 @@ from .trinity import (
     Trinity,
     colour_graph,
     directed_dual,
-    hypergraph_view,
 )
-
-
-class _DSU:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-    def copy(self) -> "_DSU":
-        d = _DSU(0)
-        d.parent = list(self.parent)
-        return d
-
-
-def enumerate_spanning_trees(n_vertices: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """All spanning trees as sorted edge-id tuples, in lexicographic order."""
-    target = n_vertices - 1
-    m = len(edges)
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(i: int, dsu: _DSU, n_in: int) -> None:
-        if n_in == target:
-            out.append(tuple(chosen))
-            return
-        if i == m or n_in + (m - i) < target:
-            return
-        u, v = edges[i]
-        if dsu.find(u) != dsu.find(v):
-            nxt = dsu.copy()
-            nxt.union(u, v)
-            chosen.append(i)
-            rec(i + 1, nxt, n_in + 1)
-            chosen.pop()
-        rec(i + 1, dsu, n_in)
-
-    rec(0, _DSU(n_vertices), 0)
-    return tuple(out)
-
-
-def spanning_trees_of_map(m: PlanarMap) -> tuple[tuple[int, ...], ...]:
-    """The spanning trees of the map, enumerated once per map: a hypergraph
-    and its transpose share the enumeration of their colour graph."""
-    return memo(m, "spanning_trees", lambda: enumerate_spanning_trees(m.n_vertices, m.edges))
+from . import polytopes
 
 
 def hypertree_of(
@@ -97,20 +43,18 @@ def hypertree_of(
     return vec
 
 
-def hypertree_set_of_graph(m: PlanarMap, side: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    trees = spanning_trees_of_map(m)
-    return canonical_lattice_set(hypertree_of(t, m.edges, side) for t in trees)
-
-
 def hypertree_set(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
-    """Hypertrees of the (X, Y) hypergraph named by a two-letter selector.
+    """Hypertrees of the (X, Y) hypergraph named by a two-letter selector, in
+    lexicographic order.
 
     Hyperedges are Y, so the vectors are indexed by the Y-class vertices of the
-    underlying colour graph, in increasing id order. Derived once per trinity
-    and selector.
+    underlying colour graph, in increasing id order. They are the lattice
+    points of {x(S) <= mu(S)} (Kalman, *A version of Tutte's polynomial for
+    hypergraphs*, 2013), derived once per trinity and selector. The bound
+    table has 2^|Y| entries; ``report`` and ``verify`` build such a table for
+    every vertex class anyway, in the trimmed and hypertree polytopes.
     """
-    cm, _x_ids, y_ids = hypergraph_view(t, code)
-    return memo(t, ("hypertree_set", code), lambda: hypertree_set_of_graph(cm, y_ids))
+    return polytopes.hypertree_lattice_of(t, code)[1]
 
 
 def count_arborescences(dd: DirectedDual, root: int) -> int:
@@ -119,7 +63,7 @@ def count_arborescences(dd: DirectedDual, root: int) -> int:
     verts = list(dd.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    lap = [[Fraction(0)] * n for _ in range(n)]
+    lap = [[0] * n for _ in range(n)]
     for tail, head in dd.edges:
         if tail == head:
             continue
@@ -127,10 +71,10 @@ def count_arborescences(dd: DirectedDual, root: int) -> int:
         lap[idx[head]][idx[tail]] -= 1
     r = idx[root]
     minor = [[lap[i][j] for j in range(n) if j != r] for i in range(n) if i != r]
-    value = det_exact(minor)
-    if value.denominator != 1 or value < 0:
-        raise InternalConsistencyError("arborescence count is not a nonnegative integer")
-    return int(value)
+    value = integer_det(minor)
+    if value < 0:
+        raise InternalConsistencyError("arborescence count is negative")
+    return value
 
 
 def enumerate_arborescences(dd: DirectedDual, root: int) -> tuple[tuple[int, ...], ...]:

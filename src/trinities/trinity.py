@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import det_exact
+from .linalg import integer_det
 from .maps import Bipartition, MapError, PlanarMap, build_map_from_darts, memo
 
 VIOLET = "violet"
@@ -359,7 +359,7 @@ def hypergraph_view(t: Trinity, code: str):
 def magic_number_report(t: Trinity) -> dict:
     from . import trees
 
-    det_route = abs(int(round_det(t)))
+    det_route = abs(round_det(t))
     matchings = len(enumerate_tutte_matchings(t))
     rho = {}
     for colour in COLOURS:
@@ -378,5 +378,5 @@ def magic_number_report(t: Trinity) -> dict:
     }
 
 
-def round_det(t: Trinity):
-    return det_exact(adjacency_matrix(t).entries)
+def round_det(t: Trinity) -> int:
+    return integer_det(adjacency_matrix(t).entries)

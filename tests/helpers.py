@@ -1,5 +1,6 @@
 """Shared builders for the test suite: the worked example graph, the larger
-fixture graph, and a seeded generator of random plane bipartite maps."""
+fixture graph, plane grid graphs, and a seeded generator of random plane
+bipartite maps."""
 
 from __future__ import annotations
 
@@ -54,6 +55,27 @@ def fig7_trinity() -> Trinity:
     m = fig7_map()
     # Unbounded region: left of the half-edge at the emerald end of edge 6.
     return build_trinity(m, bipartition(m), outer_face=m.face_of[13])
+
+
+def grid_trinity(rows: int, columns: int) -> Trinity:
+    """The plane rows x columns grid graph: vertex (i, j) is i * columns + j,
+    drawn at x = j, y = i, violet when i + j is even."""
+    edges = []
+    ends: dict[tuple[int, str], int] = {}  # (vertex, direction) -> edge id
+    for i in range(rows):
+        for j in range(columns):
+            v = i * columns + j
+            for di, dj, here, there in ((0, 1, "E", "W"), (1, 0, "N", "S")):
+                if i + di < rows and j + dj < columns:
+                    w = (i + di) * columns + j + dj
+                    ends[v, here] = ends[w, there] = len(edges)
+                    edges.append((v, w) if (i + j) % 2 == 0 else (w, v))
+    # Counter-clockwise: east, north, west, south.
+    rotations = [[ends[v, d] for d in "ENWS" if (v, d) in ends] for v in range(rows * columns)]
+    m = build_map(rows * columns, edges, rotations)
+    # Walking west along the bottom edge from (0, 1) to (0, 0), the unbounded
+    # region lies on the left; (0, 1) is the emerald end, dart 2e + 1.
+    return build_trinity(m, bipartition(m), outer_face=m.face_of[2 * ends[0, "E"] + 1])
 
 
 def random_plane_bipartite(rng: random.Random, max_edges: int = 8) -> PlanarMap:

@@ -1,15 +1,25 @@
 """Each colour graph, directed dual, hypertree set, trimmed lattice, root
 polytope, triangulation and median diagram is derived once per trinity, and
 never shared between two trinities. The counts come from wrappers around the
-builders."""
+builders. No spanning tree is enumerated: the hypertree sets are mu-lattices."""
 
+import pkgutil
 from collections import Counter
-from importlib import resources
+from importlib import import_module, resources
 
+import trinities
 from trinities import cli, links, polytopes, trees
 from trinities.cli import EXIT_OK, build_report, main
 from trinities.documents import document_to_map, parse_graph_document
-from trinities.trinity import COLOURS, build_trinity, colour_graph, directed_dual, magic_number_report
+from trinities.trinity import (
+    COLOURS,
+    HYPERGRAPH_CODES,
+    build_trinity,
+    colour_graph,
+    directed_dual,
+    hypergraph_view,
+    magic_number_report,
+)
 
 from helpers import count_calls
 
@@ -22,13 +32,33 @@ def load_fig7():
     return doc, build_trinity(m, bip, outer_face=outer)
 
 
-def test_report_enumerates_spanning_trees_once_per_colour_graph(monkeypatch):
-    calls = count_calls(monkeypatch, trees, "enumerate_spanning_trees")
+SPANNING_TREE_ENUMERATORS = ("enumerate_spanning_trees", "spanning_trees_of_map", "hypertree_set_of_graph")
+
+
+def test_no_library_module_enumerates_spanning_trees():
+    # The enumeration lives in the test oracles only, so neither build_report
+    # nor cmd_verify can reach it.
+    for info in pkgutil.iter_modules(trinities.__path__):
+        module = import_module(f"trinities.{info.name}")
+        assert not [name for name in SPANNING_TREE_ENUMERATORS if hasattr(module, name)], info.name
+
+
+def test_report_builds_each_hypertree_lattice_once(monkeypatch):
+    # One mu-bound per selector, shared by the magic number, the hypertree
+    # sets, the hypertree polytopes and the duality suite.
+    calls = count_calls(monkeypatch, polytopes, "_hypertree_bound")
     doc, t = load_fig7()
     report, code = build_report(doc, t, crossing_cap=16, emit_pd=False)
     assert code == EXIT_OK and report["magic"]["magic_number"] == 11
-    assert len(calls) == 3
-    assert sorted(n for n, _edges in calls) == sorted(colour_graph(t, c)[0].n_vertices for c in COLOURS)
+    assert len(calls) == 6
+    assert sorted(len(he) for (he,) in calls) == sorted(len(hypergraph_view(t, c)[2]) for c in HYPERGRAPH_CODES)
+
+
+def test_verify_builds_each_hypertree_lattice_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, polytopes, "_hypertree_bound")
+    assert main(["verify", FIG7]) == EXIT_OK
+    assert '"ok": true' in capsys.readouterr().out
+    assert len(calls) == 6
 
 
 def test_verify_triangulates_once_per_colour_and_root(monkeypatch, capsys):
@@ -45,11 +75,11 @@ def test_verify_triangulates_once_per_colour_and_root(monkeypatch, capsys):
 
 
 def test_two_trinities_of_one_document_derive_separately(monkeypatch):
-    calls = count_calls(monkeypatch, trees, "enumerate_spanning_trees")
+    calls = count_calls(monkeypatch, polytopes, "_hypertree_bound")
     _doc, t1 = load_fig7()
     _doc, t2 = load_fig7()
     assert magic_number_report(t1) == magic_number_report(t2)
-    assert len(calls) == 6
+    assert len(calls) == 12
     for colour in COLOURS:
         assert colour_graph(t1, colour) is colour_graph(t1, colour)
         assert colour_graph(t1, colour) is not colour_graph(t2, colour)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 
 import pytest
 
-from trinities import polytopes, trees
+from trinities import geometry, linalg, polytopes
+from trinities.cli import EXIT_OK, main
 from trinities.geometry import VPolytope, lattice_points, prune_to_vertices
 from trinities.maps import build_map
 from trinities.polytopes import (
@@ -27,7 +29,8 @@ from trinities.polytopes import (
 )
 from trinities.trinity import COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, hypergraph_view
 
-from helpers import fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
+from helpers import count_calls, fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
+from oracles import hypertree_set_of_graph
 
 
 def vset(poly):
@@ -156,7 +159,7 @@ def test_single_edge_polytopes_are_points():
 # The subset-inequality polytopes against the LP path: the LP lattice points
 # and LP-pruned vertices of the convex hull of an independent point set (the
 # Minkowski sums of the generators, their set-difference trimming, and the
-# spanning-tree hypertrees).
+# hypertrees of every spanning tree, from the oracle).
 # ---------------------------------------------------------------------------
 
 
@@ -181,7 +184,7 @@ def assert_matches_lp_path(t):
         cm, x_ids, y_ids = hypergraph_view(t, code)
         sums = _minkowski_sums(polytopes.hyperedges(cm, x_ids, y_ids), len(x_ids))
         trimmed = _set_difference_trimming(sums, len(x_ids))
-        hypertrees = trees.hypertree_set(t, code)
+        hypertrees = hypertree_set_of_graph(cm, y_ids)
         for tp, independent in (
             (gp_polytope_of(t, code), sums),
             (trimmed_gp_of(t, code), trimmed),
@@ -237,10 +240,17 @@ def test_gp_check_catches_changed_generator_sums(monkeypatch, change):
         gp_polytope_of(g1_trinity(), "VE")
 
 
-@pytest.mark.parametrize("change", [_drop_last, _add_far_point])
+def _duplicate_last(points):
+    return points + points[-1:]
+
+
+@pytest.mark.parametrize("change", [_drop_last, _add_far_point, _duplicate_last])
 def test_hypertree_check_catches_changed_tree_hypertrees(monkeypatch, change):
-    hypertree_set_of_graph = trees.hypertree_set_of_graph
-    monkeypatch.setattr(trees, "hypertree_set_of_graph", lambda *args: change(hypertree_set_of_graph(*args)))
+    # The triangulation-tree side: a vector dropped, added or repeated.
+    triangulation_hypertrees = polytopes.triangulation_hypertrees
+    monkeypatch.setattr(
+        polytopes, "triangulation_hypertrees", lambda *args: change(triangulation_hypertrees(*args))
+    )
     with pytest.raises(InternalConsistencyError, match="hypertree set is not convexly closed"):
         hypertree_polytope_of(g1_trinity(), "VE")
 
@@ -253,3 +263,22 @@ def test_root_polytope_listing_lattice_points_are_the_generators():
         gens = root_polytope(cm, y_ids, x_ids).generators
         assert tp.lattice == tuple(sorted({tuple(int(c) for c in g) for g in gens}))
         assert tp.polytope.vertices == prune_to_vertices(gens)
+
+
+def test_root_listing_solves_no_lp(monkeypatch, capsys):
+    counted = [
+        count_calls(monkeypatch, module, name)
+        for module, name in (
+            (linalg, "lp_solve"),
+            (geometry, "lp_solve"),
+            (geometry, "lattice_points"),
+            (polytopes, "lattice_points"),
+        )
+    ]
+    for fixture in ("g1.json", "fig7.json"):
+        path = str(resources.files("trinities") / "fixtures" / fixture)
+        for code in HYPERGRAPH_CODES:
+            assert main(["polytope", path, "--hypergraph", code, "--which", "root"]) == EXIT_OK
+    assert '"lattice_points"' in capsys.readouterr().out
+    assert counted == [[]] * len(counted)
+

@@ -6,16 +6,14 @@ from trinities.trees import (
     count_arborescences,
     dual_tree,
     enumerate_arborescences,
-    enumerate_spanning_trees,
     hypertree_of,
     hypertree_set,
-    hypertree_set_of_graph,
-    spanning_trees_of_map,
 )
 from trinities.maps import build_map, planar_dual
 from trinities.trinity import COLOURS, EMERALD, RED, VIOLET, directed_dual
 
 from helpers import G1_EDGES, g1_map, g1_trinity, single_edge_trinity
+from oracles import enumerate_spanning_trees, hypertree_set_of_graph, spanning_trees_of_map
 
 
 def test_g1_spanning_trees_in_lex_order():

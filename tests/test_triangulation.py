@@ -24,6 +24,7 @@ from trinities.trinity import (
 )
 
 from helpers import count_calls, fig7_trinity, g1_trinity, random_trinity, single_edge_trinity
+from oracles import spanning_trees_of_map
 
 FIXTURES = [single_edge_trinity, g1_trinity, fig7_trinity]
 
@@ -37,7 +38,7 @@ def corpus(chunk):
 def tree_pairs(t, colour, limit=None):
     """Pairs of spanning trees of the colour graph: all of them, or a seeded
     sample of ``limit``."""
-    pairs = list(combinations(trees.spanning_trees_of_map(colour_graph(t, colour)[0]), 2))
+    pairs = list(combinations(spanning_trees_of_map(colour_graph(t, colour)[0]), 2))
     if limit is not None and len(pairs) > limit:
         pairs = random.Random(len(pairs)).sample(pairs, limit)
     return pairs

@@ -2,6 +2,7 @@ import pytest
 
 from trinities.linalg import det_exact
 from trinities.maps import MapError
+from trinities.trees import count_arborescences
 from trinities.trinity import (
     COLOURS,
     EMERALD,
@@ -19,7 +20,7 @@ from trinities.trinity import (
     round_det,
 )
 
-from helpers import g1_trinity, single_edge_trinity
+from helpers import fig7_trinity, g1_trinity, single_edge_trinity
 
 
 def test_g1_triangles():
@@ -55,6 +56,18 @@ def test_g1_adjacency_matrix_and_determinant():
     assert m.entries == ((1, 0, 0, 0), (0, 0, 1, 1), (1, 1, 1, 0), (0, 1, 0, 1))
     assert round_det(t) == -2
     assert round_det(g1_trinity()) in (-2, 2)
+
+
+def test_determinant_routes_are_integer_determinants():
+    # The adjacency determinant and the Laplacian minors are int matrices
+    # with int determinants, equal to the rational determinant.
+    for t in (g1_trinity(), fig7_trinity()):
+        value = round_det(t)
+        assert type(value) is int and value == det_exact(adjacency_matrix(t).entries)
+        for colour in COLOURS:
+            dd = directed_dual(t, colour)
+            counts = {count_arborescences(dd, root) for root in dd.vertices}
+            assert counts == {abs(value)} and all(type(c) is int for c in counts)
 
 
 def test_g1_matrix_matches_reference_form_under_column_permutation():
