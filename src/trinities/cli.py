@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import floer, links, polytopes, trees
@@ -20,7 +19,6 @@ from .documents import (
     GraphDocument,
     document_to_map,
     format_point,
-    format_rational,
     parse_graph_document,
 )
 from .maps import MapError, betti1
@@ -51,8 +49,6 @@ def _load_trinity(path: str, root_triangle: Optional[int]) -> tuple[GraphDocumen
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return format_rational(x)
     if isinstance(x, links.LaurentPoly2):
         return links.format_poly(x)
     if isinstance(x, dict):
@@ -104,9 +100,9 @@ def _inline(v) -> str:
 
 def _polytope_listing(tp: polytopes.TaggedPolytope) -> dict:
     return {
-        "vertices": [format_point(v) for v in tp.polytope.vertices],
+        "vertices": [format_point(v) for v in tp.vertices],
         "lattice_points": [list(p) for p in tp.lattice],
-        "affine_dim": tp.polytope.affine_dim,
+        "affine_dim": tp.affine_dim,
     }
 
 
@@ -178,8 +174,8 @@ def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: boo
         "hypertree_sets": hyper_sets,
         "polytopes": poly_section,
         "root_polytope": {
-            "vertices": [format_point(v) for v in rp.polytope.vertices],
-            "affine_dim": rp.dim,
+            "vertices": [format_point(v) for v in rp.vertices],
+            "affine_dim": rp.affine_dim,
         },
         "triangulations_red": triangulations,
         "duality": polytopes.verify_duality_suite(t),

@@ -37,9 +37,6 @@ class GraphDocument:
     def vertex_names(self) -> tuple[str, ...]:
         return self.violet + self.emerald
 
-    def vertex_id(self, name: str) -> int:
-        return self.vertex_names.index(name)
-
 
 _KEYS = {"format_version", "violet", "emerald", "edges", "rotations", "outer_face_hint"}
 _HINT_KEYS = {"edge", "side"}

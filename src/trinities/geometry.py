@@ -1,9 +1,12 @@
-"""Vertex-presented polytopes with exact predicates.
+"""Lattice polytopes given by integer points, with exact predicates.
 
-Membership is LP feasibility ("is x a convex combination of the vertices"),
-lattice points come from a pruned bounding-box search, and simplex volumes are
-normalized to the direction lattice of the affine span. Dimensions and the
-placing triangulation run fraction-free on integers.
+Dimensions, simplex volumes (normalized to the direction lattice of the
+affine span) and the placing triangulation take integer points and run
+fraction-free. The rational block below them, ``VPolytope`` with the
+LP-based ``points_contain``, ``prune_to_vertices`` and ``lattice_points``,
+is used only by the test oracles. It stays here because the benchmark's
+tracer test wraps ``geometry.lp_solve`` and ``polytopes.lattice_points`` and
+can only change with the benchmark.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .linalg import (
     fvec,
     integer_det,
     integer_rank,
-    integral_row,
     lp_solve,
 )
 from .linalg import simplex_normalized_volume as _simplex_normalized_volume
@@ -73,43 +75,20 @@ class VPolytope:
     """Convex hull given by its irredundant vertices, canonically sorted."""
 
     vertices: tuple[RatVec, ...]
-    ambient_dim: int
-    affine_dim: int
 
     @classmethod
-    def from_points(cls, points: Iterable[Sequence], assume_vertices: bool = False) -> "VPolytope":
-        pts = sorted({fvec(p) for p in points})
-        if not pts:
+    def from_points(cls, points: Iterable[Sequence]) -> "VPolytope":
+        vertices = prune_to_vertices(points)
+        if not vertices:
             raise ValueError("a polytope needs at least one point")
-        verts = tuple(pts) if assume_vertices else prune_to_vertices(pts)
-        return cls(vertices=verts, ambient_dim=len(verts[0]), affine_dim=affine_dim(verts))
-
-    def contains(self, x: Sequence) -> bool:
-        return points_contain(self.vertices, fvec(x))
-
-    def scale(self, c) -> "VPolytope":
-        c = Fraction(c)
-        return VPolytope.from_points([tuple(c * x for x in v) for v in self.vertices], assume_vertices=True)
-
-    def translate(self, t: Sequence) -> "VPolytope":
-        tv = fvec(t)
-        return VPolytope.from_points(
-            [tuple(x + y for x, y in zip(v, tv)) for v in self.vertices], assume_vertices=True
-        )
+        return cls(vertices=vertices)
 
 
-def _integral_points(points: Sequence[Sequence]) -> list[list[int]]:
-    """The points scaled by one positive integer to integer vectors."""
-    scaled = [integral_row(p) for p in points]
-    scale = math.lcm(*(s for s, _ in scaled))
-    return [[x * (scale // s) for x in row] for s, row in scaled]
-
-
-def affine_dim(points: Sequence[Sequence]) -> int:
+def affine_dim(points: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine span of integer points."""
     if not points:
         raise ValueError("affine_dim of empty point set")
-    pts = _integral_points(points)
-    return integer_rank([[x - y for x, y in zip(q, pts[0], strict=True)] for q in pts[1:]])
+    return integer_rank([[x - y for x, y in zip(q, points[0], strict=True)] for q in points[1:]])
 
 
 def lattice_points(p: VPolytope) -> tuple[IntVec, ...]:
@@ -119,7 +98,7 @@ def lattice_points(p: VPolytope) -> tuple[IntVec, ...]:
     feasibility of the partial fixing, so empty slabs are skipped wholesale.
     """
     verts = p.vertices
-    dim = p.ambient_dim
+    dim = len(verts[0])
     lo = [math.ceil(min(v[i] for v in verts)) for i in range(dim)]
     hi = [math.floor(max(v[i] for v in verts)) for i in range(dim)]
     if any(lo[i] > hi[i] for i in range(dim)):
@@ -152,46 +131,12 @@ def lattice_points(p: VPolytope) -> tuple[IntVec, ...]:
     return canonical_lattice_set(out)
 
 
-def intersect_in_common_face(s1: VPolytope, s2: VPolytope) -> bool:
-    """True iff the two simplices intersect exactly in the hull of their shared vertices.
-
-    Barycentric coordinates in a simplex are unique, so the intersection lies
-    inside conv(shared) iff no intersection point puts positive weight on a
-    non-shared vertex; each such weight is maximized by an exact LP. The
-    test oracle of ``polytopes.tree_simplices_meet_in_common_face``.
-    """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionError("simplices live in different ambient spaces")
-    for s in (s1, s2):
-        if affine_dim(s.vertices) != len(s.vertices) - 1:
-            raise ValueError("input is not a simplex")
-    shared = set(s1.vertices) & set(s2.vertices)
-    n1, n2 = len(s1.vertices), len(s2.vertices)
-    dim = s1.ambient_dim
-    # Variables: barycentric weights of s1 then of s2.
-    rows = []
-    for i in range(dim):
-        rows.append(tuple(v[i] for v in s1.vertices) + tuple(-w[i] for w in s2.vertices))
-    rows.append(tuple(Fraction(1) for _ in range(n1)) + tuple(Fraction(0) for _ in range(n2)))
-    rows.append(tuple(Fraction(0) for _ in range(n1)) + tuple(Fraction(1) for _ in range(n2)))
-    b = tuple([Fraction(0)] * dim) + (Fraction(1), Fraction(1))
-    free_indices = [i for i, v in enumerate(s1.vertices) if v not in shared]
-    free_indices += [n1 + j for j, w in enumerate(s2.vertices) if w not in shared]
-    for idx in free_indices:
-        c = [Fraction(0)] * (n1 + n2)
-        c[idx] = Fraction(1)
-        status, value, _ = lp_solve(rows, b, tuple(c))
-        if status == OPTIMAL and value > 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Incremental (placing) triangulation — the independent volume oracle.
 # ---------------------------------------------------------------------------
 
 
-def placing_triangulation(points: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
+def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Triangulation of conv(points) by placing the points in the given order.
 
     Returns simplices as sorted index tuples. Every input point must be a
@@ -199,18 +144,17 @@ def placing_triangulation(points: Sequence[Sequence]) -> tuple[tuple[int, ...], 
     polytopes this serves); collinear degeneracies inside the current hull are
     rejected.
 
-    Integer arithmetic throughout (rational points are scaled to integers
-    first). The directions from the first point that span the placed points
-    are kept as an echelon basis; projecting onto its pivot columns is
-    injective on their span, so a point lies beyond a boundary facet exactly
-    when the integer determinants of the facet against it and against the
-    opposite vertex, over those columns, have opposite signs.
+    Integer points, integer arithmetic throughout. The directions from the
+    first point that span the placed points are kept as an echelon basis;
+    projecting onto its pivot columns is injective on their span, so a point
+    lies beyond a boundary facet exactly when the integer determinants of the
+    facet against it and against the opposite vertex, over those columns,
+    have opposite signs.
     """
-    pts = _integral_points(points)
-    dirs = [[x - y for x, y in zip(p, pts[0])] for p in pts]
+    dirs = [[x - y for x, y in zip(p, points[0])] for p in points]
     basis: list[tuple[int, list[int]]] = []
     simplices: list[tuple[int, ...]] = [(0,)]
-    for idx in range(1, len(pts)):
+    for idx in range(1, len(points)):
         if extend_basis(basis, dirs[idx]):
             # Dimension jump: cone every simplex over the new point.
             simplices = [s + (idx,) for s in simplices]
@@ -243,10 +187,7 @@ def _boundary_facets(simplices: Sequence[tuple[int, ...]]):
     return [(facet, opps[0]) for facet, opps in seen.items() if len(opps) == 1]
 
 
-def total_normalized_volume(points: Sequence[Sequence]) -> int:
-    """Normalized volume of conv(points) via the placing triangulation."""
-    pts = [fvec(p) for p in points]
-    total = 0
-    for simplex in placing_triangulation(pts):
-        total += simplex_normalized_volume([pts[i] for i in simplex])
-    return total
+def total_normalized_volume(points: Sequence[Sequence[int]]) -> int:
+    """Normalized volume of conv(points), integer points, via the placing
+    triangulation."""
+    return sum(simplex_normalized_volume([points[i] for i in s]) for s in placing_triangulation(points))

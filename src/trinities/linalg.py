@@ -1,22 +1,19 @@
-"""Exact linear algebra: determinants, ranks, linear solves, simplex LP.
+"""Exact linear algebra: integer determinants, ranks and simplex volumes,
+and a small simplex LP.
 
-Determinants and ranks run fraction-free on Python integers; a rational
-matrix is first scaled row by row to integers. Solves and the LP operate on
-tuples of ``fractions.Fraction``. No floats anywhere.
+Determinants, ranks and volumes run fraction-free on Python integers. The LP
+operates on tuples of ``fractions.Fraction`` and serves the test oracles
+only. No floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import gcd, lcm
-from numbers import Rational
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-Frac = Fraction
-
 RatVec = tuple[Fraction, ...]
-RatMat = tuple[RatVec, ...]
 
 
 class DimensionError(ValueError):
@@ -27,34 +24,8 @@ def fvec(values: Iterable) -> RatVec:
     return tuple(Fraction(v) for v in values)
 
 
-def fmat(rows: Iterable[Iterable]) -> RatMat:
-    return tuple(fvec(r) for r in rows)
-
-
-def vec_sub(a: RatVec, b: RatVec) -> RatVec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def dot(a: RatVec, b: RatVec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
-
-
-def integral_row(row: Sequence) -> tuple[int, list[int]]:
-    """(s, s * row) for the least common denominator s of the row's entries."""
-    q = [x if isinstance(x, Rational) else Fraction(x) for x in row]
-    s = lcm(*(x.denominator for x in q))
-    return s, [x.numerator * (s // x.denominator) for x in q]
-
-
-def det_exact(m: Sequence[Sequence]) -> Fraction:
-    """Determinant of a rational matrix (exact): each row is scaled to integers
-    and the integer determinant divided by the product of the scales."""
-    scale, rows = 1, []
-    for row in m:
-        s, ints = integral_row(row)
-        scale *= s
-        rows.append(ints)
-    return Fraction(integer_det(rows), scale)
 
 
 def integer_det(m: Sequence[Sequence[int]]) -> int:
@@ -116,47 +87,6 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
         if extend_basis(basis, row) and len(basis) == len(row):
             break
     return len(basis)
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix: the integer rank of its rows scaled to integers."""
-    return integer_rank([integral_row(row)[1] for row in rows])
-
-
-def solve_affine(columns: Sequence[RatVec], target: RatVec) -> Optional[RatVec]:
-    """One solution c of sum(c_i * columns[i]) = target, or None if inconsistent.
-
-    Underdetermined systems return an arbitrary (deterministic) solution with
-    free variables set to zero.
-    """
-    n = len(columns)
-    m = len(target)
-    a = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(target[i])] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pr = a[r]
-        inv = 1 / pr[col]
-        a[r] = [x * inv for x in pr]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for row, col in pivots:
-        sol[col] = a[row][n]
-    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +198,9 @@ def _int_minors_gcd(rows: list[list[int]], first: Sequence[int]) -> int:
     return g
 
 
-def simplex_normalized_volume(vertices: Sequence[Sequence]) -> int:
-    """Normalized volume of a simplex w.r.t. the direction lattice of its span.
+def simplex_normalized_volume(vertices: Sequence[Sequence[int]]) -> int:
+    """Normalized volume of a simplex with integer vertices w.r.t. the
+    direction lattice of its span.
 
     The gcd of the maximal minors of the integer edge-vector matrix equals the
     index of the edge lattice inside its saturation, which is exactly the
@@ -277,15 +208,11 @@ def simplex_normalized_volume(vertices: Sequence[Sequence]) -> int:
     """
     if not vertices:
         raise DimensionError("empty vertex list")
-    vs = []
-    for v in vertices:
-        s, ints = integral_row(v)
-        if s != 1:
-            raise ValueError("normalized volume requires integer vertices")
-        vs.append(ints)
-    if len(vs) == 1:
+    if not all(isinstance(x, int) for v in vertices for x in v):
+        raise ValueError("normalized volume requires integer vertices")
+    if len(vertices) == 1:
         return 1
-    edges = [[x - y for x, y in zip(v, vs[0], strict=True)] for v in vs[1:]]
+    edges = [[x - y for x, y in zip(v, vertices[0], strict=True)] for v in vertices[1:]]
     basis: list[tuple[int, list[int]]] = []
     for e in edges:
         if not extend_basis(basis, e):

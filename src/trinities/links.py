@@ -202,33 +202,9 @@ class LaurentPoly2:
     def z_coefficient(self, z: int) -> "LaurentPoly2":
         return LaurentPoly2(tuple(((v, 0), c) for (v, zz), c in self.coeffs if zz == z))
 
-    def substitute_v(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        """Replace v by the given (v-only, invertible monomial base) polynomial."""
-        out = LaurentPoly2.from_dict({})
-        for (v, z), c in self.coeffs:
-            term = LaurentPoly2.monomial(c, 0, z)
-            out = out + term * _poly_pow(other, v)
-        return out
-
 
 ONE = LaurentPoly2.from_dict({(0, 0): 1})
 ZERO = LaurentPoly2.from_dict({})
-
-
-def _poly_pow(p: LaurentPoly2, e: int) -> LaurentPoly2:
-    if e == 0:
-        return ONE
-    if e < 0:
-        if len(p.coeffs) != 1:
-            raise ValueError("negative power of a non-monomial")
-        (v, z), c = p.coeffs[0]
-        if abs(c) != 1:
-            raise ValueError("negative power needs a unit coefficient")
-        return _poly_pow(LaurentPoly2.monomial(c, -v, -z), -e)
-    out = ONE
-    for _ in range(e):
-        out = out * p
-    return out
 
 
 def format_poly(p: LaurentPoly2) -> str:

@@ -71,9 +71,6 @@ class PlanarMap:
     def alpha(self, d: int) -> int:
         return d ^ 1
 
-    def edge_of(self, d: int) -> int:
-        return d >> 1
-
     def sigma_inv(self, d: int) -> int:
         return memo(self, "sigma_inv", lambda: _inverse(self.sigma))[d]
 

@@ -12,28 +12,26 @@ independent description of its lattice points: the sums of generators, the
 set-difference trimming, and the hypertrees of the trees of an arborescence
 triangulation of the root polytope (Postnikov, *Permutohedra, associahedra,
 and beyond*, 2009, section 12: each hypertree exactly once). The lattice
-points of a root polytope are its generators. The LP search of ``geometry``
-serves the Cayley slices.
+points of a root polytope are its generators. Every point is an integer
+vector; the rational Cayley slices live in the test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
 from .geometry import (
-    VPolytope,
+    IntVec,
     affine_dim,
     canonical_lattice_set,
     lattice_points,  # noqa: F401  (no caller here; perfbench/tests wraps this binding)
-    prune_to_vertices,
     simplex_normalized_volume,
     total_normalized_volume,
 )
-from .linalg import RatVec, fvec, integer_rank, rank, solve_affine, vec_sub
+from .linalg import integer_rank
 from .maps import PlanarMap, memo
 from .trinity import (
     COLOUR_CLASSES,
@@ -50,29 +48,27 @@ from . import trees
 
 @dataclass(frozen=True)
 class TaggedPolytope:
-    polytope: VPolytope
-    lattice: tuple[tuple[int, ...], ...]
+    vertices: tuple[IntVec, ...]  # sorted
+    affine_dim: int
+    lattice: tuple[IntVec, ...]
     hypergraph: Optional[str] = None
     kind: str = ""
 
 
 @dataclass(frozen=True)
 class RootPolytope:
-    polytope: VPolytope
-    generators: tuple[RatVec, ...]  # one point i_u - i_v per edge id
+    generators: tuple[IntVec, ...]  # one point i_u - i_v per edge id
+    vertices: tuple[IntVec, ...]  # the distinct generators, sorted
+    affine_dim: int
     u_size: int
     v_size: int
-
-    @property
-    def dim(self) -> int:
-        return self.polytope.affine_dim
 
 
 @dataclass(frozen=True)
 class Triangulation:
     parent: RootPolytope
     trees: tuple[tuple[int, ...], ...]  # spanning trees, one per simplex
-    simplices: tuple[tuple[RatVec, ...], ...]
+    simplices: tuple[tuple[IntVec, ...], ...]
 
 
 def hyperedges(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -189,34 +185,51 @@ def _subset_vertices(bound: Sequence[int], n: int, points: Sequence[tuple[int, .
 def _tagged(
     bound: Sequence[int], n: int, lattice: tuple[tuple[int, ...], ...], tag: str, kind: str
 ) -> TaggedPolytope:
-    vertices = _subset_vertices(bound, n, lattice)
-    poly = VPolytope.from_points(vertices, assume_vertices=True)
-    return TaggedPolytope(polytope=poly, lattice=lattice, hypergraph=tag or None, kind=kind)
+    vertices = tuple(_subset_vertices(bound, n, lattice))  # sorted, as the lattice is
+    return TaggedPolytope(
+        vertices=vertices, affine_dim=affine_dim(vertices), lattice=lattice, hypergraph=tag or None, kind=kind
+    )
 
 
-def gp_polytope(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
-    """Minkowski sum over hyperedges y of the simplex on the vertices of y."""
-    n = len(x_ids)
-    he = hyperedges(m, x_ids, y_ids)
-    bound = _coverage_bound(he, n)
+def _gp_data(he: Sequence[tuple[int, ...]], n: int):
+    """n, the coverage bound f and the sums of generators of hyperedges on n
+    vertices."""
+    return n, _coverage_bound(he, n), _generator_sums(he, n)
+
+
+def _hyperedges_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
+    """``hyperedges`` of the selector's hypergraph, once per trinity and selector."""
+    return memo(t, ("hyperedges", code), lambda: hyperedges(*hypergraph_view(t, code)))
+
+
+def _gp_data_of(t: Trinity, code: str):
+    """``_gp_data`` of the selector's hypergraph, once per trinity and
+    selector: the GP and trimmed builds share it."""
+    return memo(t, ("gp_data", code), lambda: _gp_data(_hyperedges_of(t, code), len(hypergraph_view(t, code)[1])))
+
+
+def _gp(n: int, bound: Sequence[int], sums: tuple[tuple[int, ...], ...], tag: str) -> TaggedPolytope:
     lattice = _subset_lattice(bound, n)
-    if _generator_sums(he, n) != lattice:
+    if sums != lattice:
         raise InternalConsistencyError("sums of generators do not exhaust the lattice points")
     return _tagged(bound, n, lattice, tag, "gp")
 
 
-def _trimmed(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]):
+def gp_polytope(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
+    """Minkowski sum over hyperedges y of the simplex on the vertices of y."""
+    return _gp(*_gp_data(hyperedges(m, x_ids, y_ids), len(x_ids)), tag)
+
+
+def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...]):
     """Bound and lattice points of the GP polytope minus the standard simplex.
 
     x + Delta lies in the GP polytope iff x + e_i does for every i, so the
     bound is f - 1 on nonempty sets. The lattice points are checked against
     the integer points x with every x + e_i a sum of generators.
     """
-    n = len(x_ids)
-    he = hyperedges(m, x_ids, y_ids)
-    bound = [0] + [c - 1 for c in _coverage_bound(he, n)[1:]]
+    bound = [0] + [c - 1 for c in coverage[1:]]
     lattice = _subset_lattice(bound, n)
-    pts = set(_generator_sums(he, n))
+    pts = set(sums)
     candidates = {tuple(p[j] - (1 if j == i else 0) for j in range(n)) for p in pts for i in range(n)}
     trimmed = [
         x
@@ -232,13 +245,14 @@ def _trimmed(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]):
 
 def _trimmed_of(t: Trinity, code: str):
     """``_trimmed`` of the selector's hypergraph, once per trinity and selector."""
-    return memo(t, ("trimmed", code), lambda: _trimmed(*hypergraph_view(t, code)))
+    return memo(t, ("trimmed", code), lambda: _trimmed(*_gp_data_of(t, code)))
 
 
 def trimmed_gp(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
     """Minkowski difference of the GP polytope by the standard simplex on X."""
-    bound, lattice = _trimmed(m, x_ids, y_ids)
-    return _tagged(bound, len(x_ids), lattice, tag, "trimmed")
+    n = len(x_ids)
+    bound, lattice = _trimmed(*_gp_data(hyperedges(m, x_ids, y_ids), n))
+    return _tagged(bound, n, lattice, tag, "trimmed")
 
 
 def hypertree_lattice_of(t: Trinity, code: str):
@@ -246,22 +260,19 @@ def hypertree_lattice_of(t: Trinity, code: str):
     selector's hypergraph, once per trinity and selector."""
 
     def build():
-        cm, x_ids, y_ids = hypergraph_view(t, code)
-        bound = _hypertree_bound(hyperedges(cm, x_ids, y_ids))
-        return tuple(bound), _subset_lattice(bound, len(y_ids))
+        bound = _hypertree_bound(_hyperedges_of(t, code))
+        return tuple(bound), _subset_lattice(bound, len(hypergraph_view(t, code)[2]))
 
     return memo(t, ("hypertree_lattice", code), build)
 
 
 def gp_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
-    cm, x_ids, y_ids = hypergraph_view(t, code)
-    return gp_polytope(cm, x_ids, y_ids, code)
+    return _gp(*_gp_data_of(t, code), code)
 
 
 def trimmed_gp_of(t: Trinity, code: str) -> TaggedPolytope:
-    _cm, x_ids, _y_ids = hypergraph_view(t, code)
     bound, lattice = _trimmed_of(t, code)
-    return _tagged(bound, len(x_ids), lattice, code, "trimmed")
+    return _tagged(bound, len(hypergraph_view(t, code)[1]), lattice, code, "trimmed")
 
 
 def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
@@ -288,9 +299,15 @@ def root_polytope(m: PlanarMap, u_ids: Sequence[int], v_ids: Sequence[int]) -> R
         p = [0] * dim
         p[u_pos[u]] = 1
         p[v_pos[v]] = -1
-        gens.append(fvec(p))
-    poly = VPolytope.from_points(gens, assume_vertices=True)  # every e_u - e_v is a vertex
-    return RootPolytope(polytope=poly, generators=tuple(gens), u_size=len(u_ids), v_size=len(v_ids))
+        gens.append(tuple(p))
+    vertices = canonical_lattice_set(gens)  # every e_u - e_v is a vertex
+    return RootPolytope(
+        generators=tuple(gens),
+        vertices=vertices,
+        affine_dim=affine_dim(vertices),
+        u_size=len(u_ids),
+        v_size=len(v_ids),
+    )
 
 
 def root_polytope_of(t: Trinity, colour: str, u_colour: Optional[str] = None) -> RootPolytope:
@@ -315,16 +332,17 @@ def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     """
     cm, x_ids, y_ids = hypergraph_view(t, code)
     rp = root_polytope(cm, y_ids, x_ids)
-    lattice = canonical_lattice_set(rp.generators)
-    return TaggedPolytope(polytope=rp.polytope, lattice=lattice, hypergraph=code, kind="root")
+    return TaggedPolytope(
+        vertices=rp.vertices, affine_dim=rp.affine_dim, lattice=rp.vertices, hypergraph=code, kind="root"
+    )
 
 
-def tree_simplex(rp: RootPolytope, tree_edges: Sequence[int]) -> VPolytope:
-    pts = [rp.generators[e] for e in tree_edges]
-    dim = affine_dim(pts)
-    if dim != len(pts) - 1:
+def tree_simplex(rp: RootPolytope, tree_edges: Sequence[int]) -> tuple[IntVec, ...]:
+    """The sorted vertices of the simplex of an edge set without cycles."""
+    pts = sorted(rp.generators[e] for e in tree_edges)
+    if affine_dim(pts) != len(pts) - 1:
         raise ValueError("edge set does not span a simplex (contains a cycle)")
-    return VPolytope(vertices=tuple(sorted(pts)), ambient_dim=len(pts[0]), affine_dim=dim)
+    return tuple(pts)
 
 
 def _default_root(t: Trinity, colour: str) -> int:
@@ -371,7 +389,7 @@ def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = No
 def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangulation:
     rp = root_polytope_of(t, colour)
     tree_sets = arborescence_trees(t, colour, root)
-    simplices = tuple(tree_simplex(rp, tr).vertices for tr in tree_sets)
+    simplices = tuple(tree_simplex(rp, tr) for tr in tree_sets)
     # Validation: unit volumes, distinct simplices (parallel edges share a
     # generator, so two trees can span one simplex), pairwise common-face
     # intersections, total volume.
@@ -383,7 +401,7 @@ def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangula
     for t1, t2 in combinations(tree_sets, 2):
         if not tree_simplices_meet_in_common_face(rp, t1, t2):
             raise InternalConsistencyError("simplices do not meet in a common face")
-    volume = memo(rp, "normalized_volume", lambda: total_normalized_volume(rp.polytope.vertices))
+    volume = memo(rp, "normalized_volume", lambda: total_normalized_volume(rp.vertices))
     if len(simplices) != volume:
         raise InternalConsistencyError("triangulation volume does not cover the root polytope")
     return Triangulation(parent=rp, trees=tree_sets, simplices=simplices)
@@ -438,66 +456,6 @@ def tree_simplices_meet_in_common_face(rp: RootPolytope, tree1: Sequence[int], t
     return removed == len(indegree)
 
 
-def cayley_slice(rp: RootPolytope, side: str) -> VPolytope:
-    """Exact intersection of the root polytope with the side's Cayley hyperplanes.
-
-    Side "U" fixes the first block to 1/m each; side "V" fixes the second
-    block to -1/n each. The result keeps all ambient coordinates.
-    """
-    m, n = rp.u_size, rp.v_size
-    if side == "U":
-        fixed = {i: Fraction(1, m) for i in range(m)}
-    elif side == "V":
-        fixed = {m + i: Fraction(-1, n) for i in range(n)}
-    else:
-        raise ValueError("side must be 'U' or 'V'")
-    verts = rp.polytope.vertices
-    hits: set[RatVec] = set()
-    for k in range(1, len(verts) + 1):
-        for face in combinations(verts, k):
-            pt = _affine_flat_point(face, fixed)
-            if pt is not None:
-                hits.add(pt)
-    if not hits:
-        raise InternalConsistencyError("slice is empty")
-    return VPolytope.from_points(prune_to_vertices(hits), assume_vertices=True)
-
-
-def _affine_flat_point(face: Sequence[RatVec], fixed: dict[int, Fraction]) -> Optional[RatVec]:
-    """Unique point of aff(face) meeting the fixed-coordinate flat, inside
-    conv(face); None when absent or not unique."""
-    base = face[0]
-    dirs = [vec_sub(p, base) for p in face[1:]]
-    rows = [tuple(d[i] for d in dirs) for i in fixed]
-    target = tuple(c - base[i] for i, c in fixed.items())
-    if rank(rows) < len(dirs):
-        return None
-    sol = solve_affine([tuple(r[j] for r in rows) for j in range(len(dirs))], target)
-    if sol is None:
-        return None
-    weights = [Fraction(1) - sum(sol, Fraction(0))] + list(sol)
-    if any(w < 0 for w in weights):
-        return None
-    pt = tuple(sum(w * p[i] for w, p in zip(weights, face)) for i in range(len(base)))
-    if any(pt[i] != c for i, c in fixed.items()):
-        return None
-    return pt
-
-
-def slice_matches_scaled_gp(rp: RootPolytope, side: str, gp: TaggedPolytope) -> bool:
-    """Check the slice identity: side U equals -(1/m) times the GP polytope of
-    the second block's hypergraph, side V equals (1/n) times that of the first."""
-    sl = cayley_slice(rp, side)
-    m, n = rp.u_size, rp.v_size
-    if side == "U":
-        projected = {v[m:] for v in sl.vertices}
-        expected = {tuple(Fraction(-x, m) for x in p) for p in gp.polytope.vertices}
-    else:
-        projected = {v[:m] for v in sl.vertices}
-        expected = {tuple(Fraction(x, n) for x in p) for p in gp.polytope.vertices}
-    return projected == expected
-
-
 def f_vector(tr: Triangulation) -> tuple[int, ...]:
     """Face counts as polynomial coefficients, highest degree first, computed
     once per triangulation.
@@ -511,7 +469,7 @@ def f_vector(tr: Triangulation) -> tuple[int, ...]:
 def _f_vector(tr: Triangulation) -> tuple[int, ...]:
     # A face is a bitmask over the root polytope's vertices, so edges with
     # equal generators share one bit.
-    vertex_bit = {v: 1 << i for i, v in enumerate(tr.parent.polytope.vertices)}
+    vertex_bit = {v: 1 << i for i, v in enumerate(tr.parent.vertices)}
     faces: set[int] = set()
     for s in tr.simplices:
         mask = sum(vertex_bit[v] for v in s)

@@ -4,8 +4,11 @@ bipartite maps."""
 
 from __future__ import annotations
 
+import pkgutil
 import random
+from importlib import import_module
 
+import trinities
 from trinities.maps import (
     MapError,
     NotConnectedError,
@@ -116,4 +119,17 @@ def count_calls(monkeypatch, module, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_calls_everywhere(monkeypatch, module, name):
+    """``count_calls`` at every library module that binds module.name to the
+    same function, so a call through any import of it is counted."""
+    original = getattr(module, name)
+    calls = count_calls(monkeypatch, module, name)
+    counted = getattr(module, name)
+    for info in pkgutil.iter_modules(trinities.__path__):
+        binder = import_module(f"trinities.{info.name}")
+        if getattr(binder, name, None) is original:
+            monkeypatch.setattr(binder, name, counted)
     return calls

@@ -49,8 +49,8 @@ def test_criterion_2_worked_example_polytopes():
     assert set(hypertree_set(t, "VE")) == {(2, 0), (1, 1)}
     assert set(gp_polytope_of(t, "EV").lattice) == {(3, 0), (2, 1), (1, 2)}
     rp = root_polytope_of(t, RED)
-    assert len(rp.polytope.vertices) == 5
-    assert rp.dim == 3
+    assert len(rp.vertices) == 5
+    assert rp.affine_dim == 3
 
 
 def test_criterion_3_worked_example_triangulations():

@@ -1,5 +1,6 @@
-"""Each colour graph, directed dual, hypertree set, trimmed lattice, root
-polytope, triangulation and median diagram is derived once per trinity, and
+"""Each colour graph, directed dual, hypertree set, selector's hyperedges,
+coverage bound and generator sums, trimmed lattice, root polytope,
+triangulation and median diagram is derived once per trinity, and
 never shared between two trinities. The counts come from wrappers around the
 builders. No spanning tree is enumerated: the hypertree sets are mu-lattices."""
 
@@ -104,6 +105,18 @@ def test_report_trims_once_per_selector(monkeypatch):
     doc, t = load_fig7()
     build_report(doc, t, crossing_cap=16, emit_pd=False)
     assert len(calls) == 6
+
+
+def test_report_derives_each_selectors_hypergraph_data_once(monkeypatch):
+    # The GP and trimmed builds share the hyperedges, coverage bound and
+    # generator sums of a selector; the mu-bound shares its hyperedges.
+    counted = {
+        name: count_calls(monkeypatch, polytopes, name)
+        for name in ("hyperedges", "_coverage_bound", "_generator_sums")
+    }
+    doc, t = load_fig7()
+    build_report(doc, t, crossing_cap=16, emit_pd=False)
+    assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 6)
 
 
 def test_report_builds_one_median_diagram(monkeypatch):

@@ -108,9 +108,9 @@ def drop_a_tree(t, tree_sets, i, e, copy):
 
 def swap_a_tree(t, tree_sets, i, e, copy):
     rp = root_polytope_of(t, RED)
-    taken = {tree_simplex(rp, tr).vertices for tr in tree_sets}
+    taken = {tree_simplex(rp, tr) for tr in tree_sets}
     other = next(
-        tr for tr in spanning_trees_of_map(colour_graph(t, RED)[0]) if tree_simplex(rp, tr).vertices not in taken
+        tr for tr in spanning_trees_of_map(colour_graph(t, RED)[0]) if tree_simplex(rp, tr) not in taken
     )
     return (other,) + tree_sets[1:]
 
@@ -153,7 +153,7 @@ def test_the_parallel_copy_passes_every_other_check():
     rp = root_polytope_of(t, RED)
     original = polytopes.arborescence_trees(t, RED, polytopes._default_root(t, RED))
     tree_sets = swap_in_a_parallel_copy(t, original, i, e, copy)
-    simplices = [tree_simplex(rp, tr).vertices for tr in tree_sets]
+    simplices = [tree_simplex(rp, tr) for tr in tree_sets]
     assert len(set(simplices)) == len(simplices) - 1
     assert all(simplex_normalized_volume(s) == 1 for s in simplices)
     assert all(

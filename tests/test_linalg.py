@@ -9,15 +9,13 @@ from trinities.linalg import (
     OPTIMAL,
     UNBOUNDED,
     DimensionError,
-    det_exact,
-    fmat,
     fvec,
     integer_det,
     lp_solve,
-    rank,
     simplex_normalized_volume,
-    solve_affine,
 )
+
+from oracles import det_exact, fmat, rank, solve_affine
 
 
 def laplace_det(m):
@@ -111,6 +109,12 @@ def test_simplex_volume_unit_and_scaled():
     assert simplex_normalized_volume([(3,)]) == 1
     # Degenerate input collapses to zero.
     assert simplex_normalized_volume([(0, 0), (1, 0), (2, 0)]) == 0
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(1), 0.5, 1.0])
+def test_simplex_volume_rejects_non_integer_coordinates(x):
+    with pytest.raises(ValueError, match="normalized volume requires integer vertices"):
+        simplex_normalized_volume([(0, 0), (1, 0), (0, x)])
 
 
 def test_simplex_volume_matches_determinant_in_full_dimension():

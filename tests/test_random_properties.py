@@ -25,13 +25,13 @@ from trinities.polytopes import (
     arborescence_triangulation,
     gp_polytope_of,
     root_polytope_of,
-    slice_matches_scaled_gp,
     verify_duality_suite,
 )
 from trinities.trees import count_arborescences, hypertree_set
 from trinities.trinity import COLOURS, RED, directed_dual, magic_number_report
 
 from helpers import random_trinity
+from oracles import slice_matches_scaled_gp
 
 N_CHUNKS = 10
 GRAPHS_PER_CHUNK = 20  # 200 graphs in total

@@ -1,6 +1,5 @@
 import pytest
 
-from trinities.linalg import det_exact
 from trinities.maps import MapError
 from trinities.trees import count_arborescences
 from trinities.trinity import (
@@ -21,6 +20,7 @@ from trinities.trinity import (
 )
 
 from helpers import fig7_trinity, g1_trinity, single_edge_trinity
+from oracles import det_exact
 
 
 def test_g1_triangles():
