@@ -202,9 +202,7 @@ def cmd_report(args) -> int:
 
 def cmd_polytope(args) -> int:
     doc, t = _load_trinity(args.path, args.root_triangle)
-    code = args.hypergraph
-    if code not in HYPERGRAPH_CODES:
-        raise DocumentError(f"unknown hypergraph selector {code!r}")
+    code = args.hypergraph  # one of HYPERGRAPH_CODES, which the parser enforces
     build = {
         "gp": polytopes.gp_polytope_of,
         "trimmed": polytopes.trimmed_gp_of,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .maps import Bipartition, PlanarMap, build_map
@@ -150,10 +149,5 @@ def document_to_map(doc: GraphDocument) -> tuple[PlanarMap, Bipartition, int]:
     return m, bip, outer
 
 
-def format_rational(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def format_point(p: Sequence) -> list[str]:
-    return [format_rational(x) for x in p]
+def format_point(p: Sequence[int]) -> list[str]:
+    return [str(x) for x in p]

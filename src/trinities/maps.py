@@ -93,9 +93,6 @@ class PlanarMap:
                     cur = self.sigma[cur]
         return tuple(tuple(buckets[u]) for u in range(self.n_vertices))
 
-    def degree(self, v: int) -> int:
-        return len(self.darts_of_vertex(v))
-
     def head_of(self, d: int) -> int:
         return self.vertex_of[self.alpha(d)]
 

@@ -12,14 +12,18 @@ independent description of its lattice points: the sums of generators, the
 set-difference trimming, and the hypertrees of the trees of an arborescence
 triangulation of the root polytope (Postnikov, *Permutohedra, associahedra,
 and beyond*, 2009, section 12: each hypertree exactly once). The lattice
-points of a root polytope are its generators. Every point is an integer
-vector; the rational Cayley slices live in the test oracles.
+points of a root polytope are its generators. The tree simplices of an
+arborescence triangulation are proved to triangulate the root polytope in
+time linear in their number: a ridge certificate (every ridge of a tree
+simplex lies in one simplex on the boundary and in two, on opposite sides,
+inside), unit simplex volumes and the placing volume. Every point is an
+integer vector; the rational Cayley slices and Postnikov's pairwise Lemma
+12.6 live in the test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -41,6 +45,7 @@ from .trinity import (
     colour_graph,
     colour_of_hypergraph,
     directed_dual,
+    hypergraph_classes,
     hypergraph_view,
 )
 from . import trees
@@ -51,8 +56,8 @@ class TaggedPolytope:
     vertices: tuple[IntVec, ...]  # sorted
     affine_dim: int
     lattice: tuple[IntVec, ...]
-    hypergraph: Optional[str] = None
-    kind: str = ""
+    hypergraph: str  # the selector
+    kind: str
 
 
 @dataclass(frozen=True)
@@ -183,18 +188,12 @@ def _subset_vertices(bound: Sequence[int], n: int, points: Sequence[tuple[int, .
 
 
 def _tagged(
-    bound: Sequence[int], n: int, lattice: tuple[tuple[int, ...], ...], tag: str, kind: str
+    bound: Sequence[int], n: int, lattice: tuple[tuple[int, ...], ...], code: str, kind: str
 ) -> TaggedPolytope:
     vertices = tuple(_subset_vertices(bound, n, lattice))  # sorted, as the lattice is
     return TaggedPolytope(
-        vertices=vertices, affine_dim=affine_dim(vertices), lattice=lattice, hypergraph=tag or None, kind=kind
+        vertices=vertices, affine_dim=affine_dim(vertices), lattice=lattice, hypergraph=code, kind=kind
     )
-
-
-def _gp_data(he: Sequence[tuple[int, ...]], n: int):
-    """n, the coverage bound f and the sums of generators of hyperedges on n
-    vertices."""
-    return n, _coverage_bound(he, n), _generator_sums(he, n)
 
 
 def _hyperedges_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
@@ -203,21 +202,11 @@ def _hyperedges_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _gp_data_of(t: Trinity, code: str):
-    """``_gp_data`` of the selector's hypergraph, once per trinity and
-    selector: the GP and trimmed builds share it."""
-    return memo(t, ("gp_data", code), lambda: _gp_data(_hyperedges_of(t, code), len(hypergraph_view(t, code)[1])))
-
-
-def _gp(n: int, bound: Sequence[int], sums: tuple[tuple[int, ...], ...], tag: str) -> TaggedPolytope:
-    lattice = _subset_lattice(bound, n)
-    if sums != lattice:
-        raise InternalConsistencyError("sums of generators do not exhaust the lattice points")
-    return _tagged(bound, n, lattice, tag, "gp")
-
-
-def gp_polytope(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
-    """Minkowski sum over hyperedges y of the simplex on the vertices of y."""
-    return _gp(*_gp_data(hyperedges(m, x_ids, y_ids), len(x_ids)), tag)
+    """n, the coverage bound f and the sums of generators of the selector's
+    hypergraph on its n vertices, once per trinity and selector: the GP and
+    trimmed builds share them."""
+    he, n = _hyperedges_of(t, code), len(hypergraph_view(t, code)[1])
+    return memo(t, ("gp_data", code), lambda: (n, _coverage_bound(he, n), _generator_sums(he, n)))
 
 
 def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...]):
@@ -248,13 +237,6 @@ def _trimmed_of(t: Trinity, code: str):
     return memo(t, ("trimmed", code), lambda: _trimmed(*_gp_data_of(t, code)))
 
 
-def trimmed_gp(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int], tag: str = "") -> TaggedPolytope:
-    """Minkowski difference of the GP polytope by the standard simplex on X."""
-    n = len(x_ids)
-    bound, lattice = _trimmed(*_gp_data(hyperedges(m, x_ids, y_ids), n))
-    return _tagged(bound, n, lattice, tag, "trimmed")
-
-
 def hypertree_lattice_of(t: Trinity, code: str):
     """Kalman's bound mu and its lattice points, the hypertrees of the
     selector's hypergraph, once per trinity and selector."""
@@ -267,10 +249,16 @@ def hypertree_lattice_of(t: Trinity, code: str):
 
 
 def gp_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
-    return _gp(*_gp_data_of(t, code), code)
+    """Minkowski sum over hyperedges y of the simplex on the vertices of y."""
+    n, bound, sums = _gp_data_of(t, code)
+    lattice = _subset_lattice(bound, n)
+    if sums != lattice:
+        raise InternalConsistencyError("sums of generators do not exhaust the lattice points")
+    return _tagged(bound, n, lattice, code, "gp")
 
 
 def trimmed_gp_of(t: Trinity, code: str) -> TaggedPolytope:
+    """Minkowski difference of the GP polytope by the standard simplex on X."""
     bound, lattice = _trimmed_of(t, code)
     return _tagged(bound, len(hypergraph_view(t, code)[1]), lattice, code, "trimmed")
 
@@ -324,25 +312,37 @@ def root_polytope_of(t: Trinity, colour: str, u_colour: Optional[str] = None) ->
 
 
 def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
-    """Root polytope of the hypergraph's bipartite graph, Y coordinates first.
-
-    Its lattice points are its generators: it lies in the product of the
-    simplex on Y and the negated simplex on X, whose lattice points e_u - e_v
-    are all vertices of that product.
-    """
-    cm, x_ids, y_ids = hypergraph_view(t, code)
-    rp = root_polytope(cm, y_ids, x_ids)
+    """The memoized root polytope of the hypergraph's bipartite graph, Y
+    coordinates first. Its lattice points are its generators: it lies in the
+    product of the simplex on Y and the negated simplex on X, whose lattice
+    points e_u - e_v are all vertices of that product."""
+    rp = root_polytope_of(t, colour_of_hypergraph(code), hypergraph_classes(code)[1])
     return TaggedPolytope(
         vertices=rp.vertices, affine_dim=rp.affine_dim, lattice=rp.vertices, hypergraph=code, kind="root"
     )
 
 
+def _edge_ends(rp: RootPolytope) -> tuple[tuple[int, int], ...]:
+    """Each edge's (u, v), read off its generator e_u - e_v, once per root polytope."""
+    return memo(rp, "edge_ends", lambda: tuple((g.index(1), g.index(-1)) for g in rp.generators))
+
+
 def tree_simplex(rp: RootPolytope, tree_edges: Sequence[int]) -> tuple[IntVec, ...]:
-    """The sorted vertices of the simplex of an edge set without cycles."""
-    pts = sorted(rp.generators[e] for e in tree_edges)
-    if affine_dim(pts) != len(pts) - 1:
-        raise ValueError("edge set does not span a simplex (contains a cycle)")
-    return tuple(pts)
+    """The sorted vertices of the simplex of an edge set without cycles: its
+    generators are affinely independent iff the edges form a forest, which a
+    union-find over their ends decides."""
+    ends = _edge_ends(rp)
+    head = list(range(rp.u_size + rp.v_size))
+    for e in tree_edges:
+        u, v = ends[e]
+        while head[u] != u:
+            u = head[u]
+        while head[v] != v:
+            v = head[v]
+        if u == v:
+            raise ValueError("edge set does not span a simplex (contains a cycle)")
+        head[u] = v
+    return tuple(sorted(rp.generators[e] for e in tree_edges))
 
 
 def _default_root(t: Trinity, colour: str) -> int:
@@ -387,73 +387,83 @@ def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = No
 
 
 def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangulation:
+    """The tree simplices, proved to triangulate Q_G.
+
+    Full-dimensional simplices spanned by points of a polytope P triangulate
+    it iff (i) each of their ridges on the boundary of P lies in one of them
+    and each other ridge in exactly two, on opposite sides of it, and (ii)
+    some generic point of P lies in exactly one (De Loera, Rambau and Santos,
+    *Triangulations*, 2010, ch. 4). ``ridge_certificate`` checks (i). Under
+    (i), crossing a ridge trades one simplex for another, so every generic
+    point lies in the same number m of simplices, whose normalized volumes
+    add up to m vol(Q_G). Each is 1, and the number of trees is the placing
+    volume, so m = 1, which is (ii). Both volume checks are needed: two
+    triangulations with no ridge in common pass (i) together and cover Q_G
+    twice, and the count measures the covered volume only for unit simplices.
+    """
     rp = root_polytope_of(t, colour)
     tree_sets = arborescence_trees(t, colour, root)
     simplices = tuple(tree_simplex(rp, tr) for tr in tree_sets)
-    # Validation: unit volumes, distinct simplices (parallel edges share a
-    # generator, so two trees can span one simplex), pairwise common-face
-    # intersections, total volume.
     for s in simplices:
         if simplex_normalized_volume(s) != 1:
             raise InternalConsistencyError("tree simplex is not unimodular")
-    if len(set(simplices)) != len(simplices):
-        raise InternalConsistencyError("triangulation repeats a simplex")
-    for t1, t2 in combinations(tree_sets, 2):
-        if not tree_simplices_meet_in_common_face(rp, t1, t2):
-            raise InternalConsistencyError("simplices do not meet in a common face")
     volume = memo(rp, "normalized_volume", lambda: total_normalized_volume(rp.vertices))
     if len(simplices) != volume:
         raise InternalConsistencyError("triangulation volume does not cover the root polytope")
+    ridge_certificate(rp, tree_sets)
     return Triangulation(parent=rp, trees=tree_sets, simplices=simplices)
 
 
-def tree_simplices_meet_in_common_face(rp: RootPolytope, tree1: Sequence[int], tree2: Sequence[int]) -> bool:
-    """Whether the simplices of two spanning trees meet in a common face.
+def ridge_certificate(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> None:
+    """Raise unless each boundary ridge of the spanning trees' simplices lies
+    in one of them and each interior ridge in two, on opposite sides; one
+    pass over each tree T and edge e of T.
 
-    Postnikov (*Permutohedra, associahedra, and beyond*, 2009, Lemma 12.6):
-    they do iff the directed graph U(T, T'), T's edges oriented u -> v and
-    T''s edges v -> u, has no directed cycle of length >= 4. An edge's
-    (u, v) is read off its generator e_u - e_v.
+    T - e splits the vertices into the side A holding e's U-end and the side
+    B. The sum of the coordinates in A is 0 on the ridge, 1 at e, and 1 or -1
+    at an edge crossing (A, B) as its U-end lies in A or B: the ridge is on
+    the boundary of Q_G iff every crossing edge has its U-end in A. Ridges are
+    keyed by vertex set, not edge ids (parallel edges share a generator), so
+    a repeated simplex puts two simplices on one side of a ridge."""
+    ends = _edge_ends(rp)
+    n = rp.u_size + rp.v_size
+    vertex_bit = {g: 1 << i for i, g in enumerate(rp.vertices)}
+    generator_bit = [vertex_bit[g] for g in rp.generators]
+    u_neighbours = [sum({1 << u for u, w in ends if w == v}) for v in range(n)]  # of each V coordinate
+    ridges: dict[int, list[int]] = {}  # ridge vertex set -> the sides A of its simplices
+    for tree in tree_sets:
+        tree_bits = sum({generator_bit[e] for e in tree})
+        for e, side in _tree_edge_sides(tree, ends, n):
+            ridges.setdefault(tree_bits ^ generator_bit[e], []).append(side)
+    for sides in ridges.values():
+        a = sides[0]
+        if not any(a >> v & 1 and u_neighbours[v] & ~a for v in range(rp.u_size, n)):
+            if len(sides) != 1:
+                raise InternalConsistencyError("triangulation boundary ridge lies in more than one simplex")
+        elif len(sides) != 2 or a == sides[1]:
+            raise InternalConsistencyError("triangulation interior ridge is not in two simplices on opposite sides")
 
-    U's two-cycles are the edges of both trees; they form a forest, and each
-    of its trees is contracted to one node. The graph is bipartite, so a
-    cycle of length >= 4 is any cycle longer than two; it uses an arc without
-    its reverse and becomes a loop or a cycle of the contracted graph.
-    Conversely such a loop or cycle lifts, through the two-cycles, to a
-    closed walk along an arc x -> y without its reverse, and a shortest path
-    back from y to x closes a cycle of length >= 4 with it. So the test is
-    whether the contracted graph, loops included, is acyclic (Kahn's
-    algorithm, linear time).
-    """
-    ends = memo(rp, "edge_ends", lambda: tuple((g.index(1), g.index(-1)) for g in rp.generators))
-    forward = {ends[e] for e in tree1}
-    backward = {ends[e] for e in tree2}
-    shared = forward & backward
-    head = list(range(rp.u_size + rp.v_size))
 
-    def find(x: int) -> int:
-        while head[x] != x:
-            x = head[x]
-        return x
-
-    for u, v in shared:
-        head[find(u)] = find(v)
-    node = [find(x) for x in range(len(head))]
-    succ: dict[int, list[int]] = {x: [] for x in node}
-    indegree = dict.fromkeys(node, 0)
-    arcs = [(u, v) for u, v in forward - shared] + [(v, u) for u, v in backward - shared]
-    for x, y in arcs:
-        succ[node[x]].append(node[y])
-        indegree[node[y]] += 1
-    ready = [x for x, d in indegree.items() if not d]
-    removed = 0
-    while ready:
-        removed += 1
-        for y in succ[ready.pop()]:
-            indegree[y] -= 1
-            if not indegree[y]:
-                ready.append(y)
-    return removed == len(indegree)
+def _tree_edge_sides(tree: Sequence[int], ends: Sequence[tuple[int, int]], n: int):
+    """(e, the vertex mask of the side of T - e holding e's U-end) per edge e."""
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in tree:
+        u, v = ends[e]
+        adjacent[u].append((v, e))
+        adjacent[v].append((u, e))
+    up, order = {0: -1}, [0]  # the edge to each vertex's parent; breadth first
+    for x in order:
+        for y, e in adjacent[x]:
+            if y not in up:
+                up[y] = e
+                order.append(y)
+    if len(order) != n:
+        raise InternalConsistencyError("triangulation tree does not span the colour graph")
+    below = [1 << x for x in range(n)]  # the vertices of each subtree
+    for x in reversed(order[1:]):
+        u, v = ends[up[x]]
+        below[v if u == x else u] |= below[x]
+        yield up[x], below[x] if u == x else (1 << n) - 1 ^ below[x]
 
 
 def f_vector(tr: Triangulation) -> tuple[int, ...]:

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from .linalg import integer_det
 from .maps import PlanarMap
 from .trinity import (
-    COLOUR_CLASSES,
     DirectedDual,
     InternalConsistencyError,
     Trinity,
@@ -137,14 +136,8 @@ def arborescence_to_spanning_tree(t: Trinity, colour: str, arborescence: Sequenc
     return tree
 
 
-def arborescence_to_hypertree(
-    t: Trinity, colour: str, arborescence: Sequence[int], side_colour: str | None = None
-) -> tuple[int, ...]:
-    """Hypertree induced by the dual spanning tree on one class of the colour graph."""
+def arborescence_to_hypertree(t: Trinity, colour: str, arborescence: Sequence[int]) -> tuple[int, ...]:
+    """Hypertree induced by the dual spanning tree on class b of the colour graph."""
     cm, bip = colour_graph(t, colour)
-    class_a_colour, class_b_colour = COLOUR_CLASSES[colour]
-    if side_colour is None:
-        side_colour = class_b_colour
-    side = sorted(bip.class_a if side_colour == class_a_colour else bip.class_b)
     tree = arborescence_to_spanning_tree(t, colour, arborescence)
-    return hypertree_of(tree, cm.edges, side)
+    return hypertree_of(tree, cm.edges, sorted(bip.class_b))

@@ -114,17 +114,14 @@ def build_trinity(
     bip: Bipartition,
     outer_face: int = 0,
     root_triangle: Optional[int] = None,
-    violet_is_class_a: bool = True,
 ) -> Trinity:
-    violet = bip.class_a if violet_is_class_a else bip.class_b
-    emerald = bip.class_b if violet_is_class_a else bip.class_a
     if not (0 <= outer_face < m.n_faces):
         raise MapError(f"outer face {outer_face} out of range")
     triangles = []
     for d in range(m.n_darts):
         base = m.vertex_of[d]
         head = m.head_of(d)
-        white = base in violet
+        white = base in bip.class_a
         triangles.append(
             Triangle(
                 dart=d,
@@ -143,8 +140,8 @@ def build_trinity(
         raise MapError(f"root triangle {root_triangle} is not a white triangle")
     t = Trinity(
         map=m,
-        violet=frozenset(violet),
-        emerald=frozenset(emerald),
+        violet=frozenset(bip.class_a),
+        emerald=frozenset(bip.class_b),
         outer_face=outer_face,
         triangles=tuple(triangles),
         root_triangle=root_triangle,

@@ -6,7 +6,9 @@
   trees than hypertrees);
 - rational linear algebra: scaling rows to integers, determinants, ranks and
   affine solves over ``Fraction``;
-- the LP common-face test of two simplices, against Postnikov's Lemma 12.6;
+- Postnikov's Lemma 12.6 on every pair of tree simplices, against the LP
+  common-face test of two simplices (the library checks its triangulations
+  by one ridge certificate instead);
 - the Cayley slices of a root polytope, against the scaled GP polytopes.
 """
 
@@ -170,7 +172,7 @@ def intersect_in_common_face(s1: Sequence[Sequence[int]], s2: Sequence[Sequence[
     Barycentric coordinates in a simplex are unique, so the intersection lies
     inside conv(shared) iff no intersection point puts positive weight on a
     non-shared vertex; each such weight is maximized by an exact LP. The
-    oracle of ``polytopes.tree_simplices_meet_in_common_face``.
+    oracle of ``tree_simplices_meet_in_common_face``.
     """
     if len(s1[0]) != len(s2[0]):
         raise DimensionError("simplices live in different ambient spaces")
@@ -196,6 +198,57 @@ def intersect_in_common_face(s1: Sequence[Sequence[int]], s2: Sequence[Sequence[
         if status == OPTIMAL and value > 0:
             return False
     return True
+
+
+def tree_simplices_meet_in_common_face(rp: RootPolytope, tree1: Sequence[int], tree2: Sequence[int]) -> bool:
+    """Whether the simplices of two spanning trees meet in a common face.
+
+    Postnikov (*Permutohedra, associahedra, and beyond*, 2009, Lemma 12.6):
+    they do iff the directed graph U(T, T'), T's edges oriented u -> v and
+    T''s edges v -> u, has no directed cycle of length >= 4. An edge's
+    (u, v) is read off its generator e_u - e_v. The pairwise oracle of the
+    library's ridge certificate (``polytopes.ridge_certificate``), and itself
+    checked against ``intersect_in_common_face``.
+
+    U's two-cycles are the edges of both trees; they form a forest, and each
+    of its trees is contracted to one node. The graph is bipartite, so a
+    cycle of length >= 4 is any cycle longer than two; it uses an arc without
+    its reverse and becomes a loop or a cycle of the contracted graph.
+    Conversely such a loop or cycle lifts, through the two-cycles, to a
+    closed walk along an arc x -> y without its reverse, and a shortest path
+    back from y to x closes a cycle of length >= 4 with it. So the test is
+    whether the contracted graph, loops included, is acyclic (Kahn's
+    algorithm, linear time).
+    """
+    ends = [(g.index(1), g.index(-1)) for g in rp.generators]
+    forward = {ends[e] for e in tree1}
+    backward = {ends[e] for e in tree2}
+    shared = forward & backward
+    head = list(range(rp.u_size + rp.v_size))
+
+    def find(x: int) -> int:
+        while head[x] != x:
+            x = head[x]
+        return x
+
+    for u, v in shared:
+        head[find(u)] = find(v)
+    node = [find(x) for x in range(len(head))]
+    succ: dict[int, list[int]] = {x: [] for x in node}
+    indegree = dict.fromkeys(node, 0)
+    arcs = [(u, v) for u, v in forward - shared] + [(v, u) for u, v in backward - shared]
+    for x, y in arcs:
+        succ[node[x]].append(node[y])
+        indegree[node[y]] += 1
+    ready = [x for x, d in indegree.items() if not d]
+    removed = 0
+    while ready:
+        removed += 1
+        for y in succ[ready.pop()]:
+            indegree[y] -= 1
+            if not indegree[y]:
+                ready.append(y)
+    return removed == len(indegree)
 
 
 def cayley_slice(rp: RootPolytope, side: str) -> VPolytope:

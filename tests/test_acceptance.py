@@ -59,7 +59,7 @@ def test_criterion_3_worked_example_triangulations():
     trees_lex = ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4))
     # Face 0 is the unbounded region; its triangulation uses T1 and T4, the
     # bounded face's uses T2 and T3. Both are validated internally
-    # (unimodular simplices, pairwise common faces, volume sum 2).
+    # (unimodular simplices, the ridge certificate, volume sum 2).
     by_root = {
         root: set(arborescence_triangulation(t, RED, root=root).trees) for root in (0, 1)
     }

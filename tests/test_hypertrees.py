@@ -12,7 +12,13 @@ import pytest
 from trinities import polytopes, trees
 from trinities.cli import EXIT_CHECKS_FAILED, main
 from trinities.geometry import simplex_normalized_volume
-from trinities.polytopes import arborescence_triangulation, root_polytope_of, tree_simplex, triangulation_hypertrees
+from trinities.polytopes import (
+    arborescence_triangulation,
+    ridge_certificate,
+    root_polytope_of,
+    tree_simplex,
+    triangulation_hypertrees,
+)
 from trinities.trinity import (
     COLOURS,
     HYPERGRAPH_CODES,
@@ -25,7 +31,7 @@ from trinities.trinity import (
 )
 
 from helpers import fig7_trinity, g1_trinity, grid_trinity, random_trinity, single_edge_trinity
-from oracles import hypertree_set_of_graph, spanning_trees_of_map
+from oracles import hypertree_set_of_graph, spanning_trees_of_map, tree_simplices_meet_in_common_face
 
 FIXTURES = [single_edge_trinity, g1_trinity, fig7_trinity]
 
@@ -132,8 +138,8 @@ def swap_in_a_parallel_copy(t, tree_sets, i, e, copy):
     [
         (drop_a_tree, "triangulation volume does not cover the root polytope"),
         (swap_a_tree, None),  # whichever check fires first
-        (duplicate_a_tree, "triangulation repeats a simplex"),
-        (swap_in_a_parallel_copy, "triangulation repeats a simplex"),
+        (duplicate_a_tree, "triangulation (boundary|interior) ridge"),
+        (swap_in_a_parallel_copy, "triangulation (boundary|interior) ridge"),
     ],
 )
 def test_a_mutated_tree_set_fails_the_triangulation(monkeypatch, mutate, message):
@@ -146,9 +152,9 @@ def test_a_mutated_tree_set_fails_the_triangulation(monkeypatch, mutate, message
 
 
 def test_the_parallel_copy_passes_every_other_check():
-    # Only the distinct-simplex check rejects it: the copy's simplex has unit
-    # volume, meets every tree's simplex in a common face, and the count is
-    # unchanged.
+    # The pairwise checks accept it: the copy's simplex has unit volume, meets
+    # every tree's simplex in a common face, and the count is unchanged. Only
+    # a repeated-simplex check, or the ridge certificate, rejects it.
     t, i, e, copy = parallel_edge_case()
     rp = root_polytope_of(t, RED)
     original = polytopes.arborescence_trees(t, RED, polytopes._default_root(t, RED))
@@ -156,10 +162,10 @@ def test_the_parallel_copy_passes_every_other_check():
     simplices = [tree_simplex(rp, tr) for tr in tree_sets]
     assert len(set(simplices)) == len(simplices) - 1
     assert all(simplex_normalized_volume(s) == 1 for s in simplices)
-    assert all(
-        polytopes.tree_simplices_meet_in_common_face(rp, t1, t2) for t1 in tree_sets for t2 in tree_sets
-    )
+    assert all(tree_simplices_meet_in_common_face(rp, t1, t2) for t1 in tree_sets for t2 in tree_sets)
     assert len(tree_sets) == len(trees.hypertree_set(t, "VE"))
+    with pytest.raises(InternalConsistencyError, match="triangulation (boundary|interior) ridge"):
+        ridge_certificate(rp, tree_sets)
 
 
 @pytest.mark.parametrize("colour", COLOURS)

@@ -1,6 +1,6 @@
 """The polytope layer is integer-only: every coordinate the library builds
 is an ``int``, and outside the rational LP block (``linalg``, ``geometry``)
-and ``documents.format_rational`` no library module imports ``fractions``."""
+no library module imports ``fractions``."""
 
 import ast
 from importlib import resources
@@ -19,7 +19,7 @@ from trinities.trinity import COLOURS, COLOUR_CLASSES, HYPERGRAPH_CODES
 
 from helpers import fig7_trinity, g1_trinity, single_edge_trinity
 
-FRACTION_IMPORTERS = {"linalg", "geometry", "documents"}
+FRACTION_IMPORTERS = {"linalg", "geometry"}
 
 
 def coordinates(points):
@@ -53,7 +53,7 @@ def imported_modules(source: str) -> set[str]:
     return names
 
 
-def test_only_the_lp_block_and_documents_import_fractions():
+def test_only_the_lp_block_imports_fractions():
     package = resources.files("trinities")
     importers = {
         path.name.removesuffix(".py")

@@ -8,11 +8,10 @@ import pytest
 from trinities import geometry, linalg, polytopes
 from trinities.cli import EXIT_OK, main
 from trinities.geometry import VPolytope, lattice_points, prune_to_vertices
-from trinities.maps import build_map
+from trinities.maps import bipartition, build_map
 from trinities.polytopes import (
     arborescence_triangulation,
     f_vector,
-    gp_polytope,
     gp_polytope_of,
     h_vector,
     hyperedges,
@@ -21,11 +20,10 @@ from trinities.polytopes import (
     root_polytope,
     root_polytope_of,
     tree_simplex,
-    trimmed_gp,
     trimmed_gp_of,
     verify_duality_suite,
 )
-from trinities.trinity import COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, hypergraph_view
+from trinities.trinity import COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, build_trinity, hypergraph_view
 
 from helpers import count_calls_everywhere, fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
 from oracles import cayley_slice, hypertree_set_of_graph, slice_matches_scaled_gp
@@ -68,10 +66,12 @@ def test_g1_hypertree_polytope():
 def test_single_hyperedge_gives_simplex():
     # A star: one hyperedge containing every vertex of X.
     m = build_map(4, ((0, 3), (1, 3), (2, 3)), ((0,), (1,), (2,), (0, 1, 2)))
-    gp = gp_polytope(m, (0, 1, 2), (3,))
+    t = build_trinity(m, bipartition(m))
+    assert hypergraph_view(t, "VE")[1:] == ((0, 1, 2), (3,))
+    gp = gp_polytope_of(t, "VE")
     assert vset(gp) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     # Its trimmed version collapses to the single point at the origin.
-    assert trimmed_gp(m, (0, 1, 2), (3,)).lattice == ((0, 0, 0),)
+    assert trimmed_gp_of(t, "VE").lattice == ((0, 0, 0),)
 
 
 def test_g1_root_polytope():
