@@ -7,7 +7,7 @@ topological theorems identify these invariants with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geometry import canonical_lattice_set
 from .links import component_count, median_diagram_of
@@ -65,31 +65,6 @@ def tight_contact_count(t: Trinity, colour: str) -> int:
     if n1 != n2:
         raise InternalConsistencyError("hypertree counts of dual hypergraphs differ")
     return n1
-
-
-def affine_equivalent(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], allow_reflection: bool = False
-) -> tuple[bool, Optional[IntVec]]:
-    """Is b a translate of a (or of -a, when reflection is allowed)?
-
-    Returns the witness c with b = a + c, or b = c - a for a reflection.
-    """
-    sa = canonical_lattice_set(a)
-    sb = canonical_lattice_set(b)
-    if not sa or not sb:
-        raise ValueError("empty lattice set")
-    if len(sa[0]) != len(sb[0]):
-        raise ValueError("ambient dimensions differ")
-    if len(sa) == len(sb):
-        dim = len(sa[0])
-        c = tuple(sb[0][i] - sa[0][i] for i in range(dim))
-        if all(tuple(p[i] + c[i] for i in range(dim)) in set(sb) for p in sa):
-            return True, c
-        if allow_reflection:
-            c = tuple(min(p[i] for p in sb) + max(p[i] for p in sa) for i in range(dim))
-            if {tuple(c[i] - p[i] for i in range(dim)) for p in sa} == set(sb):
-                return True, c
-    return False, None
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,7 @@
 """Lattice polytopes given by integer points, with exact predicates.
 
-Dimensions, simplex volumes (normalized to the direction lattice of the
-affine span) and the placing triangulation take integer points and run
-fraction-free. The rational block below them, ``VPolytope`` with the
+Canonical lattice sets and affine dimensions take integer points and run
+fraction-free. The rational block beside them, ``VPolytope`` with the
 LP-based ``points_contain``, ``prune_to_vertices`` and ``lattice_points``,
 is used only by the test oracles. It stays here because the benchmark's
 tracer test wraps ``geometry.lp_solve`` and ``polytopes.lattice_points`` and
@@ -16,19 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import (
-    OPTIMAL,
-    DimensionError,
-    RatVec,
-    extend_basis,
-    fvec,
-    integer_det,
-    integer_rank,
-    lp_solve,
-)
-from .linalg import simplex_normalized_volume as _simplex_normalized_volume
-
-simplex_normalized_volume = _simplex_normalized_volume
+from .linalg import OPTIMAL, DimensionError, RatVec, fvec, integer_rank, lp_solve
 
 IntVec = tuple[int, ...]
 
@@ -129,65 +116,3 @@ def lattice_points(p: VPolytope) -> tuple[IntVec, ...]:
 
     descend([])
     return canonical_lattice_set(out)
-
-
-# ---------------------------------------------------------------------------
-# Incremental (placing) triangulation — the independent volume oracle.
-# ---------------------------------------------------------------------------
-
-
-def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Triangulation of conv(points) by placing the points in the given order.
-
-    Returns simplices as sorted index tuples. Every input point must be a
-    vertex of the hull of its predecessors plus itself (true for the root
-    polytopes this serves); collinear degeneracies inside the current hull are
-    rejected.
-
-    Integer points, integer arithmetic throughout. The directions from the
-    first point that span the placed points are kept as an echelon basis;
-    projecting onto its pivot columns is injective on their span, so a point
-    lies beyond a boundary facet exactly when the integer determinants of the
-    facet against it and against the opposite vertex, over those columns,
-    have opposite signs.
-    """
-    dirs = [[x - y for x, y in zip(p, points[0])] for p in points]
-    basis: list[tuple[int, list[int]]] = []
-    simplices: list[tuple[int, ...]] = [(0,)]
-    for idx in range(1, len(points)):
-        if extend_basis(basis, dirs[idx]):
-            # Dimension jump: cone every simplex over the new point.
-            simplices = [s + (idx,) for s in simplices]
-            continue
-        cols = [col for col, _ in basis]
-
-        def side(facet: tuple[int, ...], q: int) -> int:
-            return integer_det([[dirs[j][c] - dirs[q][c] for c in cols] for j in facet])
-
-        new_simplices = []
-        for facet, opposite in _boundary_facets(simplices):
-            inside = side(facet, opposite)
-            if inside == 0:
-                raise ValueError("degenerate facet")
-            if side(facet, idx) * inside < 0:
-                new_simplices.append(facet + (idx,))
-        if not new_simplices:
-            raise ValueError("placed point is not outside the current hull")
-        simplices = simplices + new_simplices
-    return tuple(sorted(simplices))
-
-
-def _boundary_facets(simplices: Sequence[tuple[int, ...]]):
-    """Facets belonging to exactly one simplex, with the opposite vertex."""
-    seen: dict[tuple[int, ...], list[int]] = {}
-    for s in simplices:
-        for drop in s:
-            facet = tuple(v for v in s if v != drop)
-            seen.setdefault(facet, []).append(drop)
-    return [(facet, opps[0]) for facet, opps in seen.items() if len(opps) == 1]
-
-
-def total_normalized_volume(points: Sequence[Sequence[int]]) -> int:
-    """Normalized volume of conv(points), integer points, via the placing
-    triangulation."""
-    return sum(simplex_normalized_volume([points[i] for i in s]) for s in placing_triangulation(points))

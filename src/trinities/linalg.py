@@ -1,7 +1,7 @@
-"""Exact linear algebra: integer determinants, ranks and simplex volumes,
-and a small simplex LP.
+"""Exact linear algebra: integer determinants and ranks, and a small simplex
+LP.
 
-Determinants, ranks and volumes run fraction-free on Python integers. The LP
+Determinants and ranks run fraction-free on Python integers. The LP
 operates on tuples of ``fractions.Fraction`` and serves the test oracles
 only. No floats anywhere.
 """
@@ -9,7 +9,6 @@ only. No floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -180,43 +179,3 @@ def lp_solve(a_rows: Sequence[RatVec], b: RatVec, c: RatVec) -> tuple[str, Optio
         x[bi] = tab[i][-1]
     value = dot(fvec(c), tuple(x))
     return OPTIMAL, value, tuple(x)
-
-
-# ---------------------------------------------------------------------------
-# Integer lattice helpers.
-# ---------------------------------------------------------------------------
-
-
-def _int_minors_gcd(rows: list[list[int]], first: Sequence[int]) -> int:
-    """gcd of all maximal minors of an integer matrix of full row rank, trying
-    the columns ``first`` (a nonzero minor) before the others."""
-    g = 0
-    for cols in chain([first], combinations(range(len(rows[0])), len(rows))):
-        g = gcd(g, integer_det([[row[c] for c in cols] for row in rows]))
-        if g == 1:
-            return 1
-    return g
-
-
-def simplex_normalized_volume(vertices: Sequence[Sequence[int]]) -> int:
-    """Normalized volume of a simplex with integer vertices w.r.t. the
-    direction lattice of its span.
-
-    The gcd of the maximal minors of the integer edge-vector matrix equals the
-    index of the edge lattice inside its saturation, which is exactly the
-    volume in a lattice basis of the span. Degenerate input returns 0.
-    """
-    if not vertices:
-        raise DimensionError("empty vertex list")
-    if not all(isinstance(x, int) for v in vertices for x in v):
-        raise ValueError("normalized volume requires integer vertices")
-    if len(vertices) == 1:
-        return 1
-    edges = [[x - y for x, y in zip(v, vertices[0], strict=True)] for v in vertices[1:]]
-    basis: list[tuple[int, list[int]]] = []
-    for e in edges:
-        if not extend_basis(basis, e):
-            return 0
-    # The echelon pivot columns carry a nonzero minor, which is 1 for a
-    # unimodular simplex.
-    return _int_minors_gcd(edges, sorted(col for col, _ in basis))

@@ -14,11 +14,12 @@ triangulation of the root polytope (Postnikov, *Permutohedra, associahedra,
 and beyond*, 2009, section 12: each hypertree exactly once). The lattice
 points of a root polytope are its generators. The tree simplices of an
 arborescence triangulation are proved to triangulate the root polytope in
-time linear in their number: a ridge certificate (every ridge of a tree
-simplex lies in one simplex on the boundary and in two, on opposite sides,
-inside), unit simplex volumes and the placing volume. Every point is an
-integer vector; the rational Cayley slices and Postnikov's pairwise Lemma
-12.6 live in the test oracles.
+one pass, linear in their number: every ridge of a tree simplex lies in one
+simplex on the boundary and in two, on opposite sides, inside, and one
+generic point lies in exactly one simplex. The simplices are unimodular by
+Postnikov's Lemma 12.5, so no volume is computed. Every point is an integer
+vector; simplex volumes, the placing triangulation, the rational Cayley
+slices and Postnikov's pairwise Lemma 12.6 live in the test oracles.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .geometry import (
     affine_dim,
     canonical_lattice_set,
     lattice_points,  # noqa: F401  (no caller here; perfbench/tests wraps this binding)
-    simplex_normalized_volume,
-    total_normalized_volume,
 )
 from .linalg import integer_rank
 from .maps import PlanarMap, memo
@@ -393,31 +392,30 @@ def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangula
     it iff (i) each of their ridges on the boundary of P lies in one of them
     and each other ridge in exactly two, on opposite sides of it, and (ii)
     some generic point of P lies in exactly one (De Loera, Rambau and Santos,
-    *Triangulations*, 2010, ch. 4). ``ridge_certificate`` checks (i). Under
-    (i), crossing a ridge trades one simplex for another, so every generic
-    point lies in the same number m of simplices, whose normalized volumes
-    add up to m vol(Q_G). Each is 1, and the number of trees is the placing
-    volume, so m = 1, which is (ii). Both volume checks are needed: two
-    triangulations with no ridge in common pass (i) together and cover Q_G
-    twice, and the count measures the covered volume only for unit simplices.
+    *Triangulations*, 2010, ch. 4). Under (i), crossing a ridge trades one
+    simplex for another, so every generic point lies in the same number of
+    simplices; (ii) makes that number 1. ``ridge_certificate`` checks (i) on
+    the ridges, keyed by vertex set, and (ii) at one point perturbed off every
+    ridge hyperplane, in one pass over the trees.
+
+    Each tree has no cycle (``tree_simplex``) and spans the colour graph (the
+    certificate), so its n - 1 generators are affinely independent in the
+    (n - 2)-dimensional span of Q_G: every simplex is full-dimensional. Each
+    is also unimodular, the incidence matrix of a bipartite graph being
+    totally unimodular (Postnikov, 2009, Lemma 12.5), so the number of trees
+    is the normalized volume of Q_G; no volume is computed.
     """
     rp = root_polytope_of(t, colour)
     tree_sets = arborescence_trees(t, colour, root)
     simplices = tuple(tree_simplex(rp, tr) for tr in tree_sets)
-    for s in simplices:
-        if simplex_normalized_volume(s) != 1:
-            raise InternalConsistencyError("tree simplex is not unimodular")
-    volume = memo(rp, "normalized_volume", lambda: total_normalized_volume(rp.vertices))
-    if len(simplices) != volume:
-        raise InternalConsistencyError("triangulation volume does not cover the root polytope")
     ridge_certificate(rp, tree_sets)
     return Triangulation(parent=rp, trees=tree_sets, simplices=simplices)
 
 
 def ridge_certificate(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> None:
     """Raise unless each boundary ridge of the spanning trees' simplices lies
-    in one of them and each interior ridge in two, on opposite sides; one
-    pass over each tree T and edge e of T.
+    in one of them and each interior ridge in two, on opposite sides, and the
+    generic point of ``_certificate_pass`` lies in exactly one of them.
 
     T - e splits the vertices into the side A holding e's U-end and the side
     B. The sum of the coordinates in A is 0 on the ridge, 1 at e, and 1 or -1
@@ -425,16 +423,10 @@ def ridge_certificate(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> N
     the boundary of Q_G iff every crossing edge has its U-end in A. Ridges are
     keyed by vertex set, not edge ids (parallel edges share a generator), so
     a repeated simplex puts two simplices on one side of a ridge."""
+    ridges, holding = _certificate_pass(rp, tree_sets)
     ends = _edge_ends(rp)
     n = rp.u_size + rp.v_size
-    vertex_bit = {g: 1 << i for i, g in enumerate(rp.vertices)}
-    generator_bit = [vertex_bit[g] for g in rp.generators]
     u_neighbours = [sum({1 << u for u, w in ends if w == v}) for v in range(n)]  # of each V coordinate
-    ridges: dict[int, list[int]] = {}  # ridge vertex set -> the sides A of its simplices
-    for tree in tree_sets:
-        tree_bits = sum({generator_bit[e] for e in tree})
-        for e, side in _tree_edge_sides(tree, ends, n):
-            ridges.setdefault(tree_bits ^ generator_bit[e], []).append(side)
     for sides in ridges.values():
         a = sides[0]
         if not any(a >> v & 1 and u_neighbours[v] & ~a for v in range(rp.u_size, n)):
@@ -442,6 +434,46 @@ def ridge_certificate(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> N
                 raise InternalConsistencyError("triangulation boundary ridge lies in more than one simplex")
         elif len(sides) != 2 or a == sides[1]:
             raise InternalConsistencyError("triangulation interior ridge is not in two simplices on opposite sides")
+    if holding != 1:
+        raise InternalConsistencyError(f"triangulation covers a generic point {holding} times, not once")
+
+
+def _certificate_pass(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]):
+    """One pass over each tree T and edge e of T: the sides A of T - e of the
+    simplices on each ridge, keyed by the bitmask of the ridge's vertex set,
+    and the number of simplices that hold the generic point p.
+
+    p = sum_k (1 + eps^(k+1)) g_k / sum_k (1 + eps^(k+1)), over the
+    generators g_k in edge-id order and for every small enough eps > 0, lies
+    inside Q_G. Every edge of T other than e has both ends on one side of
+    T - e, so p's barycentric coordinate at e in the simplex of T is p(A),
+    with g_k(A) = [u_k in A] - [v_k in A]. Its sign is that of the first
+    nonzero entry of (sum_k g_k(A), g_0(A), g_1(A), ...): g_k(A) is nonzero
+    exactly at the edges crossing (A, B), e among them, so the entry is
+    always found, and p lies on no ridge hyperplane of any tree simplex.
+    """
+    ends = _edge_ends(rp)
+    n = rp.u_size + rp.v_size
+    vertex_bit = {g: 1 << i for i, g in enumerate(rp.vertices)}
+    generator_bit = [vertex_bit[g] for g in rp.generators]
+    weight = [0] * n  # sum_k g_k: each vertex's degree, negated on V
+    for u, v in ends:
+        weight[u] += 1
+        weight[v] -= 1
+    ridges: dict[int, list[int]] = {}  # ridge vertex set -> the sides A of its simplices
+    holding = 0
+    for tree in tree_sets:
+        tree_bits = sum({generator_bit[e] for e in tree})
+        inside = True
+        for e, side in _tree_edge_sides(tree, ends, n):
+            ridges.setdefault(tree_bits ^ generator_bit[e], []).append(side)
+            if inside:
+                entry = sum(weight[x] for x in range(n) if side >> x & 1)
+                if not entry:  # g_k(A) at the first edge k crossing (A, B)
+                    entry = next((side >> u & 1) - (side >> v & 1) for u, v in ends if (side >> u ^ side >> v) & 1)
+                inside = entry > 0
+        holding += inside
+    return ridges, holding
 
 
 def _tree_edge_sides(tree: Sequence[int], ends: Sequence[tuple[int, int]], n: int):

@@ -135,9 +135,3 @@ def arborescence_to_spanning_tree(t: Trinity, colour: str, arborescence: Sequenc
         raise InternalConsistencyError("arborescence complement has the wrong size")
     return tree
 
-
-def arborescence_to_hypertree(t: Trinity, colour: str, arborescence: Sequence[int]) -> tuple[int, ...]:
-    """Hypertree induced by the dual spanning tree on class b of the colour graph."""
-    cm, bip = colour_graph(t, colour)
-    tree = arborescence_to_spanning_tree(t, colour, arborescence)
-    return hypertree_of(tree, cm.edges, sorted(bip.class_b))

@@ -6,6 +6,12 @@
   trees than hypertrees);
 - rational linear algebra: scaling rows to integers, determinants, ranks and
   affine solves over ``Fraction``;
+- lattice volumes: the normalized volume of a simplex (gcd of integer
+  minors) and of a polytope (its placing triangulation), which the library
+  needs no longer: its tree simplices are unimodular (Postnikov's Lemma
+  12.5), and one generic point proves they cover the root polytope once;
+- that generic point as a rational point, and whether a simplex holds it,
+  from exact barycentric coordinates;
 - Postnikov's Lemma 12.6 on every pair of tree simplices, against the LP
   common-face test of two simplices (the library checks its triangulations
   by one ridge certificate instead);
@@ -15,13 +21,22 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
 from trinities.geometry import VPolytope, affine_dim, canonical_lattice_set
-from trinities.linalg import OPTIMAL, DimensionError, RatVec, fvec, integer_det, integer_rank, lp_solve
+from trinities.linalg import (
+    OPTIMAL,
+    DimensionError,
+    RatVec,
+    extend_basis,
+    fvec,
+    integer_det,
+    integer_rank,
+    lp_solve,
+)
 from trinities.maps import PlanarMap, memo
 from trinities.polytopes import RootPolytope, TaggedPolytope
 from trinities.trees import hypertree_of
@@ -158,6 +173,126 @@ def solve_affine(columns: Sequence[RatVec], target: RatVec) -> Optional[RatVec]:
     for row, col in pivots:
         sol[col] = a[row][n]
     return tuple(sol)
+
+
+# ---------------------------------------------------------------------------
+# Lattice volumes and the generic point.
+# ---------------------------------------------------------------------------
+
+
+def _int_minors_gcd(rows: list[list[int]], first: Sequence[int]) -> int:
+    """gcd of all maximal minors of an integer matrix of full row rank, trying
+    the columns ``first`` (a nonzero minor) before the others."""
+    g = 0
+    for cols in chain([first], combinations(range(len(rows[0])), len(rows))):
+        g = gcd(g, integer_det([[row[c] for c in cols] for row in rows]))
+        if g == 1:
+            return 1
+    return g
+
+
+def simplex_normalized_volume(vertices: Sequence[Sequence[int]]) -> int:
+    """Normalized volume of a simplex with integer vertices w.r.t. the
+    direction lattice of its span.
+
+    The gcd of the maximal minors of the integer edge-vector matrix equals the
+    index of the edge lattice inside its saturation, which is exactly the
+    volume in a lattice basis of the span. Degenerate input returns 0.
+    """
+    if not vertices:
+        raise DimensionError("empty vertex list")
+    if not all(isinstance(x, int) for v in vertices for x in v):
+        raise ValueError("normalized volume requires integer vertices")
+    if len(vertices) == 1:
+        return 1
+    edges = [[x - y for x, y in zip(v, vertices[0], strict=True)] for v in vertices[1:]]
+    basis: list[tuple[int, list[int]]] = []
+    for e in edges:
+        if not extend_basis(basis, e):
+            return 0
+    # The echelon pivot columns carry a nonzero minor, which is 1 for a
+    # unimodular simplex.
+    return _int_minors_gcd(edges, sorted(col for col, _ in basis))
+
+
+def placing_triangulation(points: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Triangulation of conv(points) by placing the points in the given order.
+
+    Returns simplices as sorted index tuples. Every input point must be a
+    vertex of the hull of its predecessors plus itself (true for root
+    polytopes); collinear degeneracies inside the current hull are rejected.
+
+    Integer points, integer arithmetic throughout. The directions from the
+    first point that span the placed points are kept as an echelon basis;
+    projecting onto its pivot columns is injective on their span, so a point
+    lies beyond a boundary facet exactly when the integer determinants of the
+    facet against it and against the opposite vertex, over those columns,
+    have opposite signs.
+    """
+    dirs = [[x - y for x, y in zip(p, points[0])] for p in points]
+    basis: list[tuple[int, list[int]]] = []
+    simplices: list[tuple[int, ...]] = [(0,)]
+    for idx in range(1, len(points)):
+        if extend_basis(basis, dirs[idx]):
+            # Dimension jump: cone every simplex over the new point.
+            simplices = [s + (idx,) for s in simplices]
+            continue
+        cols = [col for col, _ in basis]
+
+        def side(facet: tuple[int, ...], q: int) -> int:
+            return integer_det([[dirs[j][c] - dirs[q][c] for c in cols] for j in facet])
+
+        new_simplices = []
+        for facet, opposite in _boundary_facets(simplices):
+            inside = side(facet, opposite)
+            if inside == 0:
+                raise ValueError("degenerate facet")
+            if side(facet, idx) * inside < 0:
+                new_simplices.append(facet + (idx,))
+        if not new_simplices:
+            raise ValueError("placed point is not outside the current hull")
+        simplices = simplices + new_simplices
+    return tuple(sorted(simplices))
+
+
+def _boundary_facets(simplices: Sequence[tuple[int, ...]]):
+    """Facets belonging to exactly one simplex, with the opposite vertex."""
+    seen: dict[tuple[int, ...], list[int]] = {}
+    for s in simplices:
+        for drop in s:
+            facet = tuple(v for v in s if v != drop)
+            seen.setdefault(facet, []).append(drop)
+    return [(facet, opps[0]) for facet, opps in seen.items() if len(opps) == 1]
+
+
+def total_normalized_volume(points: Sequence[Sequence[int]]) -> int:
+    """Normalized volume of conv(points), integer points, via the placing
+    triangulation."""
+    return sum(simplex_normalized_volume([points[i] for i in s]) for s in placing_triangulation(points))
+
+
+def generic_point(rp: RootPolytope) -> RatVec:
+    """The library certificate's generic point p(eps) at eps = 1/3:
+    sum_k (1 + eps^(k+1)) g_k over the generators, normalized.
+
+    A barycentric coordinate of p(eps) in a tree simplex has the numerator
+    D + sum_k eps^(k+1) a_k with integers D and a_k in {-1, 0, 1}. At
+    eps = 1/3 the tail after any index j is below eps^(j+1) / 2, so its sign
+    is already that of the first nonzero term, as for every smaller eps.
+    """
+    weights = [1 + Fraction(1, 3 ** (k + 1)) for k in range(len(rp.generators))]
+    total = sum(weights)
+    return tuple(sum(w * g[i] for w, g in zip(weights, rp.generators)) / total for i in range(len(rp.generators[0])))
+
+
+def simplex_holds_point(simplex: Sequence[Sequence[int]], point: RatVec) -> bool:
+    """Whether every barycentric coordinate of the point in the simplex,
+    solved exactly, is positive; False off its affine span."""
+    columns = [fvec(v) + (Fraction(1),) for v in simplex]
+    weights = solve_affine(columns, tuple(point) + (Fraction(1),))
+    if weights is None:
+        return False
+    return all(w > 0 for w in weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,4 @@
-import pytest
-
-from trinities.floer import (
-    affine_equivalent,
-    canonical_translate,
-    negate,
-    sfh_support,
-    sutured_summary,
-    tight_contact_count,
-)
+from trinities.floer import canonical_translate, negate, sfh_support, sutured_summary, tight_contact_count
 from trinities.trinity import COLOURS, magic_number_report
 
 from helpers import fig7_trinity, g1_trinity, single_edge_trinity
@@ -39,25 +30,6 @@ def test_support_size_equals_magic_number():
         assert sfh_support(t).size == magic
         for colour in COLOURS:
             assert tight_contact_count(t, colour) == magic
-
-
-def test_affine_equivalent_translates():
-    ok, c = affine_equivalent([(0, 0), (1, 1)], [(2, 3), (3, 4)])
-    assert ok and c == (2, 3)
-    ok, _ = affine_equivalent([(0, 0), (1, 1)], [(0, 0), (1, 2)])
-    assert not ok
-
-
-def test_affine_equivalent_reflection():
-    # b = c - a with c = (1, 1): a reflection, not a translate.
-    a = [(0, 0), (0, 1), (1, 1)]
-    b = [(1, 1), (1, 0), (0, 0)]
-    ok, _ = affine_equivalent(a, b)
-    assert not ok
-    ok, c = affine_equivalent(a, b, allow_reflection=True)
-    assert ok and c == (1, 1)
-    with pytest.raises(ValueError):
-        affine_equivalent([], [(0,)])
 
 
 def test_sutured_summaries():

@@ -8,15 +8,18 @@ from trinities.geometry import (
     affine_dim,
     canonical_lattice_set,
     lattice_points,
-    placing_triangulation,
     points_contain,
     prune_to_vertices,
-    simplex_normalized_volume,
-    total_normalized_volume,
 )
 from trinities.linalg import fvec, integer_rank
 
-from oracles import intersect_in_common_face, rank
+from oracles import (
+    intersect_in_common_face,
+    placing_triangulation,
+    rank,
+    simplex_normalized_volume,
+    total_normalized_volume,
+)
 
 
 def test_canonical_lattice_set_dedupes_and_sorts():

@@ -12,10 +12,9 @@ from trinities.linalg import (
     fvec,
     integer_det,
     lp_solve,
-    simplex_normalized_volume,
 )
 
-from oracles import det_exact, fmat, rank, solve_affine
+from oracles import det_exact, fmat, rank, simplex_normalized_volume, solve_affine
 
 
 def laplace_det(m):

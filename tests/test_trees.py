@@ -1,7 +1,7 @@
 import pytest
 
+from trinities.polytopes import triangulation_hypertrees
 from trinities.trees import (
-    arborescence_to_hypertree,
     arborescence_to_spanning_tree,
     count_arborescences,
     dual_tree,
@@ -10,7 +10,7 @@ from trinities.trees import (
     hypertree_set,
 )
 from trinities.maps import build_map, planar_dual
-from trinities.trinity import COLOURS, EMERALD, RED, VIOLET, directed_dual
+from trinities.trinity import COLOURS, EMERALD, RED, VIOLET, colour_of_hypergraph, directed_dual
 
 from helpers import G1_EDGES, g1_map, g1_trinity, single_edge_trinity
 from oracles import enumerate_spanning_trees, hypertree_set_of_graph, spanning_trees_of_map
@@ -92,13 +92,11 @@ def test_dual_tree_complement():
 def test_arborescences_biject_with_hypertrees():
     t = g1_trinity()
     for colour, code in ((RED, "VE"), (VIOLET, "ER"), (EMERALD, "RV")):
-        dd = directed_dual(t, colour)
+        assert colour_of_hypergraph(code) == colour
         root = t.triangles[t.root_triangle].corner(colour)[1]
-        arbs = enumerate_arborescences(dd, root)
-        images = {arborescence_to_hypertree(t, colour, a) for a in arbs}
-        expected = set(hypertree_set(t, code))
-        assert images == expected
-        assert len(arbs) == len(expected)
+        # Sorted with repeats kept, so equality is a bijection.
+        assert triangulation_hypertrees(t, code, root) == hypertree_set(t, code)
+        assert len(enumerate_arborescences(directed_dual(t, colour), root)) == len(hypertree_set(t, code))
 
 
 def test_arborescence_to_spanning_tree_sizes():

@@ -1,10 +1,13 @@
 """The arborescence triangulations' certificate and kernels against their
 oracles: the ridge certificate against Postnikov's Lemma 12.6 on every pair
-of trees of mutated tree sets, Lemma 12.6 against the common-face LP, the
-integer placing volume against the hypertree count, the bitmask f-vector
-against the faces' vertex sets, and a bad tree pair against the
-triangulation's check. ``report`` and ``verify`` solve no LP, build no
-rational vector and check no pair of trees."""
+of trees of mutated tree sets, the whole certificate (ridges and one generic
+point) against unit volumes, the placing volume and the ridges on more
+mutated sets, the generic point's sign rule against exact barycentric
+coordinates, Lemma 12.6 against the common-face LP, the placing volume
+against the hypertree count, Lemma 12.5 (unit tree and placing simplices),
+the bitmask f-vector against the faces' vertex sets, and a bad tree pair
+against the triangulation's check. ``report`` and ``verify`` solve no LP,
+build no rational vector, check no pair of trees and compute no volume."""
 
 import pkgutil
 import random
@@ -18,7 +21,6 @@ import pytest
 import trinities
 from trinities import geometry, linalg, polytopes, trees
 from trinities.cli import EXIT_OK, main
-from trinities.geometry import total_normalized_volume
 from trinities.maps import build_map
 from trinities.polytopes import ridge_certificate, root_polytope, root_polytope_of, tree_simplex
 from trinities.trinity import (
@@ -32,9 +34,19 @@ from trinities.trinity import (
 )
 
 from helpers import count_calls_everywhere, fig7_trinity, g1_trinity, random_trinity, single_edge_trinity
-from oracles import intersect_in_common_face, spanning_trees_of_map, tree_simplices_meet_in_common_face
+from oracles import (
+    generic_point,
+    intersect_in_common_face,
+    placing_triangulation,
+    simplex_holds_point,
+    simplex_normalized_volume,
+    spanning_trees_of_map,
+    total_normalized_volume,
+    tree_simplices_meet_in_common_face,
+)
 
 RIDGE_FAILURE = "triangulation (boundary|interior) ridge"
+POINT_FAILURE = "triangulation covers a generic point"
 
 FIXTURES = [single_edge_trinity, g1_trinity, fig7_trinity]
 
@@ -101,6 +113,52 @@ def test_placing_volume_is_the_hypertree_count_on_the_corpus(chunk):
         assert_placing_volume_is_the_hypertree_count(t)
 
 
+def assert_tree_and_placing_simplices_are_unimodular(t):
+    # Postnikov's Lemma 12.5, which the library takes as a theorem.
+    for colour in COLOURS:
+        rp = root_polytope_of(t, colour)
+        for tree in spanning_trees_of_map(colour_graph(t, colour)[0]):
+            assert simplex_normalized_volume(tree_simplex(rp, tree)) == 1, (colour, tree)
+        for s in placing_triangulation(rp.vertices):
+            assert simplex_normalized_volume([rp.vertices[i] for i in s]) == 1, (colour, s)
+
+
+@pytest.mark.parametrize("build", FIXTURES)
+def test_tree_and_placing_simplices_are_unimodular_on_fixtures(build):
+    assert_tree_and_placing_simplices_are_unimodular(build())
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_tree_and_placing_simplices_are_unimodular_on_the_corpus(chunk):
+    for t in corpus(chunk):
+        assert_tree_and_placing_simplices_are_unimodular(t)
+
+
+def assert_the_sign_rule_finds_the_generic_point(t):
+    """Per spanning tree, the certificate's count on that tree alone against
+    exact barycentric coordinates of the point at eps = 1/3."""
+    held = 0
+    for colour in COLOURS:
+        rp = root_polytope_of(t, colour)
+        p = generic_point(rp)
+        for tree in spanning_trees_of_map(colour_graph(t, colour)[0]):
+            holds = simplex_holds_point(tree_simplex(rp, tree), p)
+            assert polytopes._certificate_pass(rp, (tree,))[1] == holds, (colour, tree)
+            held += holds
+    return held
+
+
+@pytest.mark.parametrize("build", FIXTURES)
+def test_the_sign_rule_finds_the_generic_point_on_fixtures(build):
+    assert assert_the_sign_rule_finds_the_generic_point(build()) >= len(COLOURS)
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_the_sign_rule_finds_the_generic_point_on_the_corpus(chunk):
+    for t in corpus(chunk):
+        assert assert_the_sign_rule_finds_the_generic_point(t) >= len(COLOURS)
+
+
 def face_counts(simplices):
     """The f-vector from the vertex sets of every face of every simplex."""
     faces = {frozenset(sub) for s in simplices for k in range(len(s) + 1) for sub in combinations(s, k)}
@@ -153,7 +211,8 @@ def mutation_verdicts(t, rng):
     """(certificate, pairwise oracle) verdicts on three seeded random
     single-tree swaps, and a duplication when there are two trees or more, of
     the tree set at every root of every colour. Each keeps the number of
-    trees, so the volume checks pass and the two verdicts must agree."""
+    unit simplices at the volume, so a set whose ridges pass covers the
+    generic point once, and the two verdicts must agree."""
     verdicts = []
     for colour in COLOURS:
         rp = root_polytope_of(t, colour)
@@ -178,6 +237,79 @@ def test_ridge_certificate_agrees_with_lemma_12_6_on_mutated_corpus_tree_sets():
     # Both answers occur often: the agreement is not vacuous.
     rejected = sum(1 for certificate, _ in verdicts if not certificate)
     assert 500 < rejected < len(verdicts) - 500
+
+
+def mutated_tree_sets(t, colour, rng):
+    """The tree set at every root of the colour, and seeded mutations of it:
+    a tree swapped for a random spanning tree, a tree dropped, a random
+    spanning tree added, a tree repeated, and the union with the next root's
+    set."""
+    spanning = spanning_trees_of_map(colour_graph(t, colour)[0])
+    roots = directed_dual(t, colour).vertices
+    for k, root in enumerate(roots):
+        tree_sets = polytopes.arborescence_trees(t, colour, root)
+        i = rng.randrange(len(tree_sets))
+        yield tree_sets
+        yield tree_sets[:i] + (rng.choice(spanning),) + tree_sets[i + 1 :]
+        yield tree_sets[:i] + tree_sets[i + 1 :]
+        yield tree_sets + (rng.choice(spanning),)
+        yield tree_sets + (tree_sets[i],)
+        yield tree_sets + polytopes.arborescence_trees(t, colour, roots[(k + 1) % len(roots)])
+
+
+def certificate_verdicts(rp, tree_sets):
+    """(whether the ridge part of the certificate passes, whether all of it
+    does). The ridges are checked before the point."""
+    try:
+        ridge_certificate(rp, tree_sets)
+    except InternalConsistencyError as error:
+        assert re.match(f"{RIDGE_FAILURE}|{POINT_FAILURE}", str(error))
+        return re.match(POINT_FAILURE, str(error)) is not None, False
+    return True, True
+
+
+def volume_oracle_verdicts(t, rng):
+    """(certificate, oracle, ridge part) verdicts on mutated tree sets at
+    every root of every colour. The oracle is the checks the generic point
+    replaces: unit simplices, as many as the placing volume, and the ridges."""
+    verdicts = []
+    for colour in COLOURS:
+        rp = root_polytope_of(t, colour)
+        volume = total_normalized_volume(rp.vertices)
+        for tree_sets in mutated_tree_sets(t, colour, rng):
+            ridges, accepted = certificate_verdicts(rp, tree_sets)
+            unit = all(simplex_normalized_volume(tree_simplex(rp, tree)) == 1 for tree in tree_sets)
+            verdicts.append((accepted, ridges and unit and len(tree_sets) == volume, ridges))
+    return verdicts
+
+
+def test_the_certificate_accepts_what_the_volume_oracle_accepts():
+    rng = random.Random(7100)
+    graphs = [build() for build in FIXTURES] + [t for chunk in range(10) for t in corpus(chunk)]
+    verdicts = [v for t in graphs for v in volume_oracle_verdicts(t, rng)]
+    assert [v for v in verdicts if v[0] != v[1]] == []
+    accepted = sum(1 for certificate, _oracle, _ridges in verdicts if certificate)
+    assert 1000 < accepted < len(verdicts) - 1000
+    # The point decides some sets the ridges pass: the single edge's empty set.
+    assert any(ridges and not certificate for certificate, _oracle, ridges in verdicts)
+
+
+def test_the_generic_point_counts_the_simplices_that_cover_it():
+    # With its one tree dropped, a single edge's tree set passes the ridge
+    # part and covers the point 0 times.
+    t = single_edge_trinity()
+    for colour in COLOURS:
+        rp = root_polytope_of(t, colour)
+        assert polytopes._certificate_pass(rp, ()) == ({}, 0)
+        with pytest.raises(InternalConsistencyError, match=f"{POINT_FAILURE} 0 times"):
+            ridge_certificate(rp, ())
+    # g1's two red triangulations together cover it twice; the union also
+    # fails the ridge part (see below), so the count is taken directly.
+    t = g1_trinity()
+    rp = root_polytope_of(t, RED)
+    union = polytopes.arborescence_trees(t, RED, 0) + polytopes.arborescence_trees(t, RED, 1)
+    assert polytopes._certificate_pass(rp, union)[1] == 2
+    assert sum(simplex_holds_point(tree_simplex(rp, tree), generic_point(rp)) for tree in union) == 2
 
 
 def ridge_counts(rp, tree_sets):
@@ -215,6 +347,15 @@ def test_no_library_module_checks_tree_pairs():
     for info in pkgutil.iter_modules(trinities.__path__):
         module = import_module(f"trinities.{info.name}")
         assert not hasattr(module, "tree_simplices_meet_in_common_face"), info.name
+
+
+def test_no_library_module_computes_a_volume():
+    # The tree simplices are unimodular (Lemma 12.5) and the generic point
+    # proves the covering, so volumes live in the test oracles only.
+    for info in pkgutil.iter_modules(trinities.__path__):
+        module = import_module(f"trinities.{info.name}")
+        names = ("simplex_normalized_volume", "total_normalized_volume", "placing_triangulation")
+        assert not [name for name in names if hasattr(module, name)], info.name
 
 
 def test_verify_solves_no_lp(monkeypatch, capsys):
