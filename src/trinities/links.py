@@ -10,6 +10,11 @@ HOMFLY-PT convention, fixed once: v^-1 P(L+) - v P(L-) = z P(L0), the unknot
 evaluates to 1, and a split union multiplies by (v^-1 - v)/z per extra
 component. The over/under assignment of the median crossings is calibrated so
 that these diagrams come out positive.
+
+The skein recursion runs on Gauss codes, with the crossing signs and the
+free-circle count: a switch, a Reidemeister-I move and a smoothing are tuple
+splices, and no arc is relabelled. Each splice keeps the start of the
+component it edits, so the descending test reads from fixed base points.
 """
 
 from __future__ import annotations
@@ -105,21 +110,29 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
     )
 
 
-def component_count(d: LinkDiagram) -> int:
-    succ: dict[int, int] = {}
-    for c in d.crossings:
-        succ[c.over_in] = c.over_out
-        succ[c.under_in] = c.under_out
+def gauss_code(d: LinkDiagram) -> list[tuple[int, ...]]:
+    """The diagram's components as tuples of crossing visits, 2i for the
+    over-strand of crossing i and 2i + 1 for its under-strand, in order of
+    their smallest arc id, each read from that arc."""
+    step: dict[int, tuple[int, int]] = {}  # in-arc -> (visit, out-arc)
+    for i, c in enumerate(d.crossings):
+        step[c.over_in] = (2 * i, c.over_out)
+        step[c.under_in] = (2 * i + 1, c.under_out)
     seen: set[int] = set()
-    n = 0
-    for a in sorted(succ):
-        if a not in seen:
-            n += 1
-            cur = a
-            while cur not in seen:
-                seen.add(cur)
-                cur = succ[cur]
-    return n + d.free_circles
+    comps = []
+    for arc in sorted(step):
+        comp = []
+        while arc not in seen:
+            seen.add(arc)
+            v, arc = step[arc]
+            comp.append(v)
+        if comp:
+            comps.append(tuple(comp))
+    return comps
+
+
+def component_count(d: LinkDiagram) -> int:
+    return len(gauss_code(d)) + d.free_circles
 
 
 def seifert_data(t: Trinity) -> dict:
@@ -236,75 +249,51 @@ def format_poly(p: LaurentPoly2) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _remove_r1(crossings: list[Crossing], free: int) -> int:
-    """Undo Reidemeister-I kinks in place; returns the updated free count."""
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(crossings):
-            a = b = None
-            if c.over_out == c.under_in:
-                a, b = c.over_in, c.under_out
-            elif c.under_out == c.over_in:
-                a, b = c.under_in, c.over_out
-            if a is None:
-                continue
-            del crossings[i]
-            if a == b:
-                free += 1
+def _drop_kinks(comps: list[tuple[int, ...]], free: int) -> tuple[list[tuple[int, ...]], int]:
+    """Undo Reidemeister-I kinks: drop two cyclically adjacent visits of one
+    crossing, never rotating a component. A component left empty becomes a
+    free circle. Returns the components and the updated free count."""
+    out = []
+    for comp in comps:
+        stack: list[int] = []
+        for v in comp:
+            if stack and stack[-1] >> 1 == v >> 1:
+                stack.pop()
             else:
-                for j, cj in enumerate(crossings):
-                    crossings[j] = _relabel(cj, b, a)
-            changed = True
-            break
-    return free
+                stack.append(v)
+        while len(stack) > 1 and stack[0] >> 1 == stack[-1] >> 1:
+            stack = stack[1:-1]
+        if stack:
+            out.append(tuple(stack))
+        else:
+            free += 1
+    return out, free
 
 
-def _relabel(c: Crossing, old: int, new: int) -> Crossing:
-    def f(x: int) -> int:
-        return new if x == old else x
-
-    return Crossing(c.sign, f(c.over_in), f(c.over_out), f(c.under_in), f(c.under_out))
-
-
-def _first_ascending(crossings: Sequence[Crossing]) -> Optional[int]:
-    """Index of the first crossing met under-first along the canonical
-    traversal (components taken in order of their smallest arc id)."""
-    succ: dict[int, int] = {}
-    where: dict[int, tuple[int, bool]] = {}  # in-arc -> (crossing index, is_over)
-    for i, c in enumerate(crossings):
-        succ[c.over_in] = c.over_out
-        succ[c.under_in] = c.under_out
-        where[c.over_in] = (i, True)
-        where[c.under_in] = (i, False)
-    visited_arcs: set[int] = set()
-    seen_crossings: set[int] = set()
-    for start in sorted(succ):
-        if start in visited_arcs:
-            continue
-        cur = start
-        while cur not in visited_arcs:
-            visited_arcs.add(cur)
-            idx, is_over = where[cur]
-            if idx not in seen_crossings:
-                if not is_over:
-                    return idx
-                seen_crossings.add(idx)
-            cur = succ[cur]
+def _first_under(comps: Sequence[tuple[int, ...]]) -> Optional[int]:
+    """The first crossing met under-first, reading the components in order
+    from their starts; None for a descending diagram."""
+    seen: set[int] = set()
+    for comp in comps:
+        for v in comp:
+            c = v >> 1
+            if c not in seen:
+                if v & 1:
+                    return c
+                seen.add(c)
     return None
 
 
-def _smooth(crossings: list[Crossing], i: int, free: int) -> int:
-    """Oriented smoothing of crossing i: join under-in to over-out and over-in
-    to under-out. Returns the updated free-circle count."""
-    c = crossings.pop(i)
-    for a, b in ((c.under_in, c.over_out), (c.over_in, c.under_out)):
-        if a == b:
-            free += 1
-        else:
-            for j, cj in enumerate(crossings):
-                crossings[j] = _relabel(cj, b, a)
-    return free
+def _smoothed(comps: list[tuple[int, ...]], c: int) -> list[tuple[int, ...]]:
+    """Oriented smoothing of crossing c: each strand that arrives at c leaves
+    along the other strand. One component splits in two, two join in one; the
+    edited component keeps its start."""
+    (i, k1), (j, k2) = [(i, k) for i, comp in enumerate(comps) for k, v in enumerate(comp) if v >> 1 == c]
+    a = comps[i]
+    if i == j:
+        return comps[:i] + [a[:k1] + a[k2 + 1 :], a[k1 + 1 : k2]] + comps[i + 1 :]
+    b = comps[j]
+    return comps[:i] + [a[:k1] + b[k2 + 1 :] + b[:k2] + a[k1 + 1 :]] + comps[i + 1 : j] + comps[j + 1 :]
 
 
 DELTA = LaurentPoly2.from_dict({(-1, -1): 1, (1, -1): -1})  # (v^-1 - v) / z
@@ -317,22 +306,16 @@ def _split_factor(n_components: int) -> LaurentPoly2:
     return out
 
 
-def _homfly(crossings: list[Crossing], free: int) -> LaurentPoly2:
-    free = _remove_r1(crossings, free)
-    if not crossings:
-        return _split_factor(free)
-    i = _first_ascending(crossings)
-    if i is None:
+def _homfly(comps: list[tuple[int, ...]], signs: tuple[int, ...], free: int) -> LaurentPoly2:
+    comps, free = _drop_kinks(comps, free)
+    c = _first_under(comps)
+    if c is None:
         # Descending diagram: an unlink of its components.
-        return _split_factor(component_count(LinkDiagram(tuple(crossings), free)))
-    c = crossings[i]
-    switched = [x for x in crossings]
-    switched[i] = c.switched()
-    smoothed = list(crossings)
-    free_s = _smooth(smoothed, i, free)
-    p_switch = _homfly(switched, free)
-    p_smooth = _homfly(smoothed, free_s)
-    if c.sign > 0:
+        return _split_factor(len(comps) + free)
+    switched = [tuple(v ^ 1 if v >> 1 == c else v for v in comp) for comp in comps]
+    p_switch = _homfly(switched, signs[:c] + (-signs[c],) + signs[c + 1 :], free)
+    p_smooth = _homfly(_smoothed(comps, c), signs, free)
+    if signs[c] > 0:
         # v^-1 P+ - v P- = z P0  =>  P+ = v^2 P- + v z P0
         return p_switch.shift(v=2) + p_smooth.shift(v=1, z=1)
     # P- = v^-2 P+ - v^-1 z P0
@@ -340,12 +323,14 @@ def _homfly(crossings: list[Crossing], free: int) -> LaurentPoly2:
 
 
 def homfly(d: LinkDiagram, crossing_cap: int = 16) -> LaurentPoly2:
+    """HOMFLY-PT polynomial by the skein recursion on the diagram's Gauss
+    code; the number of steps depends on the base points the splices keep."""
     if d.n_crossings > crossing_cap:
         raise CrossingCapExceeded(
             f"diagram has {d.n_crossings} crossings, cap is {crossing_cap}"
         )
     _validate_arcs(d.crossings)
-    return _homfly(list(d.crossings), d.free_circles)
+    return _homfly(gauss_code(d), tuple(c.sign for c in d.crossings), d.free_circles)
 
 
 def homfly_top(p: LaurentPoly2) -> LaurentPoly2:

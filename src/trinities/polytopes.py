@@ -213,15 +213,15 @@ def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...])
 
     x + Delta lies in the GP polytope iff x + e_i does for every i, so the
     bound is f - 1 on nonempty sets. The lattice points are checked against
-    the integer points x with every x + e_i a sum of generators.
+    the integer points x with every x + e_i a sum of generators; each such x
+    is p - e_0 for the sum p = x + e_0.
     """
     bound = [0] + [c - 1 for c in coverage[1:]]
     lattice = _subset_lattice(bound, n)
     pts = set(sums)
-    candidates = {tuple(p[j] - (1 if j == i else 0) for j in range(n)) for p in pts for i in range(n)}
     trimmed = [
         x
-        for x in candidates
+        for x in {(p[0] - 1,) + p[1:] for p in pts}
         if all(tuple(x[j] + (1 if j == i else 0) for j in range(n)) in pts for i in range(n))
     ]
     if not trimmed:

@@ -338,11 +338,16 @@ def colour_of_hypergraph(code: str) -> str:
 
 
 def hypergraph_view(t: Trinity, code: str):
-    """(map, x vertex ids in map, y vertex ids in map) for a hypergraph selector.
+    """(map, x vertex ids in map, y vertex ids in map) for a hypergraph selector,
+    built once per trinity and selector.
 
     X are the hypergraph's vertices, Y its hyperedges; the backing bipartite
     graph is the colour graph of the remaining colour.
     """
+    return memo(t, ("hypergraph_view", code), lambda: _hypergraph_view(t, code))
+
+
+def _hypergraph_view(t: Trinity, code: str):
     x_colour, y_colour = hypergraph_classes(code)
     colour = colour_of_hypergraph(code)
     cm, bip = colour_graph(t, colour)

@@ -1,6 +1,6 @@
 """Shared builders for the test suite: the worked example graph, the larger
-fixture graph, plane grid graphs, and a seeded generator of random plane
-bipartite maps."""
+fixture graph, plane grid graphs, edge-id shuffles of a map, and a seeded
+generator of random plane bipartite maps."""
 
 from __future__ import annotations
 
@@ -79,6 +79,18 @@ def grid_trinity(rows: int, columns: int) -> Trinity:
     # Walking west along the bottom edge from (0, 1) to (0, 0), the unbounded
     # region lies on the left; (0, 1) is the emerald end, dart 2e + 1.
     return build_trinity(m, bipartition(m), outer_face=m.face_of[2 * ends[0, "E"] + 1])
+
+
+def permute_edge_ids(m: PlanarMap, rng: random.Random) -> PlanarMap:
+    """An isomorphic copy of the map with edge ids shuffled: the same ends
+    and the same rotation at every vertex."""
+    perm = list(range(m.n_edges))  # old id -> new id
+    rng.shuffle(perm)
+    edges = [m.edges[0]] * m.n_edges
+    for old, e in enumerate(m.edges):
+        edges[perm[old]] = e
+    rotations = [[perm[d >> 1] for d in m.darts_of_vertex(v)] for v in range(m.n_vertices)]
+    return build_map(m.n_vertices, edges, rotations)
 
 
 def random_plane_bipartite(rng: random.Random, max_edges: int = 8) -> PlanarMap:

@@ -15,7 +15,10 @@
 - Postnikov's Lemma 12.6 on every pair of tree simplices, against the LP
   common-face test of two simplices (the library checks its triangulations
   by one ridge certificate instead);
-- the Cayley slices of a root polytope, against the scaled GP polytopes.
+- the Cayley slices of a root polytope, against the scaled GP polytopes;
+- the skein recursion on arc-labelled crossings, which relabels every
+  crossing on each Reidemeister-I move and smoothing (the library runs the
+  skein on Gauss codes).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from trinities.linalg import (
     integer_rank,
     lp_solve,
 )
+from trinities.links import Crossing, LaurentPoly2, LinkDiagram, _split_factor, component_count
 from trinities.maps import PlanarMap, memo
 from trinities.polytopes import RootPolytope, TaggedPolytope
 from trinities.trees import hypertree_of
@@ -443,3 +447,108 @@ def slice_matches_scaled_gp(rp: RootPolytope, side: str, gp: TaggedPolytope) -> 
         projected = {v[:m] for v in sl.vertices}
         expected = {tuple(Fraction(x, n) for x in p) for p in gp.vertices}
     return projected == expected
+
+
+# ---------------------------------------------------------------------------
+# Skein recursion on arc labels.
+# ---------------------------------------------------------------------------
+
+
+def homfly_by_relabeling(d: LinkDiagram) -> LaurentPoly2:
+    """HOMFLY-PT polynomial of the diagram by the arc-relabeling skein."""
+    return _homfly(list(d.crossings), d.free_circles)
+
+
+def _remove_r1(crossings: list[Crossing], free: int) -> int:
+    """Undo Reidemeister-I kinks in place; returns the updated free count."""
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(crossings):
+            a = b = None
+            if c.over_out == c.under_in:
+                a, b = c.over_in, c.under_out
+            elif c.under_out == c.over_in:
+                a, b = c.under_in, c.over_out
+            if a is None:
+                continue
+            del crossings[i]
+            if a == b:
+                free += 1
+            else:
+                for j, cj in enumerate(crossings):
+                    crossings[j] = _relabel(cj, b, a)
+            changed = True
+            break
+    return free
+
+
+def _relabel(c: Crossing, old: int, new: int) -> Crossing:
+    def f(x: int) -> int:
+        return new if x == old else x
+
+    return Crossing(c.sign, f(c.over_in), f(c.over_out), f(c.under_in), f(c.under_out))
+
+
+def _first_ascending(crossings: Sequence[Crossing]) -> Optional[int]:
+    """Index of the first crossing met under-first along the canonical
+    traversal (components taken in order of their smallest arc id)."""
+    succ: dict[int, int] = {}
+    where: dict[int, tuple[int, bool]] = {}  # in-arc -> (crossing index, is_over)
+    for i, c in enumerate(crossings):
+        succ[c.over_in] = c.over_out
+        succ[c.under_in] = c.under_out
+        where[c.over_in] = (i, True)
+        where[c.under_in] = (i, False)
+    visited_arcs: set[int] = set()
+    seen_crossings: set[int] = set()
+    for start in sorted(succ):
+        if start in visited_arcs:
+            continue
+        cur = start
+        while cur not in visited_arcs:
+            visited_arcs.add(cur)
+            idx, is_over = where[cur]
+            if idx not in seen_crossings:
+                if not is_over:
+                    return idx
+                seen_crossings.add(idx)
+            cur = succ[cur]
+    return None
+
+
+def _smooth(crossings: list[Crossing], i: int, free: int) -> int:
+    """Oriented smoothing of crossing i: join under-in to over-out and over-in
+    to under-out. Returns the updated free-circle count."""
+    c = crossings.pop(i)
+    for a, b in ((c.under_in, c.over_out), (c.over_in, c.under_out)):
+        if a == b:
+            free += 1
+        else:
+            for j, cj in enumerate(crossings):
+                crossings[j] = _relabel(cj, b, a)
+    return free
+
+
+
+
+def _homfly(crossings: list[Crossing], free: int) -> LaurentPoly2:
+    free = _remove_r1(crossings, free)
+    if not crossings:
+        return _split_factor(free)
+    i = _first_ascending(crossings)
+    if i is None:
+        # Descending diagram: an unlink of its components.
+        return _split_factor(component_count(LinkDiagram(tuple(crossings), free)))
+    c = crossings[i]
+    switched = [x for x in crossings]
+    switched[i] = c.switched()
+    smoothed = list(crossings)
+    free_s = _smooth(smoothed, i, free)
+    p_switch = _homfly(switched, free)
+    p_smooth = _homfly(smoothed, free_s)
+    if c.sign > 0:
+        # v^-1 P+ - v P- = z P0  =>  P+ = v^2 P- + v z P0
+        return p_switch.shift(v=2) + p_smooth.shift(v=1, z=1)
+    # P- = v^-2 P+ - v^-1 z P0
+    return p_switch.shift(v=-2) - p_smooth.shift(v=-1, z=1)

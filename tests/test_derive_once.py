@@ -1,7 +1,7 @@
-"""Each colour graph, directed dual, hypertree set, selector's hyperedges,
-coverage bound and generator sums, trimmed lattice, root polytope,
-triangulation and median diagram is derived once per trinity, and
-never shared between two trinities. The counts come from wrappers around the
+"""Each colour graph, directed dual, hypergraph view, hypertree set,
+selector's hyperedges, coverage bound and generator sums, trimmed lattice,
+root polytope, triangulation and median diagram is derived once per trinity,
+and never shared between two trinities. The counts come from wrappers around the
 builders. No spanning tree is enumerated: the hypertree sets are mu-lattices."""
 
 import pkgutil
@@ -9,7 +9,7 @@ from collections import Counter
 from importlib import import_module, resources
 
 import trinities
-from trinities import cli, links, polytopes, trees
+from trinities import cli, links, polytopes, trees, trinity
 from trinities.cli import EXIT_OK, build_report, main
 from trinities.documents import document_to_map, parse_graph_document
 from trinities.trinity import (
@@ -114,6 +114,16 @@ def test_report_derives_each_selectors_hypergraph_data_once(monkeypatch):
     doc, t = load_fig7()
     build_report(doc, t, crossing_cap=16, emit_pd=False)
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 6)
+
+
+def test_report_builds_each_hypergraph_view_once(monkeypatch):
+    # Every hypergraph selector's polytopes, hypertree sets and magic-number
+    # route share one view, sorted once.
+    calls = count_calls(monkeypatch, trinity, "_hypergraph_view")
+    doc, t = load_fig7()
+    build_report(doc, t, crossing_cap=16, emit_pd=False)
+    assert sorted(code for _t, code in calls) == sorted(HYPERGRAPH_CODES)
+    assert hypergraph_view(t, "ER") is hypergraph_view(t, "ER")
 
 
 def test_report_builds_one_median_diagram(monkeypatch):

@@ -1,5 +1,11 @@
+import pkgutil
+import random
+from importlib import import_module
+
 import pytest
 
+import trinities
+from trinities import links
 from trinities.links import (
     DELTA,
     ONE,
@@ -10,9 +16,11 @@ from trinities.links import (
     alexander_conway,
     component_count,
     format_poly,
+    gauss_code,
     homfly,
     homfly_top,
     median_diagram,
+    median_diagram_of,
     mirror,
     pd_code,
     seifert_data,
@@ -20,7 +28,18 @@ from trinities.links import (
 )
 from trinities.maps import bipartition, build_map
 
-from helpers import fig7_map, fig7_trinity, g1_map, g1_trinity
+from helpers import (
+    count_calls,
+    fig7_map,
+    fig7_trinity,
+    g1_map,
+    g1_trinity,
+    grid_trinity,
+    permute_edge_ids,
+    random_trinity,
+    single_edge_trinity,
+)
+from oracles import homfly_by_relabeling
 
 V = LaurentPoly2.monomial
 
@@ -151,3 +170,171 @@ def test_top_matches_h_polynomial_for_both_roots():
         assert record["holds"]
         assert record["h_vector"] == (1, 1, 0, 0, 0)
         assert record["scaled_h_of_v_minus2"] == LaurentPoly2.from_dict({(3, 0): 1, (1, 0): 1})
+
+
+# ---------------------------------------------------------------------------
+# The Gauss-code skein and its splices.
+# ---------------------------------------------------------------------------
+
+TREFOIL = LaurentPoly2.from_dict({(4, 0): -1, (2, 0): 2, (2, 2): 1})
+
+
+def braid_closure(n_strands, word):
+    """Closed braid diagram, read bottom to top with every strand oriented
+    upwards: generator i > 0 crosses the strand at position i - 1 over the
+    one at position i (a positive crossing), -i the other way round. Every
+    position must meet a crossing."""
+    arcs = list(range(n_strands))
+    fresh = n_strands
+    crossings = []
+    for g in word:
+        i = abs(g) - 1
+        left, right = arcs[i], arcs[i + 1]
+        arcs[i], arcs[i + 1] = fresh + 1, fresh  # the strands swap positions
+        if g > 0:
+            crossings.append(Crossing(1, over_in=left, over_out=fresh, under_in=right, under_out=fresh + 1))
+        else:
+            crossings.append(Crossing(-1, over_in=right, over_out=fresh + 1, under_in=left, under_out=fresh))
+        fresh += 2
+    closing = {arcs[p]: p for p in range(n_strands)}  # the top of each position meets its bottom
+
+    def close(a):
+        return closing.get(a, a)
+
+    return LinkDiagram(
+        tuple(Crossing(c.sign, close(c.over_in), close(c.over_out), close(c.under_in), close(c.under_out)) for c in crossings)
+    )
+
+
+def with_signs_switched(d, every):
+    return LinkDiagram(
+        tuple(c.switched() if i % every == 0 else c for i, c in enumerate(d.crossings)), d.free_circles
+    )
+
+
+def test_gauss_code_reads_each_component_from_its_smallest_arc():
+    # Crossing 0: arc 3 over to 0, arc 1 under to 2; crossing 1: arc 2 over
+    # to 1, arc 0 under to 3. Arc 0 starts the component of arcs 0 and 3,
+    # arc 1 the component of arcs 1 and 2.
+    d = LinkDiagram((Crossing(1, 3, 0, 1, 2), Crossing(1, 2, 1, 0, 3)))
+    assert gauss_code(d) == [(3, 0), (1, 2)]
+    assert component_count(d) == 2
+
+
+def test_braid_closures_give_the_trefoil_and_the_figure_eight():
+    # The construction of the hand-built diagrams below, checked on known
+    # polynomials: the right-handed trefoil and the amphichiral figure eight.
+    assert homfly(braid_closure(2, (1, 1, 1))) == TREFOIL
+    assert homfly(braid_closure(2, (-1, -1, -1))) == homfly(mirror(braid_closure(2, (1, 1, 1))))
+    figure_eight = braid_closure(3, (1, -2, 1, -2))
+    assert component_count(figure_eight) == 1
+    assert homfly(figure_eight) == LaurentPoly2.from_dict({(-2, 0): 1, (0, 0): -1, (2, 0): 1, (0, 2): -1})
+    assert homfly(figure_eight) == homfly(mirror(figure_eight)) == homfly_by_relabeling(figure_eight)
+
+
+def test_a_kink_across_the_start_of_a_component_is_dropped():
+    # Crossing 3 is a kink on the arc that starts the trefoil's component:
+    # its visits are the first and the last (k = 0).
+    comps, free = links._drop_kinks([(7, 0, 3, 4, 1, 2, 5, 6)], 0)
+    assert (comps, free) == ([(0, 3, 4, 1, 2, 5)], 0)
+    # That code is the trefoil braid stabilized by a kink, of either sign,
+    # between the first two strands, where the component starts.
+    for sign in (1, -1):
+        d = braid_closure(3, (2, 2, 2, sign))
+        assert gauss_code(d) == [(6 if sign > 0 else 7, 0, 3, 4, 1, 2, 5, 7 if sign > 0 else 6)]
+        assert homfly(d) == homfly_by_relabeling(d) == TREFOIL
+
+
+def test_nested_kinks_that_empty_a_component_leave_a_free_circle():
+    assert links._drop_kinks([(0, 2, 3, 1), (5, 4)], 0) == ([], 2)
+    assert links._drop_kinks([(0, 2, 3, 1), (4, 7), (6, 5)], 1) == ([(4, 7), (6, 5)], 2)
+    # A kinked unknot beside a trefoil: the split union.
+    kink = Crossing(1, over_in=10, over_out=11, under_in=11, under_out=10)
+    d = braid_closure(2, (1, 1, 1))
+    d = LinkDiagram((kink,) + d.crossings)
+    assert gauss_code(d) == [(2, 5, 6, 3, 4, 7), (0, 1)]
+    assert homfly(d) == homfly_by_relabeling(d) == TREFOIL * DELTA
+
+
+def test_smoothing_one_component_splits_it_and_keeps_its_start():
+    # The trefoil O0 U1 O2 U0 O1 U2 smoothed at crossing 0 is a Hopf link.
+    assert links._smoothed([(0, 3, 4, 1, 2, 5)], 0) == [(2, 5), (3, 4)]
+    # Crossing 1 lies inside: the start (visit 6) stays first.
+    assert links._smoothed([(9, 6, 3, 8, 2, 7)], 1) == [(9, 6, 7), (8,)]
+
+
+def test_smoothing_two_components_joins_them_at_the_first_ones_start():
+    assert links._smoothed([(5,), (2, 0, 7), (4, 1, 3)], 0) == [(5,), (2, 3, 4, 7)]
+    # The Hopf link's smoothing is a kinked unknot.
+    assert links._smoothed([(0, 3), (1, 2)], 0) == [(2, 3)]
+    assert homfly(braid_closure(2, (1, 1))) == homfly_by_relabeling(braid_closure(2, (1, 1)))
+
+
+def test_the_descending_test_reads_the_components_in_order():
+    assert links._first_under([(0, 2), (1, 3)]) is None
+    assert links._first_under([(1, 3), (0, 2)]) == 0
+    assert links._first_under([(0, 2, 5), (1, 3, 4)]) == 2
+
+
+@pytest.mark.parametrize("every", (1, 2, 3))
+def test_negative_crossings_agree_with_the_oracle(every):
+    d = with_signs_switched(median_diagram_of(fig7_trinity()), every)
+    assert any(c.sign < 0 for c in d.crossings)
+    p = homfly(d)
+    assert p == homfly_by_relabeling(d)
+    flipped = LaurentPoly2.from_dict({(-v, z): c * ((-1) ** z) for (v, z), c in p.coeffs})
+    assert homfly(mirror(d)) == flipped
+
+
+@pytest.mark.parametrize("build", (single_edge_trinity, g1_trinity, fig7_trinity))
+def test_skein_is_the_relabeling_oracle_on_fixtures(build):
+    d = median_diagram_of(build())
+    for dd in (d, mirror(d)):
+        assert homfly(dd) == homfly_by_relabeling(dd)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_skein_is_the_relabeling_oracle_on_random_diagrams(chunk):
+    rng = random.Random(4400 + chunk)
+    for _ in range(50):
+        d = median_diagram_of(random_trinity(rng))
+        for dd in (d, mirror(d)):
+            assert homfly(dd) == homfly_by_relabeling(dd)
+
+
+@pytest.mark.parametrize("rows,columns", ((2, 3), (2, 4), (3, 3), (3, 4)))
+def test_skein_is_the_relabeling_oracle_on_grids_with_shuffled_edge_ids(rows, columns):
+    m = grid_trinity(rows, columns).map
+    rng = random.Random(f"skein:{rows}x{columns}")
+    for mm in (m, permute_edge_ids(m, rng), permute_edge_ids(m, rng)):
+        d = median_diagram(mm, bipartition(mm))
+        assert homfly(d, crossing_cap=mm.n_edges) == homfly_by_relabeling(d)
+
+
+def test_skein_keeps_base_points_on_the_3x5_grid(monkeypatch):
+    # Each splice keeps the start of the component it edits, so the crossing
+    # the descending test picks stays put: 6,439 skein nodes; the arc-label
+    # recursion takes 39,279, and moving a start at each splice far more.
+    calls = count_calls(monkeypatch, links, "_homfly")
+    d = median_diagram_of(grid_trinity(3, 5))
+    homfly(d, crossing_cap=22)
+    assert len(calls) < 10_000
+
+
+@pytest.mark.parametrize("rows,columns,magic", ((3, 5, 209), (4, 4, 384)))
+def test_conway_leading_coefficient_is_the_magic_number_on_large_grids(rows, columns, magic):
+    p = homfly(median_diagram_of(grid_trinity(rows, columns)), crossing_cap=rows * columns + 9)
+    ac = alexander_conway(p)
+    assert ac.z_coefficient(max(ac.z_degrees())) == LaurentPoly2.monomial(magic)
+
+
+def test_top_matches_h_polynomial_on_the_3x5_grid():
+    assert verify_homfly_h_vector(grid_trinity(3, 5), crossing_cap=22)["holds"]
+
+
+def test_no_library_module_relabels_arcs():
+    # The arc-relabeling skein lives in the test oracles only.
+    names = ("_remove_r1", "_relabel", "_first_ascending", "_smooth")
+    for info in pkgutil.iter_modules(trinities.__path__):
+        module = import_module(f"trinities.{info.name}")
+        assert not [name for name in names if hasattr(module, name)], info.name
