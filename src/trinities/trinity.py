@@ -1,6 +1,6 @@
 """Trinities: three-coloured triangulations of the sphere built from a plane
 bipartite graph, with their colour graphs, balanced directed duals, adjacency
-matrix and Tutte matchings.
+matrix and the count of its Tutte matchings.
 
 Triangles are indexed by darts of the input graph: the triangle of dart d is
 the one immediately to the left of d, with corners (violet end, emerald end,
@@ -291,6 +291,12 @@ def _adjacent(tri: Triangle, vertex: tuple[str, int]) -> bool:
 
 
 def adjacency_matrix(t: Trinity) -> AdjMatrix:
+    """The 0/1 matrix of non-root vertices against non-root white triangles,
+    built once per trinity: the determinant and the matching count share it."""
+    return memo(t, "adjacency_matrix", lambda: _adjacency_matrix(t))
+
+
+def _adjacency_matrix(t: Trinity) -> AdjMatrix:
     rows = non_root_vertices(t)
     cols = non_root_white_triangles(t)
     entries = tuple(
@@ -299,29 +305,52 @@ def adjacency_matrix(t: Trinity) -> AdjMatrix:
     return AdjMatrix(rows=rows, columns=cols, entries=entries)
 
 
-def enumerate_tutte_matchings(t: Trinity) -> tuple[tuple[tuple[tuple[str, int], int], ...], ...]:
-    """All bijections from non-root vertices to adjacent non-root white triangles."""
-    rows = non_root_vertices(t)
-    cols = non_root_white_triangles(t)
-    options = [tuple(c for c in cols if _adjacent(t.triangles[c], v)) for v in rows]
-    out: list[tuple[tuple[tuple[str, int], int], ...]] = []
-    used: set[int] = set()
-    pick: list[int] = []
+def count_tutte_matchings(t: Trinity) -> int:
+    """The number of Tutte matchings: bijections from the non-root vertices to
+    adjacent non-root white triangles, i.e. the permutations supported on the
+    1-entries of the adjacency matrix, counted without listing them.
 
-    def backtrack(i: int) -> None:
-        if i == len(rows):
-            out.append(tuple(zip(rows, pick)))
-            return
-        for c in options[i]:
-            if c not in used:
-                used.add(c)
-                pick.append(c)
-                backtrack(i + 1)
-                pick.pop()
-                used.remove(c)
+    A frontier dynamic program. The rows are swept greedily: next comes the
+    row whose options open the fewest columns not yet seen (ties to the lower
+    index). A state is the set of frontier columns already used, as a bitmask,
+    with the number of partial matchings that reach it. Each row takes one
+    unused option. A column closes after the last row that can take it: a
+    state that leaves it unused can never become a bijection and is dropped,
+    and a used one is forgotten, so the frontier holds only columns some later
+    row can still take. The count is that of the empty mask at the end.
 
-    backtrack(0)
-    return tuple(out)
+    Only the 0/1 pattern is read, never a determinant, so this route stays
+    independent of ``round_det``.
+    """
+    entries = adjacency_matrix(t).entries
+    n = len(entries)
+    if any(len(row) != n for row in entries):
+        raise InternalConsistencyError("the Tutte adjacency matrix is not square")
+    options = [[j for j, x in enumerate(row) if x] for row in entries]
+    order: list[int] = []
+    seen: set[int] = set()
+    pending = set(range(n))
+    while pending:
+        i = min(pending, key=lambda r: (len(set(options[r]) - seen), r))
+        pending.remove(i)
+        order.append(i)
+        seen.update(options[i])
+    last = {j: step for step, i in enumerate(order) for j in options[i]}
+    closing = [0] * n  # step -> bitmask of the columns no later row can take
+    for j, step in last.items():
+        closing[step] |= 1 << j
+    states = {0: 1}
+    for step, i in enumerate(order):
+        done = closing[step]
+        nxt: dict[int, int] = {}
+        for used, count in states.items():
+            for j in options[i]:
+                new = used | 1 << j
+                if new != used and new & done == done:
+                    key = new & ~done
+                    nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return states.get(0, 0)
 
 
 def hypergraph_classes(code: str) -> tuple[str, str]:
@@ -362,7 +391,7 @@ def magic_number_report(t: Trinity) -> dict:
     from . import trees
 
     det_route = abs(round_det(t))
-    matchings = len(enumerate_tutte_matchings(t))
+    matchings = count_tutte_matchings(t)
     rho = {}
     for colour in COLOURS:
         dd = directed_dual(t, colour)

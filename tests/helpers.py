@@ -1,6 +1,6 @@
 """Shared builders for the test suite: the worked example graph, the larger
-fixture graph, plane grid graphs, edge-id shuffles of a map, and a seeded
-generator of random plane bipartite maps."""
+fixture graph, plane grid graphs, the graph document of a trinity, edge-id
+shuffles of a map, and a seeded generator of random plane bipartite maps."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import random
 from importlib import import_module
 
 import trinities
+from trinities.documents import GraphDocument, serialize_graph_document
 from trinities.maps import (
     MapError,
     NotConnectedError,
@@ -81,6 +82,23 @@ def grid_trinity(rows: int, columns: int) -> Trinity:
     return build_trinity(m, bipartition(m), outer_face=m.face_of[2 * ends[0, "E"] + 1])
 
 
+def document_text(t: Trinity) -> str:
+    """The canonical graph document of the trinity's map: vertex i is named
+    v<i> or e<i> by its class, and the hint names the outer face."""
+    m = t.map
+    name = {v: f"v{v}" if v in t.violet else f"e{v}" for v in range(m.n_vertices)}
+    dart = m.faces[t.outer_face][0]
+    return serialize_graph_document(
+        GraphDocument(
+            violet=tuple(name[v] for v in sorted(t.violet)),
+            emerald=tuple(name[v] for v in sorted(t.emerald)),
+            edges=tuple((name[u], name[w]) if u in t.violet else (name[w], name[u]) for u, w in m.edges),
+            rotations={name[v]: tuple(d >> 1 for d in m.darts_of_vertex(v)) for v in range(m.n_vertices)},
+            outer_face_hint=(dart >> 1, "violet" if m.vertex_of[dart] in t.violet else "emerald"),
+        )
+    )
+
+
 def permute_edge_ids(m: PlanarMap, rng: random.Random) -> PlanarMap:
     """An isomorphic copy of the map with edge ids shuffled: the same ends
     and the same rotation at every vertex."""
@@ -134,14 +152,25 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def count_calls_everywhere(monkeypatch, module, name):
-    """``count_calls`` at every library module that binds module.name to the
-    same function, so a call through any import of it is counted."""
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Set module.name to ``replacement`` at every library module that binds
+    that name to the same function, so no import of it escapes."""
     original = getattr(module, name)
-    calls = count_calls(monkeypatch, module, name)
-    counted = getattr(module, name)
     for info in pkgutil.iter_modules(trinities.__path__):
         binder = import_module(f"trinities.{info.name}")
         if getattr(binder, name, None) is original:
-            monkeypatch.setattr(binder, name, counted)
+            monkeypatch.setattr(binder, name, replacement)
+
+
+def count_calls_everywhere(monkeypatch, module, name):
+    """``count_calls`` at every library module that binds module.name to the
+    same function, so a call through any import of it is counted."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, module, name, counted)
     return calls

@@ -1,5 +1,8 @@
 """Test oracles, independent routes that the library does not take:
 
+- exhaustive Tutte-matching enumeration, every bijection from the non-root
+  vertices to adjacent non-root white triangles by backtracking (the library
+  counts them by a frontier dynamic program and lists none);
 - exhaustive spanning-tree enumeration and the hypertree sets it gives (the
   library takes hypertrees from Kalman's mu-lattice and the trees of its
   arborescence triangulations; this enumerates every spanning tree, far more
@@ -44,7 +47,13 @@ from trinities.links import Crossing, LaurentPoly2, LinkDiagram, _split_factor, 
 from trinities.maps import PlanarMap, memo
 from trinities.polytopes import RootPolytope, TaggedPolytope
 from trinities.trees import hypertree_of
-from trinities.trinity import InternalConsistencyError
+from trinities.trinity import (
+    InternalConsistencyError,
+    Trinity,
+    _adjacent,
+    non_root_vertices,
+    non_root_white_triangles,
+)
 
 
 class _DSU:
@@ -105,6 +114,31 @@ def spanning_trees_of_map(m: PlanarMap) -> tuple[tuple[int, ...], ...]:
 def hypertree_set_of_graph(m: PlanarMap, side: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The degree-minus-one vectors of every spanning tree on ``side``."""
     return canonical_lattice_set(hypertree_of(t, m.edges, side) for t in spanning_trees_of_map(m))
+
+
+def enumerate_tutte_matchings(t: Trinity) -> tuple[tuple[tuple[tuple[str, int], int], ...], ...]:
+    """All bijections from non-root vertices to adjacent non-root white triangles."""
+    rows = non_root_vertices(t)
+    cols = non_root_white_triangles(t)
+    options = [tuple(c for c in cols if _adjacent(t.triangles[c], v)) for v in rows]
+    out: list[tuple[tuple[tuple[str, int], int], ...]] = []
+    used: set[int] = set()
+    pick: list[int] = []
+
+    def backtrack(i: int) -> None:
+        if i == len(rows):
+            out.append(tuple(zip(rows, pick)))
+            return
+        for c in options[i]:
+            if c not in used:
+                used.add(c)
+                pick.append(c)
+                backtrack(i + 1)
+                pick.pop()
+                used.remove(c)
+
+    backtrack(0)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 selector's hyperedges, coverage bound and generator sums, trimmed lattice,
 root polytope, triangulation and median diagram is derived once per trinity,
 and never shared between two trinities. The counts come from wrappers around the
-builders. No spanning tree is enumerated: the hypertree sets are mu-lattices."""
+builders. No spanning tree is enumerated: the hypertree sets are mu-lattices.
+No Tutte matching is listed: the matchings are counted."""
 
 import pkgutil
 from collections import Counter
@@ -42,6 +43,14 @@ def test_no_library_module_enumerates_spanning_trees():
     for info in pkgutil.iter_modules(trinities.__path__):
         module = import_module(f"trinities.{info.name}")
         assert not [name for name in SPANNING_TREE_ENUMERATORS if hasattr(module, name)], info.name
+
+
+def test_no_library_module_enumerates_tutte_matchings():
+    # The matchings are counted by a frontier dynamic program; their
+    # enumeration lives in the test oracles only.
+    for info in pkgutil.iter_modules(trinities.__path__):
+        module = import_module(f"trinities.{info.name}")
+        assert not hasattr(module, "enumerate_tutte_matchings"), info.name
 
 
 def test_report_builds_each_hypertree_lattice_once(monkeypatch):

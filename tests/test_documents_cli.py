@@ -1,4 +1,5 @@
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -19,6 +20,8 @@ from trinities.documents import (
 )
 from trinities.maps import bipartition
 from trinities.trinity import build_trinity, magic_number_report
+
+from helpers import document_text, grid_trinity
 
 
 def fixture_path(name: str) -> str:
@@ -231,3 +234,124 @@ def test_removed_noop_flags_fail_argument_parsing(capsys, flags):
         main(["verify", fixture_path("g1.json"), *flags])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_verify_lists_the_skipped_link_identity(tmp_path, capsys):
+    # The 3x4 grid has 17 edges, one over the default cap.
+    doc = tmp_path / "grid.json"
+    doc.write_text(document_text(grid_trinity(3, 4)))
+    code, out = run_cli(capsys, "verify", str(doc))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["ok"] and payload["magic_number"] == 56
+    assert payload["checks_skipped"] == [
+        {"check": "homfly-h-vector-identity", "reason": "17 edges over --crossing-cap 16"}
+    ]
+    code, out = run_cli(capsys, "verify", str(doc), "--crossing-cap", "40")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"checks_failed": [], "magic_number": 56, "ok": True}
+
+
+# Seeded mutations of a raw fixture document, each in place. Those that edit
+# edges keep the rotations listing them, so many mutants are still valid
+# documents and reach the map and the trinity.
+def drop_edge(raw, rng):
+    k = rng.randrange(len(raw["edges"]))
+    del raw["edges"][k]
+    for name, cyc in raw["rotations"].items():
+        raw["rotations"][name] = [e - (e > k) for e in cyc if e != k]
+
+
+def duplicate_edge(raw, rng):
+    k = rng.randrange(len(raw["edges"]))
+    raw["edges"].append(list(raw["edges"][k]))
+    for name in raw["edges"][k]:
+        cyc = raw["rotations"][name]
+        cyc.insert(rng.randrange(len(cyc) + 1), len(raw["edges"]) - 1)
+
+
+def shuffle_rotation(raw, rng):
+    rng.shuffle(raw["rotations"][rng.choice(sorted(raw["rotations"]))])
+
+
+def corrupt_rotation(raw, rng):
+    cyc = raw["rotations"][rng.choice(sorted(raw["rotations"]))]
+    junk = rng.choice([-1, len(raw["edges"]), rng.randrange(len(raw["edges"]))])
+    if cyc and rng.random() < 0.5:
+        cyc[rng.randrange(len(cyc))] = junk
+    else:
+        cyc.append(junk)
+
+
+def move_outer_face_hint(raw, rng):
+    edge = rng.randrange(-1, len(raw["edges"]) + 1)
+    raw["outer_face_hint"] = {"edge": edge, "side": rng.choice(["violet", "emerald", "red"])}
+
+
+def add_isolated_vertex(raw, rng):
+    raw[rng.choice(["violet", "emerald"])].append("isolated")
+    raw["rotations"]["isolated"] = []
+
+
+def repoint_edge(raw, rng):
+    k = rng.randrange(len(raw["edges"]))
+    end = rng.randrange(2)
+    old, new = raw["edges"][k][end], rng.choice(raw["violet" if end == 0 else "emerald"])
+    raw["edges"][k][end] = new
+    raw["rotations"][old].remove(k)
+    cyc = raw["rotations"][new]
+    cyc.insert(rng.randrange(len(cyc) + 1), k)
+
+
+def swap_rotations(raw, rng):
+    a, b = rng.sample(sorted(raw["rotations"]), 2)
+    raw["rotations"][a], raw["rotations"][b] = raw["rotations"][b], raw["rotations"][a]
+
+
+def empty_class(raw, rng):
+    raw[rng.choice(["violet", "emerald"])] = []
+
+
+MUTATIONS = (
+    drop_edge,
+    duplicate_edge,
+    shuffle_rotation,
+    corrupt_rotation,
+    move_outer_face_hint,
+    add_isolated_vertex,
+    repoint_edge,
+    swap_rotations,
+    empty_class,
+)
+
+
+@pytest.mark.parametrize("name", ["g1.json", "single_edge.json", "fig7.json"])
+def test_cli_survives_mutated_fixtures(tmp_path, capsys, name):
+    # Every mutant either runs or is rejected as invalid input, never with a
+    # traceback; every accepted one round-trips through its canonical form.
+    rng = random.Random(f"mutate:{name}")
+    doc = tmp_path / "doc.json"
+    cases = 6 * len(MUTATIONS)
+    accepted = 0
+    for case in range(cases):
+        mutate = MUTATIONS[case % len(MUTATIONS)]
+        raw = json.loads(fixture_text(name))
+        mutate(raw, rng)
+        text = json.dumps(raw)
+        doc.write_text(text)
+        rejected = set()
+        for command in ("report", "verify"):
+            code = main([command, str(doc)])
+            out, err = capsys.readouterr()
+            where = (case, mutate.__name__, command)
+            assert code in (EXIT_OK, EXIT_CHECKS_FAILED, EXIT_INVALID_INPUT), (*where, err)
+            assert "Traceback" not in err, where
+            if code == EXIT_INVALID_INPUT:
+                assert out == "" and err.startswith("error: "), where
+            rejected.add(code == EXIT_INVALID_INPUT)
+        assert len(rejected) == 1, (case, mutate.__name__)  # both commands accept, or both reject
+        if rejected == {False}:
+            accepted += 1
+            parsed = parse_graph_document(text)
+            assert parse_graph_document(serialize_graph_document(parsed)) == parsed, (case, mutate.__name__)
+    assert 0 < accepted < cases

@@ -1,17 +1,23 @@
+import random
+
 import pytest
 
-from trinities.maps import MapError
+from trinities import linalg, trinity
+from trinities.maps import Bipartition, MapError, bipartition
 from trinities.trees import count_arborescences
 from trinities.trinity import (
     COLOURS,
     EMERALD,
     RED,
     VIOLET,
+    AdjMatrix,
+    InternalConsistencyError,
     adjacency_matrix,
+    build_trinity,
     colour_graph,
     colour_of_hypergraph,
+    count_tutte_matchings,
     directed_dual,
-    enumerate_tutte_matchings,
     hypergraph_view,
     magic_number_report,
     non_root_vertices,
@@ -19,8 +25,16 @@ from trinities.trinity import (
     round_det,
 )
 
-from helpers import fig7_trinity, g1_trinity, single_edge_trinity
-from oracles import det_exact
+from helpers import (
+    fig7_trinity,
+    g1_trinity,
+    grid_trinity,
+    patch_everywhere,
+    permute_edge_ids,
+    random_trinity,
+    single_edge_trinity,
+)
+from oracles import det_exact, enumerate_tutte_matchings
 
 
 def test_g1_triangles():
@@ -98,6 +112,70 @@ def test_g1_tutte_matchings():
         (((VIOLET, 1), 2), ((VIOLET, 2), 4), ((EMERALD, 4), 6), ((RED, 1), 8)),
         (((VIOLET, 1), 6), ((VIOLET, 2), 4), ((EMERALD, 4), 8), ((RED, 1), 2)),
     )
+
+
+def rerooted(t, root_triangle):
+    bip = Bipartition(class_a=t.violet, class_b=t.emerald)
+    return build_trinity(t.map, bip, outer_face=t.outer_face, root_triangle=root_triangle)
+
+
+@pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
+def test_tutte_count_is_the_enumeration_at_every_root_of_the_fixtures(build):
+    t = build()
+    for w in t.white_triangles:
+        tw = rerooted(t, w)
+        assert count_tutte_matchings(tw) == len(enumerate_tutte_matchings(tw)), w
+
+
+def test_single_edge_has_one_tutte_matching_the_empty_one():
+    t = single_edge_trinity()
+    assert enumerate_tutte_matchings(t) == ((),)
+    assert count_tutte_matchings(t) == 1
+
+
+def test_tutte_count_is_the_enumeration_on_the_corpus():
+    # The seeded corpus of test_random_properties: 200 graphs.
+    for chunk in range(10):
+        rng = random.Random(9000 + chunk)
+        for k in range(20):
+            t = random_trinity(rng)
+            assert count_tutte_matchings(t) == len(enumerate_tutte_matchings(t)), (chunk, k)
+
+
+@pytest.mark.parametrize("rows, columns", [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (3, 5), (4, 4)])
+def test_tutte_count_is_the_enumeration_on_grids_with_shuffled_edge_ids(rows, columns):
+    # Edge ids set the column order, so the bit each column takes; any face
+    # may be the unbounded one.
+    m = grid_trinity(rows, columns).map
+    rng = random.Random(f"tutte:{rows}x{columns}")
+    for mm in (m, permute_edge_ids(m, rng), permute_edge_ids(m, rng)):
+        t = build_trinity(mm, bipartition(mm), outer_face=0)
+        assert count_tutte_matchings(t) == len(enumerate_tutte_matchings(t)) == abs(round_det(t))
+
+
+@pytest.mark.parametrize("rows, columns, magic", [(3, 6, 780), (4, 5, 2_624), (5, 5, 32_625)])
+def test_tutte_count_is_the_determinant_where_enumeration_cannot_run(rows, columns, magic):
+    t = grid_trinity(rows, columns)
+    assert count_tutte_matchings(t) == abs(round_det(t)) == magic
+
+
+def test_tutte_count_rejects_a_matrix_that_is_not_square(monkeypatch):
+    t = g1_trinity()
+    m = adjacency_matrix(t)
+    monkeypatch.setattr(trinity, "adjacency_matrix", lambda _t: AdjMatrix(m.rows[1:], m.columns, m.entries[1:]))
+    with pytest.raises(InternalConsistencyError):
+        count_tutte_matchings(t)
+
+
+def test_tutte_count_takes_no_determinant(monkeypatch):
+    def refuse(_rows):
+        raise AssertionError("integer_det called")
+
+    patch_everywhere(monkeypatch, linalg, "integer_det", refuse)
+    t = fig7_trinity()
+    with pytest.raises(AssertionError):
+        round_det(t)
+    assert count_tutte_matchings(t) == 11
 
 
 def test_g1_directed_duals_frozen():
