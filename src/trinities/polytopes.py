@@ -25,7 +25,9 @@ slices and Postnikov's pairwise Lemma 12.6 live in the test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -141,30 +143,54 @@ def _hypertree_bound(he: Sequence[tuple[int, ...]]) -> list[int]:
 def _subset_lattice(bound: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     """Lattice points of the polytope, in lexicographic order.
 
-    Coordinates are fixed one at a time. Every set whose largest element is
-    the coordinate k bounds x_k from above by b(S) - x(S - k) and, through
-    x(S) = x(all) - x(all - S), from below by b(all) - b(all - S) - x(S - k),
-    so each set is checked exactly once along a branch.
+    Coordinates are fixed one at a time. With x_0 .. x_(k-1) fixed, every set
+    whose largest element is the coordinate k bounds x_k from above by
+    b(S) - x(S - k) and, through x(S) = x(all) - x(all - S), from below by
+    b(all) - b(all - S) - x(S - k), so each set is checked exactly once along
+    a branch.
+
+    Those sums are not rescanned at each node. For every nonempty set M of
+    free coordinates (bit 0 the coordinate k) the walk keeps two residual
+    bounds, minima over the sets S of fixed coordinates, at index M - 1:
+
+        upper[M] = min_S b(S | M) - x(S),
+        lower[M] = min_S b(all - (S | M)) + x(S).
+
+    At the root they are b(1), .., b(all) and b(all - 1), .., b(0). Fixing
+    x_k = v splits each S by whether it holds k, which halves both tables:
+    the child's upper[M] is min(upper[2M], upper[2M + 1] - v), and its lower
+    the same with + v. The sets M whose largest element is j, read as
+    subsets T of the free coordinates below j, are j's own residual table;
+    k's has the one entry M = {k}, and upper[{k}] and b(all) - lower[{k}]
+    are exactly the two bounds above. So the search tree and the order of
+    the points are those of the walk that rescans all 2^k sums at each node
+    (``tests/oracles.subset_lattice``), for any bound, but a child at depth k
+    costs 2^(n-k) table entries instead of 2^k. The leaves of the last two
+    coordinates are listed without building their one-entry tables.
     """
-    full = (1 << n) - 1
-    total = bound[full]
+    if n == 0:
+        return ((),)
+    total = bound[-1]
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
 
-    def descend(k: int, sums: list[int]) -> None:
-        # sums[S] = x(S) for every subset S of the first k coordinates.
-        if k == n:
-            out.append(tuple(prefix))
-            return
-        bit = 1 << k
-        hi = min(bound[s | bit] - x for s, x in enumerate(sums))
-        lo = max(total - bound[full ^ (s | bit)] - x for s, x in enumerate(sums))
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            descend(k + 1, sums + [x + v for x in sums])
-            prefix.pop()
+    def descend(prefix: tuple[int, ...], upper: Sequence[int], lower: Sequence[int]) -> None:
+        hi, lo = upper[0], total - lower[0]
+        if len(upper) == 1:
+            out.extend([prefix + (v,) for v in range(lo, hi + 1)])
+        elif len(upper) == 3:
+            _, u0, u1 = upper
+            _, w0, w1 = lower
+            for v in range(lo, hi + 1):
+                out.extend([prefix + (v, x) for x in range(total - min(w0, w1 + v), min(u0, u1 - v) + 1)])
+        else:
+            for v in range(lo, hi + 1):
+                descend(
+                    prefix + (v,),
+                    list(map(min, upper[1::2], map(sub, upper[2::2], repeat(v)))),
+                    list(map(min, lower[1::2], map(add, lower[2::2], repeat(v)))),
+                )
 
-    descend(0, [0])
+    descend((), bound[1:], bound[-2::-1])
     return tuple(out)
 
 

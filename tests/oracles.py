@@ -19,6 +19,9 @@
   common-face test of two simplices (the library checks its triangulations
   by one ridge certificate instead);
 - the Cayley slices of a root polytope, against the scaled GP polytopes;
+- the lattice points of a subset-inequality description by the walk that
+  recomputes every prefix subset sum at each node, 2^k of them at depth k
+  (the library carries residual bound tables down the walk instead);
 - the skein recursion on arc-labelled crossings, which relabels every
   crossing on each Reidemeister-I move and smoothing (the library runs the
   skein on Gauss codes).
@@ -481,6 +484,42 @@ def slice_matches_scaled_gp(rp: RootPolytope, side: str, gp: TaggedPolytope) -> 
         projected = {v[:m] for v in sl.vertices}
         expected = {tuple(Fraction(x, n) for x in p) for p in gp.vertices}
     return projected == expected
+
+
+# ---------------------------------------------------------------------------
+# Subset-lattice walk over every prefix sum.
+# ---------------------------------------------------------------------------
+
+
+def subset_lattice(bound: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """Lattice points of {x(S) <= b(S), x(all) = b(all)}, in lexicographic
+    order, by the walk that rescans all 2^k prefix sums at depth k.
+
+    Coordinates are fixed one at a time. Every set whose largest element is
+    the coordinate k bounds x_k from above by b(S) - x(S - k) and, through
+    x(S) = x(all) - x(all - S), from below by b(all) - b(all - S) - x(S - k),
+    so each set is checked exactly once along a branch.
+    """
+    full = (1 << n) - 1
+    total = bound[full]
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def descend(k: int, sums: list[int]) -> None:
+        # sums[S] = x(S) for every subset S of the first k coordinates.
+        if k == n:
+            out.append(tuple(prefix))
+            return
+        bit = 1 << k
+        hi = min(bound[s | bit] - x for s, x in enumerate(sums))
+        lo = max(total - bound[full ^ (s | bit)] - x for s, x in enumerate(sums))
+        for v in range(lo, hi + 1):
+            prefix.append(v)
+            descend(k + 1, sums + [x + v for x in sums])
+            prefix.pop()
+
+    descend(0, [0])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
