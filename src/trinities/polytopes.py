@@ -36,7 +36,6 @@ from .geometry import (
     canonical_lattice_set,
     lattice_points,  # noqa: F401  (no caller here; perfbench/tests wraps this binding)
 )
-from .linalg import integer_rank
 from .maps import PlanarMap, memo
 from .trinity import (
     COLOUR_CLASSES,
@@ -195,19 +194,44 @@ def _subset_lattice(bound: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]
 
 
 def _subset_vertices(bound: Sequence[int], n: int, points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The points at which the tight sets (the whole set among them) have rank n:
+    """The points whose coordinates have pairwise distinct smallest tight sets:
     the integral vertices, so all of them when the polytope is integral. The
     GP and hypertree polytopes are (their bounds are submodular), and so is the
     trimmed one of a connected hypergraph, which is the dual hypertree polytope
-    (Kalman-Postnikov)."""
-    rows = [[s >> i & 1 for i in range(n)] for s in range(1 << n)]
+    (Kalman-Postnikov).
+
+    T_i is the intersection of the tight sets (the whole set among them) that
+    hold the coordinate i. A point is a vertex iff its tight rows have rank
+    n, and that holds iff the n sets T_i are pairwise distinct:
+
+    (=>) If T_i = T_j with i != j, every tight set holds both i and j or
+    neither, so e_i - e_j is orthogonal to every tight row and the rank is
+    below n.
+
+    (<=) The bound b is mu, the coverage f or f - 1, and each satisfies
+    b(S) + b(T) >= b(S & T) + b(S | T) whenever S & T is nonempty (for
+    f - 1 the two -1s cancel). So for tight S and T that meet,
+    x(S) + x(T) = x(S & T) + x(S | T) <= b(S & T) + b(S | T) <= b(S) + b(T)
+    makes S & T and S | T tight, and T_i, an intersection of tight sets
+    that all hold i, is tight. For j in T_i - {i}, T_j lies in T_i and
+    differs from it, so by induction on |T_i| every such e_j lies in the
+    span of the tight rows, and so does e_i = chi(T_i) - sum of those e_j.
+
+    The rank test itself is the oracle ``tests/oracles.subset_vertices``.
+    """
+    full = (1 << n) - 1
     out = []
     for p in points:
         sums = [0]
         for v in p:
             sums += [x + v for x in sums]
-        tight = [rows[s] for s in range(1, 1 << n) if sums[s] == bound[s]]
-        if integer_rank(tight) == n:
+        smallest = [full] * n
+        for s in range(1, 1 << n):
+            if sums[s] == bound[s]:
+                for i in range(n):
+                    if s >> i & 1:
+                        smallest[i] &= s
+        if len(set(smallest)) == n:
             out.append(p)
     return out
 
@@ -239,17 +263,16 @@ def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...])
 
     x + Delta lies in the GP polytope iff x + e_i does for every i, so the
     bound is f - 1 on nonempty sets. The lattice points are checked against
-    the integer points x with every x + e_i a sum of generators; each such x
-    is p - e_0 for the sum p = x + e_0.
+    the integer points x with every x + e_i a sum of generators: the
+    intersection over i of the sets {p - e_i} of the sums p (n >= 1), taken
+    as the x in {p - e_0} whose x + e_i is a sum for each i >= 1 in turn.
     """
     bound = [0] + [c - 1 for c in coverage[1:]]
     lattice = _subset_lattice(bound, n)
     pts = set(sums)
-    trimmed = [
-        x
-        for x in {(p[0] - 1,) + p[1:] for p in pts}
-        if all(tuple(x[j] + (1 if j == i else 0) for j in range(n)) in pts for i in range(n))
-    ]
+    trimmed = {(p[0] - 1,) + p[1:] for p in pts}
+    for i in range(1, n):
+        trimmed = {x for x in trimmed if x[:i] + (x[i] + 1,) + x[i + 1 :] in pts}
     if not trimmed:
         raise InternalConsistencyError("trimmed polytope has no lattice points")
     if canonical_lattice_set(trimmed) != lattice:

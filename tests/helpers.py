@@ -1,6 +1,7 @@
 """Shared builders for the test suite: the worked example graph, the larger
 fixture graph, plane grid graphs, the graph document of a trinity, edge-id
-shuffles of a map, and a seeded generator of random plane bipartite maps."""
+shuffles of a map, a seeded generator of random plane bipartite maps, the
+negation of a point set, and call counters."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from importlib import import_module
 
 import trinities
 from trinities.documents import GraphDocument, serialize_graph_document
+from trinities.geometry import canonical_lattice_set
 from trinities.maps import (
     MapError,
     NotConnectedError,
@@ -137,6 +139,11 @@ def random_plane_bipartite(rng: random.Random, max_edges: int = 8) -> PlanarMap:
 def random_trinity(rng: random.Random, max_edges: int = 8) -> Trinity:
     m = random_plane_bipartite(rng, max_edges)
     return build_trinity(m, bipartition(m), outer_face=0)
+
+
+def negate(points):
+    """The point set -P, canonically ordered."""
+    return canonical_lattice_set(tuple(-x for x in p) for p in points)
 
 
 def count_calls(monkeypatch, module, name):

@@ -22,6 +22,9 @@
 - the lattice points of a subset-inequality description by the walk that
   recomputes every prefix subset sum at each node, 2^k of them at depth k
   (the library carries residual bound tables down the walk instead);
+- the vertices among those lattice points by the rank of their tight rows
+  (the library compares the smallest tight sets of the coordinates as
+  bitmasks instead);
 - the skein recursion on arc-labelled crossings, which relabels every
   crossing on each Reidemeister-I move and smoothing (the library runs the
   skein on Gauss codes).
@@ -487,7 +490,7 @@ def slice_matches_scaled_gp(rp: RootPolytope, side: str, gp: TaggedPolytope) -> 
 
 
 # ---------------------------------------------------------------------------
-# Subset-lattice walk over every prefix sum.
+# Subset-lattice walk over every prefix sum, and vertices by rank.
 # ---------------------------------------------------------------------------
 
 
@@ -520,6 +523,21 @@ def subset_lattice(bound: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
 
     descend(0, [0])
     return tuple(out)
+
+
+def subset_vertices(bound: Sequence[int], n: int, points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The points at which the tight sets (the whole set among them) have rank n:
+    the integral vertices, so all of them when the polytope is integral."""
+    rows = [[s >> i & 1 for i in range(n)] for s in range(1 << n)]
+    out = []
+    for p in points:
+        sums = [0]
+        for v in p:
+            sums += [x + v for x in sums]
+        tight = [rows[s] for s in range(1, 1 << n) if sums[s] == bound[s]]
+        if integer_rank(tight) == n:
+            out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------

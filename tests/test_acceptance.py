@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from trinities.floer import canonical_translate, negate, sfh_support, tight_contact_count
+from trinities.floer import canonical_translate, sfh_support, tight_contact_count
 from trinities.links import (
     LaurentPoly2,
     alexander_conway,
@@ -28,7 +28,7 @@ from trinities.polytopes import (
 from trinities.trees import hypertree_set
 from trinities.trinity import COLOURS, RED, magic_number_report
 
-from helpers import fig7_trinity, g1_trinity, random_trinity
+from helpers import fig7_trinity, g1_trinity, negate, random_trinity
 
 
 def test_criterion_1_magic_number_of_the_worked_example():

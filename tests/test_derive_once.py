@@ -1,7 +1,8 @@
 """Each colour graph, directed dual, hypergraph view, hypertree set,
 selector's hyperedges, coverage bound and generator sums, trimmed lattice,
 root polytope, triangulation and median diagram is derived once per trinity,
-and never shared between two trinities. The counts come from wrappers around the
+and never shared between two trinities; a report reads the sutured support
+once, and verify not at all. The counts come from wrappers around the
 builders. No spanning tree is enumerated: the hypertree sets are mu-lattices.
 No Tutte matching is listed: the matchings are counted."""
 
@@ -10,7 +11,7 @@ from collections import Counter
 from importlib import import_module, resources
 
 import trinities
-from trinities import cli, links, polytopes, trees, trinity
+from trinities import cli, floer, links, polytopes, trees, trinity
 from trinities.cli import EXIT_OK, build_report, main
 from trinities.documents import document_to_map, parse_graph_document
 from trinities.trinity import (
@@ -23,7 +24,7 @@ from trinities.trinity import (
     magic_number_report,
 )
 
-from helpers import count_calls
+from helpers import count_calls, count_calls_everywhere
 
 FIG7 = str(resources.files("trinities") / "fixtures" / "fig7.json")
 
@@ -136,13 +137,23 @@ def test_report_builds_each_hypergraph_view_once(monkeypatch):
 
 
 def test_report_builds_one_median_diagram(monkeypatch):
-    # The homfly section, the Seifert data, the link identity and the sutured
-    # summary share the trinity's diagram.
+    # The homfly section, the Seifert data and the link identity share the
+    # trinity's diagram.
     calls = count_calls(monkeypatch, links, "median_diagram")
     doc, t = load_fig7()
     build_report(doc, t, crossing_cap=16, emit_pd=False)
     assert len(calls) == 1
     assert links.median_diagram_of(t) is links.median_diagram_of(t)
+
+
+def test_report_reads_the_support_once_and_verify_never(monkeypatch, capsys):
+    calls = count_calls_everywhere(monkeypatch, floer, "sfh_support")
+    doc, t = load_fig7()
+    build_report(doc, t, crossing_cap=16, emit_pd=False)
+    assert len(calls) == 1
+    assert main(["verify", FIG7]) == EXIT_OK
+    assert '"ok": true' in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_main_builds_its_parser_once(capsys):

@@ -1,7 +1,9 @@
 """The lattice walk of the subset-inequality descriptions against the walk
 that rescans every prefix sum (``oracles.subset_lattice``): Kalman's mu, the
 coverage bound f and f - 1 of every selector, and random bounds that need
-not be submodular, the smallest ones also against a scan of a box."""
+not be submodular, the smallest ones also against a scan of a box. The
+vertex rule of distinct smallest tight sets against the rank of the tight
+rows (``oracles.subset_vertices``) on the same three bounds."""
 
 import random
 from itertools import product
@@ -14,7 +16,7 @@ from trinities.polytopes import verify_duality_suite
 from trinities.trinity import HYPERGRAPH_CODES, build_trinity, hypergraph_view, magic_number_report
 
 from helpers import fig7_trinity, g1_trinity, grid_trinity, permute_edge_ids, random_trinity, single_edge_trinity
-from oracles import subset_lattice
+from oracles import subset_lattice, subset_vertices
 
 
 def selector_bounds(t):
@@ -52,6 +54,29 @@ def test_walk_is_the_oracle_on_grids_with_shuffled_edge_ids(rows, columns):
     mm = permute_edge_ids(m, random.Random(f"lattice:{rows}x{columns}"))
     assert_walks_agree(grid_trinity(rows, columns))
     assert_walks_agree(build_trinity(mm, bipartition(mm), outer_face=0))
+
+
+def assert_vertex_rules_agree(t):
+    for label, bound, n in selector_bounds(t):
+        points = polytopes._subset_lattice(bound, n)
+        assert polytopes._subset_vertices(bound, n, points) == subset_vertices(bound, n, points), label
+
+
+@pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
+def test_vertex_rule_is_the_rank_test_on_the_fixtures(build):
+    assert_vertex_rules_agree(build())
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_vertex_rule_is_the_rank_test_on_the_corpus(chunk):
+    rng = random.Random(9000 + chunk)
+    for _ in range(20):
+        assert_vertex_rules_agree(random_trinity(rng))
+
+
+@pytest.mark.parametrize("rows, columns", [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4)])
+def test_vertex_rule_is_the_rank_test_on_grids(rows, columns):
+    assert_vertex_rules_agree(grid_trinity(rows, columns))
 
 
 def box_scan(bound, n):
