@@ -217,6 +217,9 @@ def cmd_polytope(args) -> int:
 
 def cmd_homfly(args) -> int:
     doc, t = _load_trinity(args.path, args.root_triangle)
+    if args.root_dual_vertex not in (None, *directed_dual(t, "red").vertices):
+        sys.stderr.write(f"error: root dual vertex {args.root_dual_vertex} is not a red vertex\n")
+        return EXIT_INVALID_INPUT
     section, code = _homfly_section(t, args.crossing_cap, args.root_dual_vertex, args.emit_pd)
     _emit(section, args.format)
     return code

@@ -351,7 +351,8 @@ def alexander_conway(p: LaurentPoly2) -> LaurentPoly2:
 
 def verify_homfly_h_vector(t: Trinity, root: Optional[int] = None, crossing_cap: int = 16) -> dict:
     """Compare the top of the median link's HOMFLY-PT polynomial with the
-    h-polynomial of the arborescence triangulation at the given root.
+    h-polynomial of the arborescence triangulation at the given root, the
+    interior polynomial of its trees' hypertrees (Kalman and Murakami, 2017).
 
     The identity checked is top = v^(E+V-1) * h(v^-2); the record also reports
     the h(v^-1) substitution for reference.

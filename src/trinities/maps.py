@@ -195,32 +195,25 @@ def build_map(
     n_vertices: int,
     edges: Sequence[tuple[int, int]],
     rotations: Sequence[Sequence[int]],
-    allow_loops: bool = False,
 ) -> PlanarMap:
-    """Build a map from per-vertex CCW cyclic lists of incident edge ids.
-
-    For a loop the edge id appears twice in its vertex's rotation; occurrences
-    are assigned to the two darts in list order.
-    """
-    darts_left: dict[int, list[int]] = {}
-    for e, (u, v) in enumerate(edges):
-        darts_left[e] = [2 * e, 2 * e + 1]
+    """Build a loopless map from per-vertex CCW cyclic lists of incident edge ids."""
+    darts_left = [[2 * e, 2 * e + 1] for e in range(len(edges))]
     vertex_rotations = []
     for v, cycle in enumerate(rotations):
         dart_cycle = []
         for e in cycle:
             if not (0 <= e < len(edges)):
                 raise MapError(f"unknown edge {e} in rotation of vertex {v}")
-            candidates = [d for d in darts_left[e] if (edges[e][0] if d % 2 == 0 else edges[e][1]) == v]
+            candidates = [d for d in darts_left[e] if edges[e][d & 1] == v]
             if not candidates:
                 raise MapError(f"edge {e} is not (or no longer) incident to vertex {v}")
             d = candidates[0]
             darts_left[e].remove(d)
             dart_cycle.append(d)
         vertex_rotations.append(dart_cycle)
-    if any(darts_left[e] for e in darts_left):
+    if any(darts_left):
         raise MapError("rotations do not cover every edge-end")
-    return build_map_from_darts(n_vertices, edges, vertex_rotations, allow_loops=allow_loops)
+    return build_map_from_darts(n_vertices, edges, vertex_rotations)
 
 
 def faces(m: PlanarMap) -> tuple[tuple[int, ...], ...]:

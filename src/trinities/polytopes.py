@@ -1,6 +1,6 @@
 """Polytopes attached to a trinity: sums of simplices and their trimmed
 versions, hypertree polytopes, root polytopes with their tree-simplex
-triangulations, slice identities and face-count polynomials.
+triangulations, slice identities and their f- and h-vectors.
 
 Hypergraphs are named by two-letter colour selectors ("VE", "ER", ...): the
 first letter is the vertex class X, the second the hyperedge class Y; the
@@ -17,18 +17,19 @@ arborescence triangulation are proved to triangulate the root polytope in
 one pass, linear in their number: every ridge of a tree simplex lies in one
 simplex on the boundary and in two, on opposite sides, inside, and one
 generic point lies in exactly one simplex. The simplices are unimodular by
-Postnikov's Lemma 12.5, so no volume is computed. Every point is an integer
-vector; simplex volumes, the placing triangulation, the rational Cayley
-slices and Postnikov's pairwise Lemma 12.6 live in the test oracles.
+Postnikov's Lemma 12.5, so no volume is computed, and h is the interior
+polynomial of the trees' hypertrees, so no face is counted. Every point is
+an integer vector; volumes, the placing triangulation, the Cayley slices,
+Lemma 12.6 and face counts live in the test oracles.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from math import comb
+from itertools import accumulate, repeat
 from operator import add, sub
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import (
     IntVec,
@@ -547,45 +548,54 @@ def _tree_edge_sides(tree: Sequence[int], ends: Sequence[tuple[int, int]], n: in
         yield up[x], below[x] if u == x else (1 << n) - 1 ^ below[x]
 
 
-def f_vector(tr: Triangulation) -> tuple[int, ...]:
-    """Face counts as polynomial coefficients, highest degree first, computed
-    once per triangulation.
-
-    The coefficient of y^(d+1-k) counts the (k-1)-dimensional faces, starting
-    from the single empty face at y^(d+1) down to the top simplices.
-    """
-    return memo(tr, "f_vector", lambda: _f_vector(tr))
-
-
-def _f_vector(tr: Triangulation) -> tuple[int, ...]:
-    # A face is a bitmask over the root polytope's vertices, so edges with
-    # equal generators share one bit.
-    vertex_bit = {v: 1 << i for i, v in enumerate(tr.parent.vertices)}
-    faces: set[int] = set()
-    for s in tr.simplices:
-        mask = sum(vertex_bit[v] for v in s)
-        sub = mask
-        while True:  # every submask of the simplex
-            faces.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & mask
-    counts = [0] * (len(tr.simplices[0]) + 1)
-    for f in faces:
-        counts[f.bit_count()] += 1
-    return tuple(counts)  # counts[k] = #(k-1)-faces = coefficient of y^(d+1-k)
+def interior_polynomial(hypertrees: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """Kalman's interior polynomial (*A version of Tutte's polynomial for
+    hypergraphs*, 2013), lowest degree first: entry k counts the hypertrees f
+    with exactly k coordinates e such that f + 1_j - 1_e is a hypertree for
+    some j < e. It depends on neither the coordinate order nor the side."""
+    points = set(hypertrees)
+    counts: Counter = Counter()
+    for f in points:
+        inactive = 0
+        for e in range(1, len(f)):
+            g = list(f)
+            g[e] -= 1  # f - 1_e, a hypertree only if nonnegative
+            inactive += g[e] >= 0 and any((*g[:j], g[j] + 1, *g[j + 1 :]) in points for j in range(e))
+        counts[inactive] += 1
+    return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
 def h_vector(tr: Triangulation) -> tuple[int, ...]:
-    """Coefficients of h(x) = f(x-1), highest degree first."""
-    f = f_vector(tr)
-    top = len(f) - 1
-    by_power = [0] * len(f)  # by_power[j] = coefficient of x^j
-    for k, coeff in enumerate(f):
-        p = top - k
-        for j in range(p + 1):
-            by_power[j] += coeff * comb(p, j) * ((-1) ** (p - j))
-    return tuple(by_power[::-1])
+    """Coefficients of h(x) = f(x-1), highest degree first, once per
+    triangulation. The simplices are unimodular (Lemma 12.5), so h is the
+    h*-vector of Q_G: the interior polynomial of the trees' U-side hypertrees
+    (Kalman and Postnikov, *Root polytopes, Tutte polynomials, and a duality
+    theorem for bipartite graphs*, 2017), padded with zeros to f's length."""
+
+    def build() -> tuple[int, ...]:
+        u_size, ends = tr.parent.u_size, _edge_ends(tr.parent)
+        u_ends = [[ends[e][0] for e in tree] for tree in tr.trees]
+        hypertrees = {tuple(us.count(u) - 1 for u in range(u_size)) for us in u_ends}
+        if len(hypertrees) != len(tr.trees):  # each occurs once (Postnikov, 2009, section 12)
+            raise InternalConsistencyError("two triangulation trees have the same hypertree")
+        h = interior_polynomial(hypertrees)
+        return h + (0,) * (len(tr.trees[0]) + 1 - len(h))
+
+    return memo(tr, "h_vector", build)
+
+
+def f_vector(tr: Triangulation) -> tuple[int, ...]:
+    """Face counts, highest degree first, once per triangulation: f(y) = h(y+1),
+    whose y^(d+1-k) coefficient counts the (k-1)-dimensional faces, from the
+    single empty face at y^(d+1) down to the top simplices."""
+
+    def build() -> tuple[int, ...]:
+        f = list(h_vector(tr))
+        for m in range(len(f), 1, -1):  # Taylor shift by 1: prefix sums of ever shorter heads
+            f[:m] = accumulate(f[:m])
+        return tuple(f)
+
+    return memo(tr, "f_vector", build)
 
 
 def verify_duality_suite(t: Trinity) -> dict:

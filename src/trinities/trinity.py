@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import integer_det
-from .maps import Bipartition, MapError, PlanarMap, build_map_from_darts, memo
+from .maps import Bipartition, MapError, PlanarMap, build_map, memo
 
 VIOLET = "violet"
 EMERALD = "emerald"
@@ -234,14 +234,7 @@ def _colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
         key = a_index[r] if class_a_colour == RED else b_index[r]
         rotations[key] = [white_index[d] for d in orbit if d in white_index and t.triangles[d].red == r]
     n_vertices = len(a_ids) + len(b_ids)
-    rotation_list = [rotations[v] for v in range(n_vertices)]
-    # Convert edge-id rotations to dart rotations (multi-edges possible).
-    dart_rot: list[list[int]] = [[] for _ in range(n_vertices)]
-    for v, cycle in enumerate(rotation_list):
-        for e in cycle:
-            u0, u1 = edges[e]
-            dart_rot[v].append(2 * e if u0 == v else 2 * e + 1)
-    cm = build_map_from_darts(n_vertices, edges, dart_rot, allow_loops=True)
+    cm = build_map(n_vertices, edges, [rotations[v] for v in range(n_vertices)])
     bip = Bipartition(class_a=frozenset(range(len(a_ids))), class_b=frozenset(range(len(a_ids), n_vertices)))
     return cm, bip
 

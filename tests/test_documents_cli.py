@@ -228,6 +228,17 @@ def test_cli_root_triangle_override(capsys):
     assert main(["report", fixture_path("g1.json"), "--root-triangle", "1"]) == EXIT_INVALID_INPUT
 
 
+def test_cli_homfly_root_dual_vertex_must_be_red(capsys):
+    g1 = fixture_path("g1.json")
+    # 0 is g1's default red root, so the flag changes no byte.
+    assert run_cli(capsys, "homfly", g1, "--root-dual-vertex", "0") == run_cli(capsys, "homfly", g1)
+    for bad in ("99", "-1"):
+        assert main(["homfly", g1, "--root-dual-vertex", bad]) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: root dual vertex {bad} is not a red vertex\n"
+
+
 @pytest.mark.parametrize("flags", [["--seed", "0"], ["--all"]])
 def test_removed_noop_flags_fail_argument_parsing(capsys, flags):
     with pytest.raises(SystemExit) as exc:

@@ -5,9 +5,11 @@ point) against unit volumes, the placing volume and the ridges on more
 mutated sets, the generic point's sign rule against exact barycentric
 coordinates, Lemma 12.6 against the common-face LP, the placing volume
 against the hypertree count, Lemma 12.5 (unit tree and placing simplices),
-the bitmask f-vector against the faces' vertex sets, and a bad tree pair
-against the triangulation's check. ``report`` and ``verify`` solve no LP,
-build no rational vector, check no pair of trees and compute no volume."""
+the f-vector read off the interior polynomial against the faces' vertex
+sets, the interior polynomial under permuted coordinates and on both sides,
+and a bad tree pair against the triangulation's check. ``report`` and
+``verify`` solve no LP, build no rational vector, check no pair of trees,
+compute no volume and count no face."""
 
 import pkgutil
 import random
@@ -33,7 +35,14 @@ from trinities.trinity import (
     directed_dual,
 )
 
-from helpers import count_calls_everywhere, fig7_trinity, g1_trinity, random_trinity, single_edge_trinity
+from helpers import (
+    count_calls_everywhere,
+    fig7_trinity,
+    g1_trinity,
+    grid_trinity,
+    random_trinity,
+    single_edge_trinity,
+)
 from oracles import (
     generic_point,
     intersect_in_common_face,
@@ -49,6 +58,7 @@ RIDGE_FAILURE = "triangulation (boundary|interior) ridge"
 POINT_FAILURE = "triangulation covers a generic point"
 
 FIXTURES = [single_edge_trinity, g1_trinity, fig7_trinity]
+GRIDS = [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4)]
 
 
 def corpus(chunk):
@@ -165,13 +175,64 @@ def face_counts(simplices):
     return tuple(sum(1 for f in faces if len(f) == k) for k in range(len(simplices[0]) + 1))
 
 
+def f_vector_cases(case):
+    """Triangulations whose f-vector, read off the interior polynomial, is
+    compared with their faces: every colour at the default root of a corpus
+    chunk, every root of every colour of the fixtures, and the red default
+    root of the plane grids 2x3 to 3x4."""
+    if case == "fixtures":
+        for build in FIXTURES:
+            t = build()
+            for colour in COLOURS:
+                for root in directed_dual(t, colour).vertices:
+                    yield polytopes.arborescence_triangulation(t, colour, root)
+    elif case == "grids":
+        for rows, columns in GRIDS:
+            yield polytopes.arborescence_triangulation(grid_trinity(rows, columns), RED)
+    else:
+        for t in corpus(case):
+            for colour in COLOURS:
+                yield polytopes.arborescence_triangulation(t, colour)
+
+
+@pytest.mark.parametrize("case", [*range(10), "fixtures", "grids"])
+def test_f_vector_counts_the_faces_of_the_tree_simplices(case):
+    for tr in f_vector_cases(case):
+        assert polytopes.f_vector(tr) == face_counts(tr.simplices)
+        assert polytopes.f_vector(tr) is polytopes.f_vector(tr)
+        assert polytopes.h_vector(tr) is polytopes.h_vector(tr)
+
+
 @pytest.mark.parametrize("chunk", range(10))
-def test_f_vector_counts_the_faces_of_the_tree_simplices(chunk):
+def test_the_interior_polynomial_ignores_the_coordinate_order_and_the_side(chunk):
+    rng = random.Random(chunk)
     for t in corpus(chunk):
-        for colour in COLOURS:
-            tr = polytopes.arborescence_triangulation(t, colour)
-            assert polytopes.f_vector(tr) == face_counts(tr.simplices)
-            assert polytopes.f_vector(tr) is polytopes.f_vector(tr)
+        for code in HYPERGRAPH_CODES:
+            points = trees.hypertree_set(t, code)
+            interior = polytopes.interior_polynomial(points)
+            assert sum(interior) == len(points) and interior[0] == 1, code
+            # I_H = I_{H^T} (Kalman and Postnikov, 2017).
+            assert polytopes.interior_polynomial(trees.hypertree_set(t, code[::-1])) == interior, code
+            order = list(range(len(points[0])))
+            for _ in range(3):
+                rng.shuffle(order)
+                permuted = {tuple(p[i] for i in order) for p in points}
+                assert polytopes.interior_polynomial(permuted) == interior, (code, order)
+
+
+def test_a_repeated_tree_fails_the_h_vector():
+    tr = polytopes.arborescence_triangulation(g1_trinity(), RED)
+    repeated = polytopes.Triangulation(
+        parent=tr.parent, trees=tr.trees + tr.trees[:1], simplices=tr.simplices + tr.simplices[:1]
+    )
+    with pytest.raises(InternalConsistencyError, match="same hypertree"):
+        polytopes.h_vector(repeated)
+
+
+@pytest.mark.parametrize("rows, columns, magic", [(3, 6, 780), (4, 5, 2_624)])
+def test_the_h_vector_of_a_large_grid_sums_to_the_magic_number(rows, columns, magic):
+    tr = polytopes.arborescence_triangulation(grid_trinity(rows, columns), RED)
+    assert sum(polytopes.h_vector(tr)) == polytopes.f_vector(tr)[-1] == magic
 
 
 def test_a_bad_tree_pair_fails_the_triangulation(monkeypatch):
@@ -347,6 +408,14 @@ def test_no_library_module_checks_tree_pairs():
     for info in pkgutil.iter_modules(trinities.__path__):
         module = import_module(f"trinities.{info.name}")
         assert not hasattr(module, "tree_simplices_meet_in_common_face"), info.name
+
+
+def test_no_library_module_counts_faces():
+    # The h-vector is the interior polynomial of the trees' hypertrees and f
+    # is read off h, so the face count lives in the tests only.
+    for info in pkgutil.iter_modules(trinities.__path__):
+        module = import_module(f"trinities.{info.name}")
+        assert not hasattr(module, "_f_vector"), info.name
 
 
 def test_no_library_module_computes_a_volume():
