@@ -41,30 +41,23 @@ EXIT_CROSSING_CAP = 4
 
 
 def _load_trinity(path: str, root_triangle: Optional[int]) -> tuple[GraphDocument, Trinity]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = parse_graph_document(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
+        raise DocumentError(str(exc)) from exc
+    doc = parse_graph_document(text)
     m, bip, outer = document_to_map(doc)
     t = build_trinity(m, bip, outer_face=outer, root_triangle=root_triangle)
     return doc, t
 
 
-def _jsonable(x):
-    if isinstance(x, links.LaurentPoly2):
-        return links.format_poly(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (frozenset, set)):
-        return sorted(_jsonable(v) for v in x)
-    return x
-
-
 def _emit(obj: dict, fmt: str) -> None:
+    """Write the document to stdout: tuples as lists, link polynomials formatted."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, default=links.format_poly) + "\n")
     else:
-        _emit_text(_jsonable(obj), 0)
+        _emit_text(obj, 0)
 
 
 def _emit_text(obj, depth: int) -> None:
@@ -72,14 +65,14 @@ def _emit_text(obj, depth: int) -> None:
     if isinstance(obj, dict):
         for k in sorted(obj):
             v = obj[k]
-            if isinstance(v, (dict, list)) and v:
+            if isinstance(v, (dict, list, tuple)) and v:
                 sys.stdout.write(f"{pad}{k}:\n")
                 _emit_text(v, depth + 1)
             else:
                 sys.stdout.write(f"{pad}{k}: {_inline(v)}\n")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 sys.stdout.write(f"{pad}-\n")
                 _emit_text(v, depth + 1)
             else:
@@ -89,8 +82,10 @@ def _emit_text(obj, depth: int) -> None:
 
 
 def _inline(v) -> str:
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_inline(x) for x in v) + "]"
+    if isinstance(v, links.LaurentPoly2):
+        return links.format_poly(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if v is None:
@@ -101,7 +96,7 @@ def _inline(v) -> str:
 def _polytope_listing(tp: polytopes.TaggedPolytope) -> dict:
     return {
         "vertices": [format_point(v) for v in tp.vertices],
-        "lattice_points": [list(p) for p in tp.lattice],
+        "lattice_points": tp.lattice,
         "affine_dim": tp.affine_dim,
     }
 
@@ -128,7 +123,7 @@ def _homfly_section(t: Trinity, crossing_cap: int, root: Optional[int], emit_pd:
             "top": rep["top"],
             "alexander_conway": ac,
             "alexander_leading_coefficient": sum(c for _k, c in ac.z_coefficient(zdeg).coeffs),
-            "h_vector": list(rep["h_vector"]),
+            "h_vector": rep["h_vector"],
             "identity_top_equals_scaled_h": rep["holds"],
             "scaled_h_of_v_minus2": rep["scaled_h_of_v_minus2"],
             "scaled_h_of_v_minus1": rep["scaled_h_of_v_minus1"],
@@ -140,7 +135,7 @@ def _homfly_section(t: Trinity, crossing_cap: int, root: Optional[int], emit_pd:
 def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: bool) -> tuple[dict, int]:
     m = t.map
     magic = magic_number_report(t)
-    hyper_sets = {code: [list(p) for p in trees.hypertree_set(t, code)] for code in HYPERGRAPH_CODES}
+    hyper_sets = {code: trees.hypertree_set(t, code) for code in HYPERGRAPH_CODES}
     poly_section = {}
     for code in HYPERGRAPH_CODES:
         poly_section[code] = {
@@ -154,16 +149,16 @@ def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: boo
     for root in dd.vertices:
         tr = polytopes.arborescence_triangulation(t, "red", root)
         triangulations[str(root)] = {
-            "trees": [list(x) for x in tr.trees],
-            "f_vector": list(polytopes.f_vector(tr)),
-            "h_vector": list(polytopes.h_vector(tr)),
+            "trees": tr.trees,
+            "f_vector": polytopes.f_vector(tr),
+            "h_vector": polytopes.h_vector(tr),
         }
     support = floer.sfh_support(t)
     homfly_section, code = _homfly_section(t, crossing_cap, None, emit_pd)
     report = {
         "graph": {
-            "violet": list(doc.violet),
-            "emerald": list(doc.emerald),
+            "violet": doc.violet,
+            "emerald": doc.emerald,
             "n_edges": m.n_edges,
             "n_faces": m.n_faces,
             "first_betti_number": betti1(m),
@@ -180,7 +175,7 @@ def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: boo
         "duality": polytopes.verify_duality_suite(t),
         "homfly": homfly_section,
         "floer": {
-            "support": [list(p) for p in support.points],
+            "support": support.points,
             "dim_sfh": support.size,
             "tight_contact_counts": {c: floer.tight_contact_count(t, c) for c in COLOURS},
             "genus": betti1(m),
@@ -280,18 +275,19 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trinities", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, crossing_cap: bool = True):
         p.add_argument("path", help="graph document (JSON)")
         p.add_argument("--root-triangle", type=int, default=None, help="white triangle id overriding the default root")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--crossing-cap", type=int, default=16)
+        if crossing_cap:  # only the commands that run the skein read it
+            p.add_argument("--crossing-cap", type=int, default=16)
 
     p = sub.add_parser("report", help="full report: every route to the magic number")
     common(p)
     p.add_argument("--emit-pd", action="store_true")
 
     p = sub.add_parser("polytope", help="vertex and lattice listings of one polytope")
-    common(p)
+    common(p, crossing_cap=False)
     p.add_argument("--hypergraph", required=True, choices=HYPERGRAPH_CODES)
     p.add_argument("--which", required=True, choices=("gp", "trimmed", "hypertree", "root"))
 
@@ -312,7 +308,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # By name, so a cached parser holds no handler and the module's
         # current cmd_* binding runs.
         return globals()[f"cmd_{args.command}"](args)
-    except (DocumentError, MapError, FileNotFoundError) as exc:
+    except (DocumentError, MapError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
     except links.CrossingCapExceeded as exc:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, repeat
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
@@ -194,12 +194,13 @@ def _subset_lattice(bound: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
-def _subset_vertices(bound: Sequence[int], n: int, points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The points whose coordinates have pairwise distinct smallest tight sets:
-    the integral vertices, so all of them when the polytope is integral. The
-    GP and hypertree polytopes are (their bounds are submodular), and so is the
-    trimmed one of a connected hypergraph, which is the dual hypertree polytope
-    (Kalman-Postnikov).
+def _vertices(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The lattice points p, in their order, at which no pair i < j makes
+    both p + e_i - e_j and p - e_i + e_j lattice points; ``points`` is the
+    whole lattice of a subset-inequality description. These are its integral
+    vertices, so all of them when it is integral, as the GP and hypertree
+    polytopes are (their bounds are submodular) and the trimmed one of a
+    connected hypergraph, the dual hypertree polytope (Kalman-Postnikov).
 
     T_i is the intersection of the tight sets (the whole set among them) that
     hold the coordinate i. A point is a vertex iff its tight rows have rank
@@ -218,29 +219,29 @@ def _subset_vertices(bound: Sequence[int], n: int, points: Sequence[tuple[int, .
     differs from it, so by induction on |T_i| every such e_j lies in the
     span of the tight rows, and so does e_i = chi(T_i) - sum of those e_j.
 
-    The rank test itself is the oracle ``tests/oracles.subset_vertices``.
+    p + e_i - e_j keeps x(all) and adds 1 to x(S) exactly when S holds i and
+    not j. Slacks are integers, so it is a lattice point iff no tight set
+    holds i without j, that is iff j is in T_i; and T_i = T_j iff j is in
+    T_i and i is in T_j. The code c = sum_k p_k 2^(wk) is linear in p, so
+    p +- (e_i - e_j) has the code c +- (2^(wi) - 2^(wj)); it is one-to-one
+    on the points and their exchanges, whose coordinates differ by at most
+    the lattice's spread plus 1, below 2^w. The rank test itself is the
+    oracle ``tests/oracles.subset_vertices``.
     """
-    full = (1 << n) - 1
-    out = []
-    for p in points:
-        sums = [0]
-        for v in p:
-            sums += [x + v for x in sums]
-        smallest = [full] * n
-        for s in range(1, 1 << n):
-            if sums[s] == bound[s]:
-                for i in range(n):
-                    if s >> i & 1:
-                        smallest[i] &= s
-        if len(set(smallest)) == n:
-            out.append(p)
-    return out
+    if len(points) < 2:  # no exchange can reach another point
+        return list(points)
+    w = (max(map(max, points)) - min(map(min, points)) + 1).bit_length()
+    codes = [sum(v << w * k for k, v in enumerate(p)) for p in points]
+    present = set(codes)
+    inner = set()
+    for i, j in combinations(range(len(points[0])), 2):
+        d = (1 << w * i) - (1 << w * j)
+        inner.update(c for c in present if c + d in present and c - d in present)
+    return [p for p, c in zip(points, codes) if c not in inner]
 
 
-def _tagged(
-    bound: Sequence[int], n: int, lattice: tuple[tuple[int, ...], ...], code: str, kind: str
-) -> TaggedPolytope:
-    vertices = tuple(_subset_vertices(bound, n, lattice))  # sorted, as the lattice is
+def _tagged(lattice: tuple[tuple[int, ...], ...], code: str, kind: str) -> TaggedPolytope:
+    vertices = tuple(_vertices(lattice))  # sorted, as the lattice is
     return TaggedPolytope(
         vertices=vertices, affine_dim=affine_dim(vertices), lattice=lattice, hypergraph=code, kind=kind
     )
@@ -259,8 +260,8 @@ def _gp_data_of(t: Trinity, code: str):
     return memo(t, ("gp_data", code), lambda: (n, _coverage_bound(he, n), _generator_sums(he, n)))
 
 
-def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...]):
-    """Bound and lattice points of the GP polytope minus the standard simplex.
+def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Lattice points of the GP polytope minus the standard simplex.
 
     x + Delta lies in the GP polytope iff x + e_i does for every i, so the
     bound is f - 1 on nonempty sets. The lattice points are checked against
@@ -268,8 +269,7 @@ def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...])
     intersection over i of the sets {p - e_i} of the sums p (n >= 1), taken
     as the x in {p - e_0} whose x + e_i is a sum for each i >= 1 in turn.
     """
-    bound = [0] + [c - 1 for c in coverage[1:]]
-    lattice = _subset_lattice(bound, n)
+    lattice = _subset_lattice([0] + [c - 1 for c in coverage[1:]], n)
     pts = set(sums)
     trimmed = {(p[0] - 1,) + p[1:] for p in pts}
     for i in range(1, n):
@@ -278,7 +278,7 @@ def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...])
         raise InternalConsistencyError("trimmed polytope has no lattice points")
     if canonical_lattice_set(trimmed) != lattice:
         raise InternalConsistencyError("trimmed lattice set is not convexly closed")
-    return tuple(bound), lattice
+    return lattice
 
 
 def _trimmed_of(t: Trinity, code: str):
@@ -286,13 +286,13 @@ def _trimmed_of(t: Trinity, code: str):
     return memo(t, ("trimmed", code), lambda: _trimmed(*_gp_data_of(t, code)))
 
 
-def hypertree_lattice_of(t: Trinity, code: str):
-    """Kalman's bound mu and its lattice points, the hypertrees of the
+def hypertree_lattice_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
+    """The lattice points of Kalman's bound mu, the hypertrees of the
     selector's hypergraph, once per trinity and selector."""
 
     def build():
-        bound = _hypertree_bound(_hyperedges_of(t, code))
-        return tuple(bound), _subset_lattice(bound, len(hypergraph_view(t, code)[2]))
+        he = _hyperedges_of(t, code)
+        return _subset_lattice(_hypertree_bound(he), len(he))
 
     return memo(t, ("hypertree_lattice", code), build)
 
@@ -303,13 +303,12 @@ def gp_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     lattice = _subset_lattice(bound, n)
     if sums != lattice:
         raise InternalConsistencyError("sums of generators do not exhaust the lattice points")
-    return _tagged(bound, n, lattice, code, "gp")
+    return _tagged(lattice, code, "gp")
 
 
 def trimmed_gp_of(t: Trinity, code: str) -> TaggedPolytope:
     """Minkowski difference of the GP polytope by the standard simplex on X."""
-    bound, lattice = _trimmed_of(t, code)
-    return _tagged(bound, len(hypergraph_view(t, code)[1]), lattice, code, "trimmed")
+    return _tagged(_trimmed_of(t, code), code, "trimmed")
 
 
 def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
@@ -318,11 +317,10 @@ def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     The lattice of mu is checked against the hypertrees of the triangulation
     trees at the colour's default root: equal sets, no vector repeated.
     """
-    _cm, _x_ids, y_ids = hypergraph_view(t, code)
-    bound, lattice = hypertree_lattice_of(t, code)
+    lattice = hypertree_lattice_of(t, code)
     if triangulation_hypertrees(t, code) != lattice:
         raise InternalConsistencyError("hypertree set is not convexly closed")
-    return _tagged(bound, len(y_ids), lattice, code, "hypertree")
+    return _tagged(lattice, code, "hypertree")
 
 
 def root_polytope(m: PlanarMap, u_ids: Sequence[int], v_ids: Sequence[int]) -> RootPolytope:
@@ -602,8 +600,7 @@ def verify_duality_suite(t: Trinity) -> dict:
     trimmed_matches = {}
     for code in HYPERGRAPH_CODES:
         rev = code[::-1]
-        _bound, lattice = _trimmed_of(t, code)
-        trimmed_matches[code] = lattice == trees.hypertree_set(t, rev)
+        trimmed_matches[code] = _trimmed_of(t, code) == trees.hypertree_set(t, rev)
     reflections = {}
     for c1, c2 in (("VE", "RE"), ("RV", "EV"), ("VR", "ER")):
         s1 = trees.hypertree_set(t, c1)

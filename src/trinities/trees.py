@@ -53,7 +53,7 @@ def hypertree_set(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
     table has 2^|Y| entries; ``report`` and ``verify`` build such a table for
     every vertex class anyway, in the trimmed and hypertree polytopes.
     """
-    return polytopes.hypertree_lattice_of(t, code)[1]
+    return polytopes.hypertree_lattice_of(t, code)
 
 
 def count_arborescences(dd: DirectedDual, root: int) -> int:

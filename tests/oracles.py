@@ -23,8 +23,8 @@
   recomputes every prefix subset sum at each node, 2^k of them at depth k
   (the library carries residual bound tables down the walk instead);
 - the vertices among those lattice points by the rank of their tight rows
-  (the library compares the smallest tight sets of the coordinates as
-  bitmasks instead);
+  (the library reads them off the lattice instead: a point is a vertex iff
+  no two coordinates can be exchanged, one up and one down, both ways);
 - the skein recursion on arc-labelled crossings, which relabels every
   crossing on each Reidemeister-I move and smoothing (the library runs the
   skein on Gauss codes).

@@ -167,6 +167,19 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing.json")]) == EXIT_INVALID_INPUT
 
 
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_cli_unreadable_input_exit_code(tmp_path, capsys, command):
+    # Bytes that are not UTF-8, and a directory, are invalid input, not a
+    # failed check.
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe\x00")
+    for path in (undecodable, tmp_path):
+        assert main([command, str(path)]) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # One edge between violet "a" and emerald "b"; each mutation below used to be
 # coerced into this same document and verified with exit 0.
 SINGLE_EDGE_AB = {
@@ -239,10 +252,16 @@ def test_cli_homfly_root_dual_vertex_must_be_red(capsys):
         assert captured.err == f"error: root dual vertex {bad} is not a red vertex\n"
 
 
-@pytest.mark.parametrize("flags", [["--seed", "0"], ["--all"]])
+# Each entry is a command and flags it does not read.
+@pytest.mark.parametrize(
+    "flags", [["verify", "--seed", "0"], ["verify", "--all"], ["polytope", "--crossing-cap", "5"]]
+)
 def test_removed_noop_flags_fail_argument_parsing(capsys, flags):
+    command, *rest = flags
+    if command == "polytope":
+        rest += ["--hypergraph", "VE", "--which", "gp"]
     with pytest.raises(SystemExit) as exc:
-        main(["verify", fixture_path("g1.json"), *flags])
+        main([command, fixture_path("g1.json"), *rest])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

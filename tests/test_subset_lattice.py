@@ -2,11 +2,12 @@
 that rescans every prefix sum (``oracles.subset_lattice``): Kalman's mu, the
 coverage bound f and f - 1 of every selector, and random bounds that need
 not be submodular, the smallest ones also against a scan of a box. The
-vertex rule of distinct smallest tight sets against the rank of the tight
-rows (``oracles.subset_vertices``) on the same three bounds."""
+vertex rule, no exchange of two coordinates possible both ways, against the
+rank of the tight rows (``oracles.subset_vertices``) on the same three
+bounds."""
 
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -59,7 +60,7 @@ def test_walk_is_the_oracle_on_grids_with_shuffled_edge_ids(rows, columns):
 def assert_vertex_rules_agree(t):
     for label, bound, n in selector_bounds(t):
         points = polytopes._subset_lattice(bound, n)
-        assert polytopes._subset_vertices(bound, n, points) == subset_vertices(bound, n, points), label
+        assert polytopes._vertices(points) == subset_vertices(bound, n, points), label
 
 
 @pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
@@ -74,9 +75,51 @@ def test_vertex_rule_is_the_rank_test_on_the_corpus(chunk):
         assert_vertex_rules_agree(random_trinity(rng))
 
 
-@pytest.mark.parametrize("rows, columns", [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4)])
+@pytest.mark.parametrize("rows, columns", [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (3, 5)])
 def test_vertex_rule_is_the_rank_test_on_grids(rows, columns):
     assert_vertex_rules_agree(grid_trinity(rows, columns))
+
+
+def test_vertex_rule_keeps_the_corners_of_a_hexagon():
+    # b({i}) = 3, b({i, j}) = 5, b(all) = 6: the permutohedron of (1, 2, 3)
+    # with its centre, which every pair can be exchanged at both ways.
+    bound = [0, 3, 3, 5, 3, 5, 5, 6]
+    points = polytopes._subset_lattice(bound, 3)
+    corners = sorted(permutations((1, 2, 3)))
+    assert points == tuple(sorted([*corners, (2, 2, 2)]))
+    assert polytopes._vertices(points) == corners == subset_vertices(bound, 3, points)
+
+
+def exchange_vertices(points):
+    """The points p of the set for which no pair i < j has both
+    p + e_i - e_j and p - e_i + e_j in the set, compared as tuples."""
+    present = set(points)
+
+    def exchanged(p, i, j, d):
+        q = list(p)
+        q[i] += d
+        q[j] -= d
+        return tuple(q) in present
+
+    return [
+        p
+        for p in points
+        if not any(exchanged(p, i, j, 1) and exchanged(p, i, j, -1) for i, j in combinations(range(len(p)), 2))
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_vertex_rule_reads_the_exchanges_of_any_point_set(n):
+    # The rule packs each point into one integer; on sets of small spread,
+    # negative coordinates among them, the packing must not merge a point
+    # with an exchange of another.
+    rng = random.Random(f"exchanges:{n}")
+    for k in range(300):
+        low = rng.randint(-3, 1)
+        high = low + rng.randint(1, 3)
+        box = list(product(range(low, high + 1), repeat=n))
+        points = sorted(rng.sample(box, rng.randint(2, min(len(box), 40))))
+        assert polytopes._vertices(points) == exchange_vertices(points), (k, points)
 
 
 def box_scan(bound, n):
