@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
             except InternalConsistencyError:
                 failures.append(f"triangulation-{colour}-root-{root}")
                 continue
-            if len(tr.simplices) != magic["magic_number"]:
+            if len(tr.trees) != magic["magic_number"]:
                 failures.append(f"triangulation-size-{colour}-root-{root}")
             hypertrees_hold &= all(
                 polytopes.triangulation_hypertrees(t, code, root) == trees.hypertree_set(t, code) for code in sides

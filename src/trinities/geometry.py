@@ -1,9 +1,8 @@
 """Lattice polytopes given by integer points, with exact predicates.
 
-Canonical lattice sets and affine dimensions take integer points and run
-fraction-free. The rational block beside them, ``VPolytope`` with the
-LP-based ``points_contain``, ``prune_to_vertices`` and ``lattice_points``,
-is used only by the test oracles. It stays here because the benchmark's
+Canonical lattice sets take integer points. The rational block beside them,
+``VPolytope`` with the LP-based ``points_contain``, ``prune_to_vertices``
+and ``lattice_points``, is used only by the test oracles. It stays here because the benchmark's
 tracer test wraps ``geometry.lp_solve`` and ``polytopes.lattice_points`` and
 can only change with the benchmark.
 """
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import OPTIMAL, DimensionError, RatVec, fvec, integer_rank, lp_solve
+from .linalg import OPTIMAL, DimensionError, RatVec, fvec, lp_solve
 
 IntVec = tuple[int, ...]
 
@@ -69,13 +68,6 @@ class VPolytope:
         if not vertices:
             raise ValueError("a polytope needs at least one point")
         return cls(vertices=vertices)
-
-
-def affine_dim(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine span of integer points."""
-    if not points:
-        raise ValueError("affine_dim of empty point set")
-    return integer_rank([[x - y for x, y in zip(q, points[0], strict=True)] for q in points[1:]])
 
 
 def lattice_points(p: VPolytope) -> tuple[IntVec, ...]:

@@ -1,15 +1,13 @@
-"""Exact linear algebra: integer determinants and ranks, and a small simplex
-LP.
+"""Exact linear algebra: integer determinants and a small simplex LP.
 
-Determinants and ranks run fraction-free on Python integers. The LP
-operates on tuples of ``fractions.Fraction`` and serves the test oracles
-only. No floats anywhere.
+Determinants run fraction-free on Python integers. The LP operates on tuples
+of ``fractions.Fraction`` and serves the test oracles only. No floats
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 RatVec = tuple[Fraction, ...]
@@ -55,37 +53,6 @@ def integer_det(m: Sequence[Sequence[int]]) -> int:
             row[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def extend_basis(basis: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
-    """Reduce an integer row against an echelon basis of (pivot column, row)
-    pairs, fraction-free; if anything is left, append it (divided by its gcd)
-    with its first nonzero column as pivot and return True.
-
-    Each basis row is zero at the pivots of the rows before it, so the basis
-    restricted to its pivot columns is triangular with a nonzero diagonal:
-    projecting the row span onto the pivot columns is injective.
-    """
-    row = list(row)
-    for col, prow in basis:
-        if row[col]:
-            a, b = prow[col], row[col]
-            row = [a * x - b * y for x, y in zip(row, prow)]
-    lead = next((j for j, x in enumerate(row) if x), None)
-    if lead is None:
-        return False
-    g = gcd(*row)
-    basis.append((lead, [x // g for x in row]))
-    return True
-
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free elimination."""
-    basis: list[tuple[int, list[int]]] = []
-    for row in rows:
-        if extend_basis(basis, row) and len(basis) == len(row):
-            break
-    return len(basis)
 
 
 # ---------------------------------------------------------------------------

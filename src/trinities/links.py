@@ -104,12 +104,6 @@ def median_diagram_of(t: Trinity) -> LinkDiagram:
     return memo(t, "median_diagram", lambda: median_diagram(t.map, bip, violet=t.violet))
 
 
-def mirror(d: LinkDiagram) -> LinkDiagram:
-    return LinkDiagram(
-        crossings=tuple(c.switched() for c in d.crossings), free_circles=d.free_circles
-    )
-
-
 def gauss_code(d: LinkDiagram) -> list[tuple[int, ...]]:
     """The diagram's components as tuples of crossing visits, 2i for the
     over-strand of crossing i and 2i + 1 for its under-strand, in order of

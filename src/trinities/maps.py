@@ -37,10 +37,6 @@ class NotConnectedError(MapError):
     pass
 
 
-class NotBipartiteError(MapError):
-    pass
-
-
 @dataclass(frozen=True)
 class Bipartition:
     class_a: frozenset[int]
@@ -216,64 +212,5 @@ def build_map(
     return build_map_from_darts(n_vertices, edges, vertex_rotations)
 
 
-def faces(m: PlanarMap) -> tuple[tuple[int, ...], ...]:
-    return m.faces
-
-
-def planar_dual(m: PlanarMap) -> PlanarMap:
-    """Dual map: one vertex per face, same darts, rotation = face traversal.
-
-    Edge ids are preserved, so dual edge e crosses primal edge e.
-    """
-    edges = tuple((m.face_of[2 * e], m.face_of[2 * e + 1]) for e in range(m.n_edges))
-    vertex_rotations = [list(orbit) for orbit in m.faces]
-    return build_map_from_darts(m.n_faces, edges, vertex_rotations, allow_loops=True)
-
-
-def bipartition(m: PlanarMap) -> Bipartition:
-    colour = [-1] * m.n_vertices
-    colour[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for d in m.darts_of_vertex(u):
-            w = m.head_of(d)
-            if colour[w] == -1:
-                colour[w] = 1 - colour[u]
-                stack.append(w)
-            elif colour[w] == colour[u]:
-                raise NotBipartiteError("graph contains an odd cycle")
-    return Bipartition(
-        class_a=frozenset(v for v in range(m.n_vertices) if colour[v] == 0),
-        class_b=frozenset(v for v in range(m.n_vertices) if colour[v] == 1),
-    )
-
-
 def betti1(m: PlanarMap) -> int:
     return m.n_edges - m.n_vertices + 1
-
-
-def maps_isomorphic(m1: PlanarMap, m2: PlanarMap) -> bool:
-    """Orientation-preserving combinatorial-map isomorphism (dart relabeling)."""
-    if (m1.n_vertices, m1.n_edges, m1.n_faces) != (m2.n_vertices, m2.n_edges, m2.n_faces):
-        return False
-    n = m1.n_darts
-    if n == 0:
-        return True
-    for start in range(n):
-        phi = {0: start}
-        stack = [0]
-        ok = True
-        while stack and ok:
-            d = stack.pop()
-            for nd1, nd2 in (((d ^ 1), m2.alpha(phi[d])), (m1.sigma[d], m2.sigma[phi[d]])):
-                if nd1 in phi:
-                    if phi[nd1] != nd2:
-                        ok = False
-                        break
-                else:
-                    phi[nd1] = nd2
-                    stack.append(nd1)
-        if ok and len(phi) == n and len(set(phi.values())) == n:
-            return True
-    return False

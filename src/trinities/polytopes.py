@@ -11,16 +11,19 @@ descriptions in integer arithmetic, and each is checked against a second,
 independent description of its lattice points: the sums of generators, the
 set-difference trimming, and the hypertrees of the trees of an arborescence
 triangulation of the root polytope (Postnikov, *Permutohedra, associahedra,
-and beyond*, 2009, section 12: each hypertree exactly once). The lattice
-points of a root polytope are its generators. The tree simplices of an
-arborescence triangulation are proved to triangulate the root polytope in
-one pass, linear in their number: every ridge of a tree simplex lies in one
-simplex on the boundary and in two, on opposite sides, inside, and one
-generic point lies in exactly one simplex. The simplices are unimodular by
-Postnikov's Lemma 12.5, so no volume is computed, and h is the interior
-polynomial of the trees' hypertrees, so no face is counted. Every point is
-an integer vector; volumes, the placing triangulation, the Cayley slices,
-Lemma 12.6 and face counts live in the test oracles.
+and beyond*, 2009, section 12: each hypertree exactly once). Their vertices
+and dimension are read off the exchanges e_i - e_j that the lattice points
+take. The lattice points of a root polytope are its generators, and its
+dimension is |U| + |V| - 2. The tree simplices of an arborescence
+triangulation are proved to triangulate the root polytope in one pass,
+linear in their number: each tree has n - 1 edges that span, and every
+ridge of a tree simplex lies in one simplex on the boundary and in two, on
+opposite sides, inside, and one generic point lies in exactly one simplex.
+The simplices are unimodular by Postnikov's Lemma 12.5, so no volume is
+computed, and h is the interior polynomial of the trees' hypertrees, so no
+face is counted. Every point is an integer vector; ranks, volumes, the
+placing triangulation, the Cayley slices, Lemma 12.6 and face counts live
+in the test oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from typing import Iterable, Optional, Sequence
 
 from .geometry import (
     IntVec,
-    affine_dim,
     canonical_lattice_set,
     lattice_points,  # noqa: F401  (no caller here; perfbench/tests wraps this binding)
 )
@@ -74,7 +76,6 @@ class RootPolytope:
 class Triangulation:
     parent: RootPolytope
     trees: tuple[tuple[int, ...], ...]  # spanning trees, one per simplex
-    simplices: tuple[tuple[IntVec, ...], ...]
 
 
 def hyperedges(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -170,37 +171,42 @@ def _subset_lattice(bound: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]
     """
     if n == 0:
         return ((),)
-    total = bound[-1]
     out: list[tuple[int, ...]] = []
-
-    def descend(prefix: tuple[int, ...], upper: Sequence[int], lower: Sequence[int]) -> None:
-        hi, lo = upper[0], total - lower[0]
-        if len(upper) == 1:
-            out.extend([prefix + (v,) for v in range(lo, hi + 1)])
-        elif len(upper) == 3:
-            _, u0, u1 = upper
-            _, w0, w1 = lower
-            for v in range(lo, hi + 1):
-                out.extend([prefix + (v, x) for x in range(total - min(w0, w1 + v), min(u0, u1 - v) + 1)])
-        else:
-            for v in range(lo, hi + 1):
-                descend(
-                    prefix + (v,),
-                    list(map(min, upper[1::2], map(sub, upper[2::2], repeat(v)))),
-                    list(map(min, lower[1::2], map(add, lower[2::2], repeat(v)))),
-                )
-
-    descend((), bound[1:], bound[-2::-1])
+    _descend(out, bound[-1], (), bound[1:], bound[-2::-1])
     return tuple(out)
 
 
-def _vertices(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _descend(out: list, total: int, prefix: tuple[int, ...], upper: Sequence[int], lower: Sequence[int]) -> None:
+    """Append the lattice points that extend ``prefix``, in order, to ``out``:
+    the walk of ``_subset_lattice`` below one node, whose residual tables are
+    ``upper`` and ``lower``."""
+    hi, lo = upper[0], total - lower[0]
+    if len(upper) == 1:
+        out.extend([prefix + (v,) for v in range(lo, hi + 1)])
+    elif len(upper) == 3:
+        _, u0, u1 = upper
+        _, w0, w1 = lower
+        for v in range(lo, hi + 1):
+            out.extend([prefix + (v, x) for x in range(total - min(w0, w1 + v), min(u0, u1 - v) + 1)])
+    else:
+        for v in range(lo, hi + 1):
+            _descend(
+                out,
+                total,
+                prefix + (v,),
+                list(map(min, upper[1::2], map(sub, upper[2::2], repeat(v)))),
+                list(map(min, lower[1::2], map(add, lower[2::2], repeat(v)))),
+            )
+
+
+def _vertices_and_dim(points: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
     """The lattice points p, in their order, at which no pair i < j makes
-    both p + e_i - e_j and p - e_i + e_j lattice points; ``points`` is the
-    whole lattice of a subset-inequality description. These are its integral
-    vertices, so all of them when it is integral, as the GP and hypertree
-    polytopes are (their bounds are submodular) and the trimmed one of a
-    connected hypergraph, the dual hypertree polytope (Kalman-Postnikov).
+    both p + e_i - e_j and p - e_i + e_j lattice points, and the dimension of
+    the polytope; ``points`` is the whole lattice of a subset-inequality
+    description. The points are its integral vertices, so all of them when
+    it is integral, as the GP and hypertree polytopes are (their bounds are
+    submodular) and the trimmed one of a connected hypergraph, the dual
+    hypertree polytope (Kalman-Postnikov).
 
     T_i is the intersection of the tight sets (the whole set among them) that
     hold the coordinate i. A point is a vertex iff its tight rows have rank
@@ -227,24 +233,37 @@ def _vertices(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     on the points and their exchanges, whose coordinates differ by at most
     the lattice's spread plus 1, below 2^w. The rank test itself is the
     oracle ``tests/oracles.subset_vertices``.
+
+    The dimension is n minus the number of components of the graph joining
+    i and j when some lattice point takes the exchange e_i - e_j. Each such
+    exchange joins two points of P, so it is a direction of P. Conversely P
+    is the hull of its integral vertices, so its graph is connected and its
+    edges span its directions; each edge is parallel to some e_i - e_j, as
+    in every base polytope of an (intersecting) submodular bound, and the
+    first lattice step along it from an end is an exchange. The vectors
+    e_i - e_j of the edges of a graph on n nodes span a space of dimension
+    n minus its number of components.
     """
     if len(points) < 2:  # no exchange can reach another point
-        return list(points)
+        return list(points), 0
+    n = len(points[0])
     w = (max(map(max, points)) - min(map(min, points)) + 1).bit_length()
     codes = [sum(v << w * k for k, v in enumerate(p)) for p in points]
     present = set(codes)
     inner = set()
-    for i, j in combinations(range(len(points[0])), 2):
+    component = list(range(n))
+    for i, j in combinations(range(n), 2):
         d = (1 << w * i) - (1 << w * j)
         inner.update(c for c in present if c + d in present and c - d in present)
-    return [p for p, c in zip(points, codes) if c not in inner]
+        a, b = component[i], component[j]
+        if a != b and any(c + d in present for c in present):
+            component = [a if x == b else x for x in component]
+    return [p for p, c in zip(points, codes) if c not in inner], n - len(set(component))
 
 
 def _tagged(lattice: tuple[tuple[int, ...], ...], code: str, kind: str) -> TaggedPolytope:
-    vertices = tuple(_vertices(lattice))  # sorted, as the lattice is
-    return TaggedPolytope(
-        vertices=vertices, affine_dim=affine_dim(vertices), lattice=lattice, hypergraph=code, kind=kind
-    )
+    vertices, dim = _vertices_and_dim(lattice)  # sorted, as the lattice is
+    return TaggedPolytope(vertices=tuple(vertices), affine_dim=dim, lattice=lattice, hypergraph=code, kind=kind)
 
 
 def _hyperedges_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
@@ -324,7 +343,14 @@ def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
 
 
 def root_polytope(m: PlanarMap, u_ids: Sequence[int], v_ids: Sequence[int]) -> RootPolytope:
-    """Convex hull of i_u - i_v over the edges, U coordinates first."""
+    """Convex hull of i_u - i_v over the edges, U coordinates first.
+
+    Its dimension is |U| + |V| - 2 (Postnikov, 2009, section 12): every
+    generator lies on the two hyperplanes x(U) = 1 and x(V) = -1, and the
+    n - 1 generators of a spanning tree (a map is connected) are linearly
+    independent on the first, which misses the origin, so affinely
+    independent.
+    """
     u_pos = {x: i for i, x in enumerate(u_ids)}
     v_pos = {x: len(u_ids) + i for i, x in enumerate(v_ids)}
     dim = len(u_ids) + len(v_ids)
@@ -339,7 +365,7 @@ def root_polytope(m: PlanarMap, u_ids: Sequence[int], v_ids: Sequence[int]) -> R
     return RootPolytope(
         generators=tuple(gens),
         vertices=vertices,
-        affine_dim=affine_dim(vertices),
+        affine_dim=dim - 2,
         u_size=len(u_ids),
         v_size=len(v_ids),
     )
@@ -374,24 +400,6 @@ def _edge_ends(rp: RootPolytope) -> tuple[tuple[int, int], ...]:
     return memo(rp, "edge_ends", lambda: tuple((g.index(1), g.index(-1)) for g in rp.generators))
 
 
-def tree_simplex(rp: RootPolytope, tree_edges: Sequence[int]) -> tuple[IntVec, ...]:
-    """The sorted vertices of the simplex of an edge set without cycles: its
-    generators are affinely independent iff the edges form a forest, which a
-    union-find over their ends decides."""
-    ends = _edge_ends(rp)
-    head = list(range(rp.u_size + rp.v_size))
-    for e in tree_edges:
-        u, v = ends[e]
-        while head[u] != u:
-            u = head[u]
-        while head[v] != v:
-            v = head[v]
-        if u == v:
-            raise ValueError("edge set does not span a simplex (contains a cycle)")
-        head[u] = v
-    return tuple(sorted(rp.generators[e] for e in tree_edges))
-
-
 def _default_root(t: Trinity, colour: str) -> int:
     """The root triangle's corner of the colour."""
     return t.triangles[t.root_triangle].corner(colour)[1]
@@ -416,11 +424,25 @@ def triangulation_hypertrees(t: Trinity, code: str, root: Optional[int] = None) 
     side is the degree-minus-one vector of exactly one of them (Postnikov,
     2009, section 12), so this is the hypertree set itself.
     """
-    cm, _x_ids, y_ids = hypergraph_view(t, code)
     colour = colour_of_hypergraph(code)
     if root is None:
         root = _default_root(t, colour)
-    return tuple(sorted(trees.hypertree_of(tr, cm.edges, y_ids) for tr in arborescence_trees(t, colour, root)))
+    y_is_u = hypergraph_classes(code)[1] == COLOUR_CLASSES[colour][1]  # the default root polytope's U is class b
+    return tuple(sorted(_tree_hypertrees(root_polytope_of(t, colour), arborescence_trees(t, colour, root), y_is_u)))
+
+
+def _tree_hypertrees(rp: RootPolytope, tree_sets: Iterable[Sequence[int]], u_side: bool) -> list[tuple[int, ...]]:
+    """Each tree's degree-minus-one vector on the U coordinates of the root
+    polytope (``u_side``) or on its V coordinates, read off the edges' ends."""
+    ends = _edge_ends(rp)
+    side, offset, size = (0, 0, rp.u_size) if u_side else (1, rp.u_size, rp.v_size)
+    out = []
+    for tree in tree_sets:
+        degree = [-1] * size
+        for e in tree:
+            degree[ends[e][side] - offset] += 1
+        out.append(tuple(degree))
+    return out
 
 
 def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = None) -> Triangulation:
@@ -446,18 +468,17 @@ def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangula
     the ridges, keyed by vertex set, and (ii) at one point perturbed off every
     ridge hyperplane, in one pass over the trees.
 
-    Each tree has no cycle (``tree_simplex``) and spans the colour graph (the
-    certificate), so its n - 1 generators are affinely independent in the
-    (n - 2)-dimensional span of Q_G: every simplex is full-dimensional. Each
+    Each tree has n - 1 edges and spans the colour graph (the certificate),
+    so it has no cycle and its n - 1 generators are affinely independent in
+    the (n - 2)-dimensional span of Q_G: every simplex is full-dimensional. Each
     is also unimodular, the incidence matrix of a bipartite graph being
     totally unimodular (Postnikov, 2009, Lemma 12.5), so the number of trees
     is the normalized volume of Q_G; no volume is computed.
     """
     rp = root_polytope_of(t, colour)
     tree_sets = arborescence_trees(t, colour, root)
-    simplices = tuple(tree_simplex(rp, tr) for tr in tree_sets)
     ridge_certificate(rp, tree_sets)
-    return Triangulation(parent=rp, trees=tree_sets, simplices=simplices)
+    return Triangulation(parent=rp, trees=tree_sets)
 
 
 def ridge_certificate(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> None:
@@ -525,7 +546,12 @@ def _certificate_pass(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]):
 
 
 def _tree_edge_sides(tree: Sequence[int], ends: Sequence[tuple[int, int]], n: int):
-    """(e, the vertex mask of the side of T - e holding e's U-end) per edge e."""
+    """(e, the vertex mask of the side of T - e holding e's U-end) per edge e.
+
+    Raises unless the n - 1 edges span the n vertices, which makes them a tree.
+    """
+    if len(tree) != n - 1:
+        raise InternalConsistencyError(f"triangulation tree has {len(tree)} edges, not {n - 1}")
     adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e in tree:
         u, v = ends[e]
@@ -571,9 +597,7 @@ def h_vector(tr: Triangulation) -> tuple[int, ...]:
     theorem for bipartite graphs*, 2017), padded with zeros to f's length."""
 
     def build() -> tuple[int, ...]:
-        u_size, ends = tr.parent.u_size, _edge_ends(tr.parent)
-        u_ends = [[ends[e][0] for e in tree] for tree in tr.trees]
-        hypertrees = {tuple(us.count(u) - 1 for u in range(u_size)) for us in u_ends}
+        hypertrees = set(_tree_hypertrees(tr.parent, tr.trees, True))
         if len(hypertrees) != len(tr.trees):  # each occurs once (Postnikov, 2009, section 12)
             raise InternalConsistencyError("two triangulation trees have the same hypertree")
         h = interior_polynomial(hypertrees)

@@ -11,11 +11,10 @@ a test oracle (``tests/oracles.py``), not part of the library.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Sequence
 
 from .linalg import integer_det
-from .maps import PlanarMap
 from .trinity import (
     DirectedDual,
     InternalConsistencyError,
@@ -24,22 +23,6 @@ from .trinity import (
     directed_dual,
 )
 from . import polytopes
-
-
-def hypertree_of(
-    tree_edges: Iterable[int], edges: Sequence[tuple[int, int]], side: Sequence[int]
-) -> tuple[int, ...]:
-    """Degree-minus-one vector of the tree on the given vertices, in their order."""
-    deg: Counter = Counter()
-    side_set = set(side)
-    for e in tree_edges:
-        for v in edges[e]:
-            if v in side_set:
-                deg[v] += 1
-    vec = tuple(deg[v] - 1 for v in side)
-    if any(x < 0 for x in vec):
-        raise ValueError("tree misses a vertex of the chosen side")
-    return vec
 
 
 def hypertree_set(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
@@ -83,42 +66,24 @@ def enumerate_arborescences(dd: DirectedDual, root: int) -> tuple[tuple[int, ...
     for i, (tail, head) in enumerate(dd.edges):
         if tail != head:
             incoming[head].append(i)
-    others = [v for v in verts if v != root]
-    out: list[tuple[int, ...]] = []
-    pick: list[int] = []
-
-    def reaches_all(choice: Sequence[int]) -> bool:
-        adj: dict[int, list[int]] = {v: [] for v in verts}
-        for i in choice:
-            tail, head = dd.edges[i]
-            adj[tail].append(head)
-        seen = {root}
-        stack = [root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
-
-    def rec(i: int) -> None:
-        if i == len(others):
-            if reaches_all(pick):
-                out.append(tuple(sorted(pick)))
-            return
-        for e in incoming[others[i]]:
-            pick.append(e)
-            rec(i + 1)
-            pick.pop()
-
-    rec(0)
-    return tuple(sorted(out))
+    choices = product(*(incoming[v] for v in verts if v != root))
+    return tuple(sorted(tuple(sorted(pick)) for pick in choices if _reaches_all(dd, root, pick)))
 
 
-def dual_tree(m: PlanarMap, tree_edges: Iterable[int]) -> tuple[int, ...]:
-    """Complementary edge set, a spanning tree of the dual map (same edge ids)."""
-    tree = set(tree_edges)
-    return tuple(e for e in range(m.n_edges) if e not in tree)
+def _reaches_all(dd: DirectedDual, root: int, choice: Sequence[int]) -> bool:
+    """Whether the chosen edges reach every vertex from ``root``."""
+    adj: dict[int, list[int]] = {v: [] for v in dd.vertices}
+    for i in choice:
+        tail, head = dd.edges[i]
+        adj[tail].append(head)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
 
 
 def arborescence_to_spanning_tree(t: Trinity, colour: str, arborescence: Sequence[int]) -> tuple[int, ...]:

@@ -1,30 +1,106 @@
 """Shared builders for the test suite: the worked example graph, the larger
 fixture graph, plane grid graphs, the graph document of a trinity, edge-id
 shuffles of a map, a seeded generator of random plane bipartite maps, the
-negation of a point set, and call counters."""
+negation of a point set, and call counters; and the map and link operations
+that only the tests take: the bipartition of a map, its planar dual, map
+isomorphism, the dual spanning tree and the mirror of a link diagram."""
 
 from __future__ import annotations
 
 import pkgutil
 import random
 from importlib import import_module
+from typing import Iterable
 
 import trinities
 from trinities.documents import GraphDocument, serialize_graph_document
 from trinities.geometry import canonical_lattice_set
+from trinities.links import LinkDiagram
 from trinities.maps import (
+    Bipartition,
     MapError,
     NotConnectedError,
     NotPlanarError,
     PlanarMap,
-    bipartition,
     build_map,
+    build_map_from_darts,
 )
 from trinities.trinity import Trinity, build_trinity
 
 # Worked 5-edge example: violet v1,v2,v3 = 0,1,2; emerald e1,e2 = 3,4.
 G1_EDGES = ((0, 3), (1, 3), (2, 3), (1, 4), (2, 4))
 G1_ROTATIONS = ((0,), (1, 3), (2, 4), (0, 2, 1), (3, 4))
+
+
+class NotBipartiteError(MapError):
+    pass
+
+
+def bipartition(m: PlanarMap) -> Bipartition:
+    colour = [-1] * m.n_vertices
+    colour[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for d in m.darts_of_vertex(u):
+            w = m.head_of(d)
+            if colour[w] == -1:
+                colour[w] = 1 - colour[u]
+                stack.append(w)
+            elif colour[w] == colour[u]:
+                raise NotBipartiteError("graph contains an odd cycle")
+    return Bipartition(
+        class_a=frozenset(v for v in range(m.n_vertices) if colour[v] == 0),
+        class_b=frozenset(v for v in range(m.n_vertices) if colour[v] == 1),
+    )
+
+
+def planar_dual(m: PlanarMap) -> PlanarMap:
+    """Dual map: one vertex per face, same darts, rotation = face traversal.
+
+    Edge ids are preserved, so dual edge e crosses primal edge e.
+    """
+    edges = tuple((m.face_of[2 * e], m.face_of[2 * e + 1]) for e in range(m.n_edges))
+    vertex_rotations = [list(orbit) for orbit in m.faces]
+    return build_map_from_darts(m.n_faces, edges, vertex_rotations, allow_loops=True)
+
+
+def maps_isomorphic(m1: PlanarMap, m2: PlanarMap) -> bool:
+    """Orientation-preserving combinatorial-map isomorphism (dart relabeling)."""
+    if (m1.n_vertices, m1.n_edges, m1.n_faces) != (m2.n_vertices, m2.n_edges, m2.n_faces):
+        return False
+    n = m1.n_darts
+    if n == 0:
+        return True
+    for start in range(n):
+        phi = {0: start}
+        stack = [0]
+        ok = True
+        while stack and ok:
+            d = stack.pop()
+            for nd1, nd2 in (((d ^ 1), m2.alpha(phi[d])), (m1.sigma[d], m2.sigma[phi[d]])):
+                if nd1 in phi:
+                    if phi[nd1] != nd2:
+                        ok = False
+                        break
+                else:
+                    phi[nd1] = nd2
+                    stack.append(nd1)
+        if ok and len(phi) == n and len(set(phi.values())) == n:
+            return True
+    return False
+
+
+def dual_tree(m: PlanarMap, tree_edges: Iterable[int]) -> tuple[int, ...]:
+    """Complementary edge set, a spanning tree of the dual map (same edge ids)."""
+    tree = set(tree_edges)
+    return tuple(e for e in range(m.n_edges) if e not in tree)
+
+
+def mirror(d: LinkDiagram) -> LinkDiagram:
+    return LinkDiagram(
+        crossings=tuple(c.switched() for c in d.crossings), free_circles=d.free_circles
+    )
 
 
 def g1_map() -> PlanarMap:

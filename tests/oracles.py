@@ -6,7 +6,10 @@
 - exhaustive spanning-tree enumeration and the hypertree sets it gives (the
   library takes hypertrees from Kalman's mu-lattice and the trees of its
   arborescence triangulations; this enumerates every spanning tree, far more
-  trees than hypertrees);
+  trees than hypertrees), each tree's hypertree counted per vertex id;
+- fraction-free integer ranks and the affine dimension of a point set (the
+  library reads a GP, trimmed or hypertree polytope's dimension off the
+  exchanges its lattice points take, and a root polytope's off |U| + |V|);
 - rational linear algebra: scaling rows to integers, determinants, ranks and
   affine solves over ``Fraction``;
 - lattice volumes: the normalized volume of a simplex (gcd of integer
@@ -15,6 +18,9 @@
   12.5), and one generic point proves they cover the root polytope once;
 - that generic point as a rational point, and whether a simplex holds it,
   from exact barycentric coordinates;
+- the simplex of a tree, its edges checked for a cycle by union-find (the
+  library's ridge certificate proves its trees are trees: n - 1 edges that
+  span);
 - Postnikov's Lemma 12.6 on every pair of tree simplices, against the LP
   common-face test of two simplices (the library checks its triangulations
   by one ridge certificate instead);
@@ -32,27 +38,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
-from trinities.geometry import VPolytope, affine_dim, canonical_lattice_set
-from trinities.linalg import (
-    OPTIMAL,
-    DimensionError,
-    RatVec,
-    extend_basis,
-    fvec,
-    integer_det,
-    integer_rank,
-    lp_solve,
-)
+from trinities.geometry import VPolytope, canonical_lattice_set
+from trinities.linalg import OPTIMAL, DimensionError, RatVec, fvec, integer_det, lp_solve
 from trinities.links import Crossing, LaurentPoly2, LinkDiagram, _split_factor, component_count
 from trinities.maps import PlanarMap, memo
 from trinities.polytopes import RootPolytope, TaggedPolytope
-from trinities.trees import hypertree_of
 from trinities.trinity import (
     InternalConsistencyError,
     Trinity,
@@ -117,6 +114,22 @@ def spanning_trees_of_map(m: PlanarMap) -> tuple[tuple[int, ...], ...]:
     return memo(m, "spanning_trees", lambda: enumerate_spanning_trees(m.n_vertices, m.edges))
 
 
+def hypertree_of(
+    tree_edges: Iterable[int], edges: Sequence[tuple[int, int]], side: Sequence[int]
+) -> tuple[int, ...]:
+    """Degree-minus-one vector of the tree on the given vertices, in their order."""
+    deg: Counter = Counter()
+    side_set = set(side)
+    for e in tree_edges:
+        for v in edges[e]:
+            if v in side_set:
+                deg[v] += 1
+    vec = tuple(deg[v] - 1 for v in side)
+    if any(x < 0 for x in vec):
+        raise ValueError("tree misses a vertex of the chosen side")
+    return vec
+
+
 def hypertree_set_of_graph(m: PlanarMap, side: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The degree-minus-one vectors of every spanning tree on ``side``."""
     return canonical_lattice_set(hypertree_of(t, m.edges, side) for t in spanning_trees_of_map(m))
@@ -145,6 +158,49 @@ def enumerate_tutte_matchings(t: Trinity) -> tuple[tuple[tuple[tuple[str, int], 
 
     backtrack(0)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Integer ranks and affine dimensions.
+# ---------------------------------------------------------------------------
+
+
+def extend_basis(basis: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
+    """Reduce an integer row against an echelon basis of (pivot column, row)
+    pairs, fraction-free; if anything is left, append it (divided by its gcd)
+    with its first nonzero column as pivot and return True.
+
+    Each basis row is zero at the pivots of the rows before it, so the basis
+    restricted to its pivot columns is triangular with a nonzero diagonal:
+    projecting the row span onto the pivot columns is injective.
+    """
+    row = list(row)
+    for col, prow in basis:
+        if row[col]:
+            a, b = prow[col], row[col]
+            row = [a * x - b * y for x, y in zip(row, prow)]
+    lead = next((j for j, x in enumerate(row) if x), None)
+    if lead is None:
+        return False
+    g = gcd(*row)
+    basis.append((lead, [x // g for x in row]))
+    return True
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free elimination."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if extend_basis(basis, row) and len(basis) == len(row):
+            break
+    return len(basis)
+
+
+def affine_dim(points: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine span of integer points."""
+    if not points:
+        raise ValueError("affine_dim of empty point set")
+    return integer_rank([[x - y for x, y in zip(q, points[0], strict=True)] for q in points[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +484,18 @@ def tree_simplices_meet_in_common_face(rp: RootPolytope, tree1: Sequence[int], t
             if not indegree[y]:
                 ready.append(y)
     return removed == len(indegree)
+
+
+def tree_simplex(rp: RootPolytope, tree_edges: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The sorted vertices of the simplex of an edge set without cycles: its
+    generators are affinely independent iff the edges form a forest, which a
+    union-find over their ends decides."""
+    dsu = _DSU(rp.u_size + rp.v_size)
+    for e in tree_edges:
+        g = rp.generators[e]
+        if not dsu.union(g.index(1), g.index(-1)):
+            raise ValueError("edge set does not span a simplex (contains a cycle)")
+    return tuple(sorted(rp.generators[e] for e in tree_edges))
 
 
 def cayley_slice(rp: RootPolytope, side: str) -> VPolytope:

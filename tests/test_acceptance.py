@@ -29,6 +29,7 @@ from trinities.trees import hypertree_set
 from trinities.trinity import COLOURS, RED, magic_number_report
 
 from helpers import fig7_trinity, g1_trinity, negate, random_trinity
+from oracles import tree_simplex
 
 
 def test_criterion_1_magic_number_of_the_worked_example():
@@ -66,7 +67,8 @@ def test_criterion_3_worked_example_triangulations():
     assert by_root[0] == {trees_lex[0], trees_lex[3]}
     assert by_root[1] == {trees_lex[1], trees_lex[2]}
     for root in (0, 1):
-        assert len(arborescence_triangulation(t, RED, root=root).simplices) == 2
+        tr = arborescence_triangulation(t, RED, root=root)
+        assert len([tree_simplex(tr.parent, tree) for tree in tr.trees]) == 2
 
 
 def test_criterion_4_worked_example_face_vectors():
@@ -125,7 +127,8 @@ def test_criterion_8_random_corpus():
         assert report["all_equal"], (i, report)
         magic = report["magic_number"]
         assert verify_duality_suite(t)["all_hold"], i
-        assert len(arborescence_triangulation(t, RED).simplices) == magic
+        tr = arborescence_triangulation(t, RED)
+        assert len([tree_simplex(tr.parent, tree) for tree in tr.trees]) == magic
         assert sfh_support(t).size == magic
         # Every corpus graph has at most 8 edges, so at most 8 crossings.
         assert verify_homfly_h_vector(t)["holds"], i

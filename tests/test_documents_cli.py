@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import types
 from importlib import resources
 
 import pytest
@@ -18,10 +20,9 @@ from trinities.documents import (
     serialize_graph_document,
     format_point,
 )
-from trinities.maps import bipartition
 from trinities.trinity import build_trinity, magic_number_report
 
-from helpers import document_text, grid_trinity
+from helpers import bipartition, document_text, grid_trinity
 
 
 def fixture_path(name: str) -> str:
@@ -385,3 +386,25 @@ def test_cli_survives_mutated_fixtures(tmp_path, capsys, name):
             parsed = parse_graph_document(text)
             assert parse_graph_document(serialize_graph_document(parsed)) == parsed, (case, mutate.__name__)
     assert 0 < accepted < cases
+
+
+def test_a_second_verify_leaves_no_library_function_in_a_cycle(capsys):
+    # The first run builds and caches the parser; what a later run leaves in
+    # reference cycles only the cyclic collector frees, so no library
+    # function may close one.
+    assert main(["verify", fixture_path("g1.json")]) == EXIT_OK
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["verify", fixture_path("g1.json")]) == EXIT_OK
+        gc.collect()
+        cyclic = [
+            f"{obj.__module__}.{obj.__qualname__}"
+            for obj in gc.garbage
+            if isinstance(obj, types.FunctionType) and obj.__module__.startswith("trinities")
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert cyclic == []
+    assert '"ok": true' in capsys.readouterr().out

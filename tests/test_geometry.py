@@ -5,15 +5,16 @@ import pytest
 
 from trinities.geometry import (
     VPolytope,
-    affine_dim,
     canonical_lattice_set,
     lattice_points,
     points_contain,
     prune_to_vertices,
 )
-from trinities.linalg import fvec, integer_rank
+from trinities.linalg import fvec
 
 from oracles import (
+    affine_dim,
+    integer_rank,
     intersect_in_common_face,
     placing_triangulation,
     rank,

@@ -15,7 +15,6 @@ from trinities.polytopes import (
     arborescence_triangulation,
     ridge_certificate,
     root_polytope_of,
-    tree_simplex,
     triangulation_hypertrees,
 )
 from trinities.trinity import (
@@ -34,6 +33,7 @@ from oracles import (
     hypertree_set_of_graph,
     simplex_normalized_volume,
     spanning_trees_of_map,
+    tree_simplex,
     tree_simplices_meet_in_common_face,
 )
 

@@ -18,6 +18,7 @@ from trinities.polytopes import (
 from trinities.trinity import COLOURS, COLOUR_CLASSES, HYPERGRAPH_CODES
 
 from helpers import fig7_trinity, g1_trinity, single_edge_trinity
+from oracles import tree_simplex
 
 FRACTION_IMPORTERS = {"linalg", "geometry"}
 
@@ -34,8 +35,9 @@ def test_fixture_polytopes_have_int_coordinates(build):
         for u_colour in COLOUR_CLASSES[colour]:
             rp = root_polytope_of(t, colour, u_colour)
             values += coordinates(rp.generators) + coordinates(rp.vertices)
-        for s in arborescence_triangulation(t, colour).simplices:
-            values += coordinates(s)
+        tr = arborescence_triangulation(t, colour)
+        for tree in tr.trees:
+            values += coordinates(tree_simplex(tr.parent, tree))
     for code in HYPERGRAPH_CODES:
         for build_polytope in (gp_polytope_of, trimmed_gp_of, hypertree_polytope_of, hypergraph_root_polytope_of):
             tp = build_polytope(t, code)

@@ -21,20 +21,21 @@ from trinities.links import (
     homfly_top,
     median_diagram,
     median_diagram_of,
-    mirror,
     pd_code,
     seifert_data,
     verify_homfly_h_vector,
 )
-from trinities.maps import bipartition, build_map
+from trinities.maps import build_map
 
 from helpers import (
+    bipartition,
     count_calls,
     fig7_map,
     fig7_trinity,
     g1_map,
     g1_trinity,
     grid_trinity,
+    mirror,
     permute_edge_ids,
     random_trinity,
     single_edge_trinity,

@@ -2,25 +2,20 @@ import pytest
 
 from trinities.maps import (
     MapError,
-    NotBipartiteError,
     NotConnectedError,
     NotPlanarError,
     betti1,
-    bipartition,
     build_map,
     build_map_from_darts,
-    faces,
-    maps_isomorphic,
-    planar_dual,
 )
 
-from helpers import G1_EDGES, G1_ROTATIONS, g1_map
+from helpers import G1_EDGES, G1_ROTATIONS, NotBipartiteError, bipartition, g1_map, maps_isomorphic, planar_dual
 
 
 def test_g1_structure():
     m = g1_map()
     assert (m.n_vertices, m.n_edges, m.n_faces) == (5, 5, 2)
-    assert faces(m) == ((0, 3, 6, 9, 4, 1), (2, 5, 8, 7))
+    assert m.faces == ((0, 3, 6, 9, 4, 1), (2, 5, 8, 7))
     assert betti1(m) == 1
 
 

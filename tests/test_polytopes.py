@@ -8,7 +8,7 @@ import pytest
 from trinities import geometry, linalg, polytopes
 from trinities.cli import EXIT_OK, main
 from trinities.geometry import VPolytope, lattice_points, prune_to_vertices
-from trinities.maps import bipartition, build_map
+from trinities.maps import build_map
 from trinities.polytopes import (
     arborescence_triangulation,
     f_vector,
@@ -19,14 +19,13 @@ from trinities.polytopes import (
     hypertree_polytope_of,
     root_polytope,
     root_polytope_of,
-    tree_simplex,
     trimmed_gp_of,
     verify_duality_suite,
 )
 from trinities.trinity import COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, build_trinity, hypergraph_view
 
-from helpers import count_calls_everywhere, fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
-from oracles import cayley_slice, hypertree_set_of_graph, slice_matches_scaled_gp
+from helpers import bipartition, count_calls_everywhere, fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
+from oracles import cayley_slice, hypertree_set_of_graph, slice_matches_scaled_gp, tree_simplex
 
 
 def vset(poly):
@@ -107,7 +106,7 @@ def test_g1_red_triangulation():
     t = g1_trinity()
     tr = arborescence_triangulation(t, RED)
     assert tr.trees == ((0, 2, 3, 4), (0, 1, 2, 3))
-    assert len(tr.simplices) == 2
+    assert len([tree_simplex(tr.parent, tree) for tree in tr.trees]) == 2
     assert f_vector(tr) == (1, 5, 9, 7, 2)
     assert h_vector(tr) == (1, 1, 0, 0, 0)
 
@@ -120,7 +119,7 @@ def test_triangulations_exist_for_all_colours_and_roots():
         dd = directed_dual(t, colour)
         for root in dd.vertices:
             tr = arborescence_triangulation(t, colour, root=root)
-            assert len(tr.simplices) == 2
+            assert len([tree_simplex(tr.parent, tree) for tree in tr.trees]) == 2
 
 
 def test_cayley_slices_scale_to_gp_polytopes():

@@ -17,7 +17,6 @@ from trinities.links import (
     component_count,
     homfly,
     median_diagram,
-    mirror,
     verify_homfly_h_vector,
 )
 from trinities.maps import Bipartition, betti1
@@ -30,8 +29,8 @@ from trinities.polytopes import (
 from trinities.trees import count_arborescences, hypertree_set
 from trinities.trinity import COLOURS, RED, directed_dual, magic_number_report
 
-from helpers import random_trinity
-from oracles import slice_matches_scaled_gp
+from helpers import mirror, random_trinity
+from oracles import slice_matches_scaled_gp, tree_simplex
 
 N_CHUNKS = 10
 GRAPHS_PER_CHUNK = 20  # 200 graphs in total
@@ -61,7 +60,7 @@ def test_all_invariants_on_random_graphs(chunk):
         # The red triangulation is unimodular, face-to-face and covers the
         # root polytope (validated internally), with one simplex per unit.
         tr = arborescence_triangulation(t, RED)
-        assert len(tr.simplices) == magic
+        assert len([tree_simplex(tr.parent, tree) for tree in tr.trees]) == magic
 
         # Support sets and tight-contact counts all equal the magic number.
         assert sfh_support(t).size == magic

@@ -4,7 +4,9 @@ coverage bound f and f - 1 of every selector, and random bounds that need
 not be submodular, the smallest ones also against a scan of a box. The
 vertex rule, no exchange of two coordinates possible both ways, against the
 rank of the tight rows (``oracles.subset_vertices``) on the same three
-bounds."""
+bounds. The dimension rules, n minus the components of the exchange graph
+and |U| + |V| - 2 for a root polytope, against the rank of the vertices
+(``oracles.affine_dim``)."""
 
 import random
 from itertools import combinations, permutations, product
@@ -12,12 +14,26 @@ from itertools import combinations, permutations, product
 import pytest
 
 from trinities import polytopes, trees
-from trinities.maps import bipartition
 from trinities.polytopes import verify_duality_suite
-from trinities.trinity import HYPERGRAPH_CODES, build_trinity, hypergraph_view, magic_number_report
+from trinities.trinity import (
+    COLOUR_CLASSES,
+    COLOURS,
+    HYPERGRAPH_CODES,
+    build_trinity,
+    hypergraph_view,
+    magic_number_report,
+)
 
-from helpers import fig7_trinity, g1_trinity, grid_trinity, permute_edge_ids, random_trinity, single_edge_trinity
-from oracles import subset_lattice, subset_vertices
+from helpers import (
+    bipartition,
+    fig7_trinity,
+    g1_trinity,
+    grid_trinity,
+    permute_edge_ids,
+    random_trinity,
+    single_edge_trinity,
+)
+from oracles import affine_dim, subset_lattice, subset_vertices
 
 
 def selector_bounds(t):
@@ -60,7 +76,7 @@ def test_walk_is_the_oracle_on_grids_with_shuffled_edge_ids(rows, columns):
 def assert_vertex_rules_agree(t):
     for label, bound, n in selector_bounds(t):
         points = polytopes._subset_lattice(bound, n)
-        assert polytopes._vertices(points) == subset_vertices(bound, n, points), label
+        assert polytopes._vertices_and_dim(points)[0] == subset_vertices(bound, n, points), label
 
 
 @pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
@@ -87,7 +103,7 @@ def test_vertex_rule_keeps_the_corners_of_a_hexagon():
     points = polytopes._subset_lattice(bound, 3)
     corners = sorted(permutations((1, 2, 3)))
     assert points == tuple(sorted([*corners, (2, 2, 2)]))
-    assert polytopes._vertices(points) == corners == subset_vertices(bound, 3, points)
+    assert polytopes._vertices_and_dim(points)[0] == corners == subset_vertices(bound, 3, points)
 
 
 def exchange_vertices(points):
@@ -119,7 +135,30 @@ def test_vertex_rule_reads_the_exchanges_of_any_point_set(n):
         high = low + rng.randint(1, 3)
         box = list(product(range(low, high + 1), repeat=n))
         points = sorted(rng.sample(box, rng.randint(2, min(len(box), 40))))
-        assert polytopes._vertices(points) == exchange_vertices(points), (k, points)
+        assert polytopes._vertices_and_dim(points)[0] == exchange_vertices(points), (k, points)
+
+
+def dimension_cases(case):
+    """The fixtures, a chunk of the seeded corpus, or the 3x4 and 4x4 grids."""
+    if case == "fixtures":
+        return [single_edge_trinity(), g1_trinity(), fig7_trinity()]
+    if case == "grids":
+        return [grid_trinity(3, 4), grid_trinity(4, 4)]
+    rng = random.Random(9000 + case)
+    return [random_trinity(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("case", ["fixtures", *range(10), "grids"])
+def test_dimension_rules_are_the_rank_of_the_vertices(case):
+    for t in dimension_cases(case):
+        for code in HYPERGRAPH_CODES:
+            for build in (polytopes.gp_polytope_of, polytopes.trimmed_gp_of, polytopes.hypertree_polytope_of):
+                tp = build(t, code)
+                assert tp.affine_dim == affine_dim(tp.vertices), (code, tp.kind)
+        for colour in COLOURS:
+            for u_colour in COLOUR_CLASSES[colour]:
+                rp = polytopes.root_polytope_of(t, colour, u_colour)
+                assert rp.affine_dim == affine_dim(rp.vertices) == rp.u_size + rp.v_size - 2, (colour, u_colour)
 
 
 def box_scan(bound, n):

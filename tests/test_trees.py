@@ -4,16 +4,14 @@ from trinities.polytopes import triangulation_hypertrees
 from trinities.trees import (
     arborescence_to_spanning_tree,
     count_arborescences,
-    dual_tree,
     enumerate_arborescences,
-    hypertree_of,
     hypertree_set,
 )
-from trinities.maps import build_map, planar_dual
+from trinities.maps import build_map
 from trinities.trinity import COLOURS, EMERALD, RED, VIOLET, colour_of_hypergraph, directed_dual
 
-from helpers import G1_EDGES, g1_map, g1_trinity, single_edge_trinity
-from oracles import enumerate_spanning_trees, hypertree_set_of_graph, spanning_trees_of_map
+from helpers import G1_EDGES, dual_tree, g1_map, g1_trinity, planar_dual, single_edge_trinity
+from oracles import enumerate_spanning_trees, hypertree_of, hypertree_set_of_graph, spanning_trees_of_map
 
 
 def test_g1_spanning_trees_in_lex_order():

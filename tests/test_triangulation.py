@@ -24,7 +24,7 @@ import trinities
 from trinities import geometry, linalg, polytopes, trees
 from trinities.cli import EXIT_OK, main
 from trinities.maps import build_map
-from trinities.polytopes import ridge_certificate, root_polytope, root_polytope_of, tree_simplex
+from trinities.polytopes import ridge_certificate, root_polytope, root_polytope_of
 from trinities.trinity import (
     COLOURS,
     HYPERGRAPH_CODES,
@@ -51,6 +51,7 @@ from oracles import (
     simplex_normalized_volume,
     spanning_trees_of_map,
     total_normalized_volume,
+    tree_simplex,
     tree_simplices_meet_in_common_face,
 )
 
@@ -198,7 +199,7 @@ def f_vector_cases(case):
 @pytest.mark.parametrize("case", [*range(10), "fixtures", "grids"])
 def test_f_vector_counts_the_faces_of_the_tree_simplices(case):
     for tr in f_vector_cases(case):
-        assert polytopes.f_vector(tr) == face_counts(tr.simplices)
+        assert polytopes.f_vector(tr) == face_counts([tree_simplex(tr.parent, tree) for tree in tr.trees])
         assert polytopes.f_vector(tr) is polytopes.f_vector(tr)
         assert polytopes.h_vector(tr) is polytopes.h_vector(tr)
 
@@ -222,9 +223,7 @@ def test_the_interior_polynomial_ignores_the_coordinate_order_and_the_side(chunk
 
 def test_a_repeated_tree_fails_the_h_vector():
     tr = polytopes.arborescence_triangulation(g1_trinity(), RED)
-    repeated = polytopes.Triangulation(
-        parent=tr.parent, trees=tr.trees + tr.trees[:1], simplices=tr.simplices + tr.simplices[:1]
-    )
+    repeated = polytopes.Triangulation(parent=tr.parent, trees=tr.trees + tr.trees[:1])
     with pytest.raises(InternalConsistencyError, match="same hypertree"):
         polytopes.h_vector(repeated)
 
@@ -400,6 +399,12 @@ def test_the_ridge_certificate_needs_opposite_sides():
     assert set(ridge_counts(rp, tree_sets).values()) == {1, 2}
     with pytest.raises(InternalConsistencyError, match="triangulation interior ridge"):
         ridge_certificate(rp, tree_sets)
+    # Each tree must have n - 1 edges that span: four edges that close the
+    # cycle 0-2-1-3 miss the vertex 4, and all five that meet 0, 1, 2 or 3
+    # span it with a cycle.
+    for not_a_tree, failure in (((0, 1, 3, 4), "does not span"), ((0, 1, 2, 3, 4), "has 5 edges, not 4")):
+        with pytest.raises(InternalConsistencyError, match=f"triangulation tree {failure}"):
+            ridge_certificate(rp, (tree_sets[0], not_a_tree))
 
 
 def test_no_library_module_checks_tree_pairs():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from trinities import linalg, trinity
-from trinities.maps import Bipartition, MapError, bipartition
+from trinities.maps import Bipartition, MapError
 from trinities.trees import count_arborescences
 from trinities.trinity import (
     COLOURS,
@@ -26,6 +26,7 @@ from trinities.trinity import (
 )
 
 from helpers import (
+    bipartition,
     fig7_trinity,
     g1_trinity,
     grid_trinity,
