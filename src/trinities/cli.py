@@ -23,12 +23,13 @@ from .documents import (
 )
 from .maps import MapError, betti1
 from .trinity import (
+    COLOUR_SELECTORS,
     COLOURS,
     HYPERGRAPH_CODES,
+    RED,
     InternalConsistencyError,
     Trinity,
     build_trinity,
-    colour_of_hypergraph,
     directed_dual,
     magic_number_report,
 )
@@ -143,7 +144,7 @@ def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: boo
             "trimmed": _polytope_listing(polytopes.trimmed_gp_of(t, code)),
             "hypertree": _polytope_listing(polytopes.hypertree_polytope_of(t, code)),
         }
-    rp = polytopes.root_polytope_of(t, "red")
+    rp = polytopes.root_polytope_of(t, COLOUR_SELECTORS[RED])
     triangulations = {}
     dd = directed_dual(t, "red")
     for root in dd.vertices:
@@ -237,7 +238,7 @@ def cmd_verify(args) -> int:
             failures.append(f"arborescence-root-dependence-{colour}")
         # Both sides' hypertrees, read off each triangulation's trees, are
         # the hypertree sets, each vector once.
-        sides = [code for code in HYPERGRAPH_CODES if colour_of_hypergraph(code) == colour]
+        sides = (COLOUR_SELECTORS[colour], COLOUR_SELECTORS[colour][::-1])
         hypertrees_hold = True
         for root in dd.vertices:
             try:
@@ -280,7 +281,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--root-triangle", type=int, default=None, help="white triangle id overriding the default root")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if crossing_cap:  # only the commands that run the skein read it
-            p.add_argument("--crossing-cap", type=int, default=16)
+            p.add_argument("--crossing-cap", type=int, default=links.CROSSING_CAP)
 
     p = sub.add_parser("report", help="full report: every route to the magic number")
     common(p)

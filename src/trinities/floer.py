@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import canonical_lattice_set
-from .trinity import COLOUR_CLASSES, Trinity
+from .trinity import COLOUR_SELECTORS, Trinity
 from . import trees
 
 IntVec = tuple[int, ...]
@@ -51,6 +51,4 @@ def sfh_support(t: Trinity) -> SupportSet:
 
 def tight_contact_count(t: Trinity, colour: str) -> int:
     """Number of tight classes: the hypertree count of the colour graph."""
-    x, y = COLOUR_CLASSES[colour]
-    tag = {"violet": "V", "emerald": "E", "red": "R"}
-    return len(trees.hypertree_set(t, tag[x] + tag[y]))
+    return len(trees.hypertree_set(t, COLOUR_SELECTORS[colour]))

@@ -27,6 +27,10 @@ from .polytopes import arborescence_triangulation, h_vector
 from .trinity import RED, InternalConsistencyError, Trinity
 
 
+# The most crossings the skein recursion takes unless told otherwise.
+CROSSING_CAP = 16
+
+
 class CrossingCapExceeded(RuntimeError):
     pass
 
@@ -38,15 +42,6 @@ class Crossing:
     over_out: int
     under_in: int
     under_out: int
-
-    def switched(self) -> "Crossing":
-        return Crossing(
-            sign=-self.sign,
-            over_in=self.under_in,
-            over_out=self.under_out,
-            under_in=self.over_in,
-            under_out=self.over_out,
-        )
 
     def pd_tuple(self) -> tuple[int, int, int, int]:
         """Arc labels counter-clockwise starting at the incoming under-strand."""
@@ -162,10 +157,6 @@ class LaurentPoly2:
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "LaurentPoly2":
         return cls(tuple(sorted((k, v) for k, v in d.items() if v != 0)))
-
-    @classmethod
-    def monomial(cls, coeff: int = 1, v: int = 0, z: int = 0) -> "LaurentPoly2":
-        return cls.from_dict({(v, z): coeff})
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.coeffs)
@@ -316,7 +307,7 @@ def _homfly(comps: list[tuple[int, ...]], signs: tuple[int, ...], free: int) -> 
     return p_switch.shift(v=-2) - p_smooth.shift(v=-1, z=1)
 
 
-def homfly(d: LinkDiagram, crossing_cap: int = 16) -> LaurentPoly2:
+def homfly(d: LinkDiagram, crossing_cap: int = CROSSING_CAP) -> LaurentPoly2:
     """HOMFLY-PT polynomial by the skein recursion on the diagram's Gauss
     code; the number of steps depends on the base points the splices keep."""
     if d.n_crossings > crossing_cap:
@@ -343,7 +334,7 @@ def alexander_conway(p: LaurentPoly2) -> LaurentPoly2:
     return p.subst_v_one()
 
 
-def verify_homfly_h_vector(t: Trinity, root: Optional[int] = None, crossing_cap: int = 16) -> dict:
+def verify_homfly_h_vector(t: Trinity, root: Optional[int] = None, crossing_cap: int = CROSSING_CAP) -> dict:
     """Compare the top of the median link's HOMFLY-PT polynomial with the
     h-polynomial of the arborescence triangulation at the given root, the
     interior polynomial of its trees' hypertrees (Kalman and Murakami, 2017).

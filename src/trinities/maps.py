@@ -70,10 +70,6 @@ class PlanarMap:
     def sigma_inv(self, d: int) -> int:
         return memo(self, "sigma_inv", lambda: _inverse(self.sigma))[d]
 
-    def next_in_face(self, d: int) -> int:
-        """Next dart along the face on the left of d."""
-        return self.sigma_inv(self.alpha(d))
-
     def darts_of_vertex(self, v: int) -> tuple[int, ...]:
         return memo(self, "vertex_darts", self._vertex_darts)[v]
 
@@ -121,16 +117,13 @@ def build_map_from_darts(
     n_vertices: int,
     edges: Sequence[tuple[int, int]],
     vertex_rotations: Sequence[Sequence[int]],
-    allow_loops: bool = False,
 ) -> PlanarMap:
-    """Assemble and validate a map from per-vertex CCW dart cycles."""
+    """Assemble and validate a map, loops allowed, from per-vertex CCW dart cycles."""
     n_darts = 2 * len(edges)
     vertex_of = [-1] * n_darts
     for e, (u, v) in enumerate(edges):
         vertex_of[2 * e] = u
         vertex_of[2 * e + 1] = v
-        if u == v and not allow_loops:
-            raise MapError(f"loop at vertex {u} not allowed here")
     sigma = [-1] * n_darts
     used = [False] * n_darts
     if len(vertex_rotations) != n_vertices:
@@ -209,6 +202,9 @@ def build_map(
         vertex_rotations.append(dart_cycle)
     if any(darts_left):
         raise MapError("rotations do not cover every edge-end")
+    for u, v in edges:
+        if u == v:
+            raise MapError(f"loop at vertex {u} not allowed here")
     return build_map_from_darts(n_vertices, edges, vertex_rotations)
 
 

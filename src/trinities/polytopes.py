@@ -4,7 +4,10 @@ triangulations, slice identities and their f- and h-vectors.
 
 Hypergraphs are named by two-letter colour selectors ("VE", "ER", ...): the
 first letter is the vertex class X, the second the hyperedge class Y; the
-backing bipartite graph is the colour graph of the remaining colour.
+backing bipartite graph is the colour graph of the remaining colour. One edge
+incidence per selector, each edge's (Y, X) ends, gives its hyperedges, its
+root polytope Q = conv(e_y - e_x) with the Y coordinates first, and the
+hypertrees of Q's triangulating trees, their degree-minus-one vectors on Y.
 
 The GP, trimmed and hypertree polytopes are built from their subset-inequality
 descriptions in integer arithmetic, and each is checked against a second,
@@ -14,7 +17,7 @@ triangulation of the root polytope (Postnikov, *Permutohedra, associahedra,
 and beyond*, 2009, section 12: each hypertree exactly once). Their vertices
 and dimension are read off the exchanges e_i - e_j that the lattice points
 take. The lattice points of a root polytope are its generators, and its
-dimension is |U| + |V| - 2. The tree simplices of an arborescence
+dimension is |Y| + |X| - 2. The tree simplices of an arborescence
 triangulation are proved to triangulate the root polytope in one pass,
 linear in their number: each tree has n - 1 edges that span, and every
 ridge of a tree simplex lies in one simplex on the boundary and in two, on
@@ -39,16 +42,15 @@ from .geometry import (
     canonical_lattice_set,
     lattice_points,  # noqa: F401  (no caller here; perfbench/tests wraps this binding)
 )
-from .maps import PlanarMap, memo
+from .maps import memo
 from .trinity import (
-    COLOUR_CLASSES,
+    COLOUR_SELECTORS,
     HYPERGRAPH_CODES,
     InternalConsistencyError,
     Trinity,
-    colour_graph,
     colour_of_hypergraph,
+    default_root,
     directed_dual,
-    hypergraph_classes,
     hypergraph_view,
 )
 from . import trees
@@ -65,34 +67,18 @@ class TaggedPolytope:
 
 @dataclass(frozen=True)
 class RootPolytope:
-    generators: tuple[IntVec, ...]  # one point i_u - i_v per edge id
+    generators: tuple[IntVec, ...]  # one point e_u - e_v per edge id
     vertices: tuple[IntVec, ...]  # the distinct generators, sorted
     affine_dim: int
-    u_size: int
-    v_size: int
+    u_size: int  # |Y|: U is the hyperedge class, whose coordinates come first
+    v_size: int  # |X|
+    ends: tuple[tuple[int, int], ...]  # each edge's coordinates (u, v)
 
 
 @dataclass(frozen=True)
 class Triangulation:
     parent: RootPolytope
     trees: tuple[tuple[int, ...], ...]  # spanning trees, one per simplex
-
-
-def hyperedges(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """For each y (in order) the sorted distinct x-positions adjacent to it."""
-    x_pos = {v: i for i, v in enumerate(x_ids)}
-    out = []
-    for y in y_ids:
-        nbrs = set()
-        for u, v in m.edges:
-            if u == y and v in x_pos:
-                nbrs.add(x_pos[v])
-            elif v == y and u in x_pos:
-                nbrs.add(x_pos[u])
-        if not nbrs:
-            raise ValueError("hyperedge with no vertices")
-        out.append(tuple(sorted(nbrs)))
-    return tuple(out)
 
 
 def _generator_sums(edges: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], ...]:
@@ -266,16 +252,43 @@ def _tagged(lattice: tuple[tuple[int, ...], ...], code: str, kind: str) -> Tagge
     return TaggedPolytope(vertices=tuple(vertices), affine_dim=dim, lattice=lattice, hypergraph=code, kind=kind)
 
 
+def _incidence(t: Trinity, code: str) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """Each colour-graph edge's (Y position, X position) in edge-id order,
+    with |Y| and |X|, once per trinity and selector: the positions in the
+    sorted classes of ``hypergraph_view``. The hyperedges, the root polytope
+    and the trees' hypertrees of the selector all read these ends."""
+
+    def build():
+        m, x_ids, y_ids = hypergraph_view(t, code)
+        x_pos = {v: i for i, v in enumerate(x_ids)}
+        y_pos = {v: i for i, v in enumerate(y_ids)}
+        ends = tuple((y_pos[a], x_pos[b]) if a in y_pos else (y_pos[b], x_pos[a]) for a, b in m.edges)
+        return ends, len(y_ids), len(x_ids)
+
+    return memo(t, ("incidence", code), build)
+
+
 def _hyperedges_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
-    """``hyperedges`` of the selector's hypergraph, once per trinity and selector."""
-    return memo(t, ("hyperedges", code), lambda: hyperedges(*hypergraph_view(t, code)))
+    """For each y (in order) the sorted distinct X positions adjacent to it,
+    once per trinity and selector."""
+
+    def build():
+        ends, n_y, _ = _incidence(t, code)
+        groups: list[set[int]] = [set() for _ in range(n_y)]
+        for y, x in ends:
+            groups[y].add(x)
+        if not all(groups):
+            raise ValueError("hyperedge with no vertices")
+        return tuple(tuple(sorted(g)) for g in groups)
+
+    return memo(t, ("hyperedges", code), build)
 
 
 def _gp_data_of(t: Trinity, code: str):
     """n, the coverage bound f and the sums of generators of the selector's
     hypergraph on its n vertices, once per trinity and selector: the GP and
     trimmed builds share them."""
-    he, n = _hyperedges_of(t, code), len(hypergraph_view(t, code)[1])
+    he, n = _hyperedges_of(t, code), _incidence(t, code)[2]
     return memo(t, ("gp_data", code), lambda: (n, _coverage_bound(he, n), _generator_sums(he, n)))
 
 
@@ -342,67 +355,42 @@ def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     return _tagged(lattice, code, "hypertree")
 
 
-def root_polytope(m: PlanarMap, u_ids: Sequence[int], v_ids: Sequence[int]) -> RootPolytope:
-    """Convex hull of i_u - i_v over the edges, U coordinates first.
+def root_polytope_of(t: Trinity, code: str) -> RootPolytope:
+    """Convex hull of e_y - e_x over the edges of the selector's bipartite
+    graph, Y coordinates first, built once per trinity and selector.
 
-    Its dimension is |U| + |V| - 2 (Postnikov, 2009, section 12): every
-    generator lies on the two hyperplanes x(U) = 1 and x(V) = -1, and the
+    Its dimension is |Y| + |X| - 2 (Postnikov, 2009, section 12): every
+    generator lies on the two hyperplanes x(Y) = 1 and x(X) = -1, and the
     n - 1 generators of a spanning tree (a map is connected) are linearly
     independent on the first, which misses the origin, so affinely
     independent.
     """
-    u_pos = {x: i for i, x in enumerate(u_ids)}
-    v_pos = {x: len(u_ids) + i for i, x in enumerate(v_ids)}
-    dim = len(u_ids) + len(v_ids)
-    gens = []
-    for a, b in m.edges:
-        u, v = (a, b) if a in u_pos else (b, a)
-        p = [0] * dim
-        p[u_pos[u]] = 1
-        p[v_pos[v]] = -1
-        gens.append(tuple(p))
-    vertices = canonical_lattice_set(gens)  # every e_u - e_v is a vertex
-    return RootPolytope(
-        generators=tuple(gens),
-        vertices=vertices,
-        affine_dim=dim - 2,
-        u_size=len(u_ids),
-        v_size=len(v_ids),
-    )
-
-
-def root_polytope_of(t: Trinity, colour: str, u_colour: Optional[str] = None) -> RootPolytope:
-    """Root polytope of the colour graph, the u_colour class (by default class
-    b) first, built once per trinity, colour and side."""
-    a_first = u_colour == COLOUR_CLASSES[colour][0]
 
     def build() -> RootPolytope:
-        cm, bip = colour_graph(t, colour)
-        a, b = sorted(bip.class_a), sorted(bip.class_b)
-        return root_polytope(cm, a, b) if a_first else root_polytope(cm, b, a)
+        incidence, n_y, n_x = _incidence(t, code)
+        ends = tuple((y, n_y + x) for y, x in incidence)
+        gens = []
+        for u, v in ends:
+            p = [0] * (n_y + n_x)
+            p[u], p[v] = 1, -1
+            gens.append(tuple(p))
+        vertices = canonical_lattice_set(gens)  # every e_y - e_x is a vertex
+        return RootPolytope(
+            generators=tuple(gens), vertices=vertices, affine_dim=n_y + n_x - 2, u_size=n_y, v_size=n_x, ends=ends
+        )
 
-    return memo(t, ("root_polytope", colour, a_first), build)
+    return memo(t, ("root_polytope", code), build)
 
 
 def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
-    """The memoized root polytope of the hypergraph's bipartite graph, Y
-    coordinates first. Its lattice points are its generators: it lies in the
-    product of the simplex on Y and the negated simplex on X, whose lattice
-    points e_u - e_v are all vertices of that product."""
-    rp = root_polytope_of(t, colour_of_hypergraph(code), hypergraph_classes(code)[1])
+    """The memoized root polytope of the hypergraph's bipartite graph. Its
+    lattice points are its generators: it lies in the product of the simplex
+    on Y and the negated simplex on X, whose lattice points e_y - e_x are all
+    vertices of that product."""
+    rp = root_polytope_of(t, code)
     return TaggedPolytope(
         vertices=rp.vertices, affine_dim=rp.affine_dim, lattice=rp.vertices, hypergraph=code, kind="root"
     )
-
-
-def _edge_ends(rp: RootPolytope) -> tuple[tuple[int, int], ...]:
-    """Each edge's (u, v), read off its generator e_u - e_v, once per root polytope."""
-    return memo(rp, "edge_ends", lambda: tuple((g.index(1), g.index(-1)) for g in rp.generators))
-
-
-def _default_root(t: Trinity, colour: str) -> int:
-    """The root triangle's corner of the colour."""
-    return t.triangles[t.root_triangle].corner(colour)[1]
 
 
 def arborescence_trees(t: Trinity, colour: str, root: int) -> tuple[tuple[int, ...], ...]:
@@ -418,29 +406,29 @@ def arborescence_trees(t: Trinity, colour: str, root: int) -> tuple[tuple[int, .
 
 def triangulation_hypertrees(t: Trinity, code: str, root: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
     """The selector's hypertrees read off the arborescence trees of its colour
-    at ``root`` (by default the root triangle's corner), sorted, repeats kept.
+    at ``root`` (by default the root triangle's corner), sorted, repeats kept:
+    each tree's degree-minus-one vector on the Y ends of its edges.
 
     When those trees triangulate the root polytope, each hypertree of either
     side is the degree-minus-one vector of exactly one of them (Postnikov,
     2009, section 12), so this is the hypertree set itself.
     """
     colour = colour_of_hypergraph(code)
-    if root is None:
-        root = _default_root(t, colour)
-    y_is_u = hypergraph_classes(code)[1] == COLOUR_CLASSES[colour][1]  # the default root polytope's U is class b
-    return tuple(sorted(_tree_hypertrees(root_polytope_of(t, colour), arborescence_trees(t, colour, root), y_is_u)))
+    tree_sets = arborescence_trees(t, colour, default_root(t, colour) if root is None else root)
+    ends, n_y, _ = _incidence(t, code)
+    return tuple(sorted(_tree_hypertrees(ends, n_y, tree_sets)))
 
 
-def _tree_hypertrees(rp: RootPolytope, tree_sets: Iterable[Sequence[int]], u_side: bool) -> list[tuple[int, ...]]:
-    """Each tree's degree-minus-one vector on the U coordinates of the root
-    polytope (``u_side``) or on its V coordinates, read off the edges' ends."""
-    ends = _edge_ends(rp)
-    side, offset, size = (0, 0, rp.u_size) if u_side else (1, rp.u_size, rp.v_size)
+def _tree_hypertrees(
+    ends: Sequence[tuple[int, int]], n_y: int, tree_sets: Iterable[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Each tree's degree-minus-one vector on the n_y Y positions, the first
+    of its edges' ends."""
     out = []
     for tree in tree_sets:
-        degree = [-1] * size
+        degree = [-1] * n_y
         for e in tree:
-            degree[ends[e][side] - offset] += 1
+            degree[ends[e][0]] += 1
         out.append(tuple(degree))
     return out
 
@@ -450,7 +438,7 @@ def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = No
     the spanning trees dual to the arborescences at the given root (by default
     the root triangle's corner), built once per trinity, colour and root."""
     if root is None:
-        root = _default_root(t, colour)
+        root = default_root(t, colour)
     key = ("arborescence_triangulation", colour, root)
     return memo(t, key, lambda: _arborescence_triangulation(t, colour, root))
 
@@ -475,7 +463,7 @@ def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangula
     totally unimodular (Postnikov, 2009, Lemma 12.5), so the number of trees
     is the normalized volume of Q_G; no volume is computed.
     """
-    rp = root_polytope_of(t, colour)
+    rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
     tree_sets = arborescence_trees(t, colour, root)
     ridge_certificate(rp, tree_sets)
     return Triangulation(parent=rp, trees=tree_sets)
@@ -493,7 +481,7 @@ def ridge_certificate(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> N
     keyed by vertex set, not edge ids (parallel edges share a generator), so
     a repeated simplex puts two simplices on one side of a ridge."""
     ridges, holding = _certificate_pass(rp, tree_sets)
-    ends = _edge_ends(rp)
+    ends = rp.ends
     n = rp.u_size + rp.v_size
     u_neighbours = [sum({1 << u for u, w in ends if w == v}) for v in range(n)]  # of each V coordinate
     for sides in ridges.values():
@@ -521,7 +509,7 @@ def _certificate_pass(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]):
     exactly at the edges crossing (A, B), e among them, so the entry is
     always found, and p lies on no ridge hyperplane of any tree simplex.
     """
-    ends = _edge_ends(rp)
+    ends = rp.ends
     n = rp.u_size + rp.v_size
     vertex_bit = {g: 1 << i for i, g in enumerate(rp.vertices)}
     generator_bit = [vertex_bit[g] for g in rp.generators]
@@ -597,7 +585,7 @@ def h_vector(tr: Triangulation) -> tuple[int, ...]:
     theorem for bipartite graphs*, 2017), padded with zeros to f's length."""
 
     def build() -> tuple[int, ...]:
-        hypertrees = set(_tree_hypertrees(tr.parent, tr.trees, True))
+        hypertrees = set(_tree_hypertrees(tr.parent.ends, tr.parent.u_size, tr.trees))
         if len(hypertrees) != len(tr.trees):  # each occurs once (Postnikov, 2009, section 12)
             raise InternalConsistencyError("two triangulation trees have the same hypertree")
         h = interior_polynomial(hypertrees)

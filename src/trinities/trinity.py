@@ -23,11 +23,12 @@ EMERALD = "emerald"
 RED = "red"
 COLOURS = (VIOLET, EMERALD, RED)
 
-# Vertex classes of each colour graph, in (class_a, class_b) order.
-COLOUR_CLASSES = {RED: (VIOLET, EMERALD), VIOLET: (EMERALD, RED), EMERALD: (RED, VIOLET)}
-
 HYPERGRAPH_CODES = ("VE", "EV", "ER", "RE", "RV", "VR")
 _CODE_TO_COLOUR = {"V": VIOLET, "E": EMERALD, "R": RED}
+
+# Each colour graph's selector whose hyperedges are its class b: the letters
+# name its vertex classes in (class_a, class_b) order.
+COLOUR_SELECTORS = {RED: "VE", VIOLET: "ER", EMERALD: "RV"}
 
 
 class InternalConsistencyError(RuntimeError):
@@ -77,10 +78,6 @@ class Trinity:
     outer_face: int
     triangles: tuple[Triangle, ...]  # indexed by dart
     root_triangle: int  # a white triangle id (dart)
-
-    @property
-    def n(self) -> int:
-        return self.map.n_edges
 
     @property
     def red_vertices(self) -> tuple[int, ...]:
@@ -197,7 +194,7 @@ def _colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
         return t.map, Bipartition(class_a=t.violet, class_b=t.emerald)
     m = t.map
     whites = t.white_triangles
-    class_a_colour, class_b_colour = COLOUR_CLASSES[colour]
+    class_a_colour, class_b_colour = hypergraph_classes(COLOUR_SELECTORS[colour])
     a_ids = t.vertices_of_colour(class_a_colour)
     b_ids = t.vertices_of_colour(class_b_colour)
     a_index = {v: i for i, v in enumerate(a_ids)}
@@ -370,14 +367,15 @@ def hypergraph_view(t: Trinity, code: str):
 
 
 def _hypergraph_view(t: Trinity, code: str):
-    x_colour, y_colour = hypergraph_classes(code)
     colour = colour_of_hypergraph(code)
     cm, bip = colour_graph(t, colour)
-    class_a_colour, _ = COLOUR_CLASSES[colour]
-    a = sorted(bip.class_a)
-    b = sorted(bip.class_b)
-    x_ids, y_ids = (a, b) if x_colour == class_a_colour else (b, a)
-    return cm, tuple(x_ids), tuple(y_ids)
+    a, b = tuple(sorted(bip.class_a)), tuple(sorted(bip.class_b))
+    return (cm, a, b) if code == COLOUR_SELECTORS[colour] else (cm, b, a)
+
+
+def default_root(t: Trinity, colour: str) -> int:
+    """The root triangle's corner of the colour."""
+    return t.triangles[t.root_triangle].corner(colour)[1]
 
 
 def magic_number_report(t: Trinity) -> dict:
@@ -387,9 +385,7 @@ def magic_number_report(t: Trinity) -> dict:
     matchings = count_tutte_matchings(t)
     rho = {}
     for colour in COLOURS:
-        dd = directed_dual(t, colour)
-        root = t.triangles[t.root_triangle].corner(colour)[1]
-        rho[colour] = trees.count_arborescences(dd, root)
+        rho[colour] = trees.count_arborescences(directed_dual(t, colour), default_root(t, colour))
     hyper = {code: len(trees.hypertree_set(t, code)) for code in HYPERGRAPH_CODES}
     values = [det_route, matchings, *rho.values(), *hyper.values()]
     return {

@@ -3,7 +3,8 @@ fixture graph, plane grid graphs, the graph document of a trinity, edge-id
 shuffles of a map, a seeded generator of random plane bipartite maps, the
 negation of a point set, and call counters; and the map and link operations
 that only the tests take: the bipartition of a map, its planar dual, map
-isomorphism, the dual spanning tree and the mirror of a link diagram."""
+isomorphism, the dual spanning tree, and the switch of a crossing and the
+mirror of a link diagram."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Iterable
 import trinities
 from trinities.documents import GraphDocument, serialize_graph_document
 from trinities.geometry import canonical_lattice_set
-from trinities.links import LinkDiagram
+from trinities.links import Crossing, LinkDiagram
 from trinities.maps import (
     Bipartition,
     MapError,
@@ -62,7 +63,7 @@ def planar_dual(m: PlanarMap) -> PlanarMap:
     """
     edges = tuple((m.face_of[2 * e], m.face_of[2 * e + 1]) for e in range(m.n_edges))
     vertex_rotations = [list(orbit) for orbit in m.faces]
-    return build_map_from_darts(m.n_faces, edges, vertex_rotations, allow_loops=True)
+    return build_map_from_darts(m.n_faces, edges, vertex_rotations)
 
 
 def maps_isomorphic(m1: PlanarMap, m2: PlanarMap) -> bool:
@@ -97,10 +98,13 @@ def dual_tree(m: PlanarMap, tree_edges: Iterable[int]) -> tuple[int, ...]:
     return tuple(e for e in range(m.n_edges) if e not in tree)
 
 
+def switched(c: Crossing) -> Crossing:
+    """The crossing with its strands swapped and its sign negated."""
+    return Crossing(sign=-c.sign, over_in=c.under_in, over_out=c.under_out, under_in=c.over_in, under_out=c.over_out)
+
+
 def mirror(d: LinkDiagram) -> LinkDiagram:
-    return LinkDiagram(
-        crossings=tuple(c.switched() for c in d.crossings), free_circles=d.free_circles
-    )
+    return LinkDiagram(crossings=tuple(switched(c) for c in d.crossings), free_circles=d.free_circles)
 
 
 def g1_map() -> PlanarMap:

@@ -3,6 +3,10 @@
 - exhaustive Tutte-matching enumeration, every bijection from the non-root
   vertices to adjacent non-root white triangles by backtracking (the library
   counts them by a frontier dynamic program and lists none);
+- a selector's hyperedges and root polytope straight from a map and its
+  two vertex lists, scanning every edge once per hyperedge and placing each
+  generator by vertex id (the library reads both off one memoized edge
+  incidence per selector);
 - exhaustive spanning-tree enumeration and the hypertree sets it gives (the
   library takes hypertrees from Kalman's mu-lattice and the trees of its
   arborescence triangulations; this enumerates every spanning tree, far more
@@ -58,6 +62,8 @@ from trinities.trinity import (
     non_root_white_triangles,
 )
 
+from helpers import switched
+
 
 class _DSU:
     def __init__(self, n: int):
@@ -80,6 +86,47 @@ class _DSU:
         d = _DSU(0)
         d.parent = list(self.parent)
         return d
+
+
+def hyperedges(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """For each y (in order) the sorted distinct x-positions adjacent to it."""
+    x_pos = {v: i for i, v in enumerate(x_ids)}
+    out = []
+    for y in y_ids:
+        nbrs = set()
+        for u, v in m.edges:
+            if u == y and v in x_pos:
+                nbrs.add(x_pos[v])
+            elif v == y and u in x_pos:
+                nbrs.add(x_pos[u])
+        if not nbrs:
+            raise ValueError("hyperedge with no vertices")
+        out.append(tuple(sorted(nbrs)))
+    return tuple(out)
+
+
+def root_polytope(m: PlanarMap, u_ids: Sequence[int], v_ids: Sequence[int]) -> RootPolytope:
+    """Convex hull of e_u - e_v over the edges, U coordinates first, of
+    dimension |U| + |V| - 2."""
+    u_pos = {x: i for i, x in enumerate(u_ids)}
+    v_pos = {x: len(u_ids) + i for i, x in enumerate(v_ids)}
+    dim = len(u_ids) + len(v_ids)
+    gens, ends = [], []
+    for a, b in m.edges:
+        u, v = (a, b) if a in u_pos else (b, a)
+        p = [0] * dim
+        p[u_pos[u]] = 1
+        p[v_pos[v]] = -1
+        gens.append(tuple(p))
+        ends.append((u_pos[u], v_pos[v]))
+    return RootPolytope(
+        generators=tuple(gens),
+        vertices=canonical_lattice_set(gens),
+        affine_dim=dim - 2,
+        u_size=len(u_ids),
+        v_size=len(v_ids),
+        ends=tuple(ends),
+    )
 
 
 def enumerate_spanning_trees(n_vertices: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -700,11 +747,11 @@ def _homfly(crossings: list[Crossing], free: int) -> LaurentPoly2:
         # Descending diagram: an unlink of its components.
         return _split_factor(component_count(LinkDiagram(tuple(crossings), free)))
     c = crossings[i]
-    switched = [x for x in crossings]
-    switched[i] = c.switched()
+    flipped = list(crossings)
+    flipped[i] = switched(c)
     smoothed = list(crossings)
     free_s = _smooth(smoothed, i, free)
-    p_switch = _homfly(switched, free)
+    p_switch = _homfly(flipped, free)
     p_smooth = _homfly(smoothed, free_s)
     if c.sign > 0:
         # v^-1 P+ - v P- = z P0  =>  P+ = v^2 P- + v z P0

@@ -49,7 +49,7 @@ def test_criterion_2_worked_example_polytopes():
     assert set(trimmed_gp_of(t, "VE").lattice) == {(0, 1, 0), (0, 0, 1)}
     assert set(hypertree_set(t, "VE")) == {(2, 0), (1, 1)}
     assert set(gp_polytope_of(t, "EV").lattice) == {(3, 0), (2, 1), (1, 2)}
-    rp = root_polytope_of(t, RED)
+    rp = root_polytope_of(t, "VE")
     assert len(rp.vertices) == 5
     assert rp.affine_dim == 3
 

@@ -116,14 +116,20 @@ def test_report_trims_once_per_selector(monkeypatch):
 
 def test_report_derives_each_selectors_hypergraph_data_once(monkeypatch):
     # The GP and trimmed builds share the hyperedges, coverage bound and
-    # generator sums of a selector; the mu-bound shares its hyperedges.
+    # generator sums of a selector; the mu-bound shares its hyperedges. The
+    # hyperedges, root polytope and tree hypertrees read one edge incidence,
+    # the only reader of the selector's hypergraph view in ``polytopes``.
     counted = {
         name: count_calls(monkeypatch, polytopes, name)
-        for name in ("hyperedges", "_coverage_bound", "_generator_sums")
+        for name in ("hypergraph_view", "_coverage_bound", "_generator_sums", "_hypertree_bound")
     }
     doc, t = load_fig7()
     build_report(doc, t, crossing_cap=16, emit_pd=False)
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 6)
+    assert sorted(code for _t, code in counted["hypergraph_view"]) == sorted(HYPERGRAPH_CODES)
+    hyperedges = [polytopes._hyperedges_of(t, code) for code in HYPERGRAPH_CODES]
+    for name in ("_coverage_bound", "_hypertree_bound"):
+        assert sorted(map(id, (args[0] for args in counted[name]))) == sorted(map(id, hyperedges)), name
 
 
 def test_report_builds_each_hypergraph_view_once(monkeypatch):

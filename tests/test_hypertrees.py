@@ -24,6 +24,7 @@ from trinities.trinity import (
     InternalConsistencyError,
     colour_graph,
     colour_of_hypergraph,
+    default_root,
     directed_dual,
     hypergraph_view,
 )
@@ -101,7 +102,7 @@ def parallel_edge_case():
     for chunk in range(10):
         for t in corpus(chunk):
             edges = colour_graph(t, RED)[0].edges
-            tree_sets = polytopes.arborescence_trees(t, RED, polytopes._default_root(t, RED))
+            tree_sets = polytopes.arborescence_trees(t, RED, default_root(t, RED))
             if len(tree_sets) < 2:
                 continue
             for i, tree in enumerate(tree_sets):
@@ -117,7 +118,7 @@ def drop_a_tree(t, tree_sets, i, e, copy):
 
 
 def swap_a_tree(t, tree_sets, i, e, copy):
-    rp = root_polytope_of(t, RED)
+    rp = root_polytope_of(t, "VE")
     taken = {tree_simplex(rp, tr) for tr in tree_sets}
     other = next(
         tr for tr in spanning_trees_of_map(colour_graph(t, RED)[0]) if tree_simplex(rp, tr) not in taken
@@ -149,7 +150,7 @@ def swap_in_a_parallel_copy(t, tree_sets, i, e, copy):
 def test_a_mutated_tree_set_fails_the_triangulation(monkeypatch, mutate, message):
     t, i, e, copy = parallel_edge_case()
     original = polytopes.arborescence_trees
-    mutated = mutate(t, original(t, RED, polytopes._default_root(t, RED)), i, e, copy)
+    mutated = mutate(t, original(t, RED, default_root(t, RED)), i, e, copy)
     monkeypatch.setattr(polytopes, "arborescence_trees", lambda *args: mutated)
     with pytest.raises(InternalConsistencyError, match=message):
         arborescence_triangulation(t, RED)
@@ -160,8 +161,8 @@ def test_the_parallel_copy_passes_every_other_check():
     # every tree's simplex in a common face, and the count is unchanged. Only
     # a repeated-simplex check, or the ridge certificate, rejects it.
     t, i, e, copy = parallel_edge_case()
-    rp = root_polytope_of(t, RED)
-    original = polytopes.arborescence_trees(t, RED, polytopes._default_root(t, RED))
+    rp = root_polytope_of(t, "VE")
+    original = polytopes.arborescence_trees(t, RED, default_root(t, RED))
     tree_sets = swap_in_a_parallel_copy(t, original, i, e, copy)
     simplices = [tree_simplex(rp, tr) for tr in tree_sets]
     assert len(set(simplices)) == len(simplices) - 1

@@ -15,7 +15,7 @@ from trinities.polytopes import (
     root_polytope_of,
     trimmed_gp_of,
 )
-from trinities.trinity import COLOURS, COLOUR_CLASSES, HYPERGRAPH_CODES
+from trinities.trinity import COLOURS, HYPERGRAPH_CODES
 
 from helpers import fig7_trinity, g1_trinity, single_edge_trinity
 from oracles import tree_simplex
@@ -31,10 +31,10 @@ def coordinates(points):
 def test_fixture_polytopes_have_int_coordinates(build):
     t = build()
     values = []
+    for code in HYPERGRAPH_CODES:
+        rp = root_polytope_of(t, code)
+        values += coordinates(rp.generators) + coordinates(rp.vertices)
     for colour in COLOURS:
-        for u_colour in COLOUR_CLASSES[colour]:
-            rp = root_polytope_of(t, colour, u_colour)
-            values += coordinates(rp.generators) + coordinates(rp.vertices)
         tr = arborescence_triangulation(t, colour)
         for tree in tr.trees:
             values += coordinates(tree_simplex(tr.parent, tree))

@@ -1,8 +1,9 @@
 """The library's public surface: every public module-level function and
-class in ``src/trinities`` has a caller in the library or the benchmark, so
-code that only the tests take lives in ``tests/helpers.py`` and
-``tests/oracles.py``; the rank code and the test-only helpers moved there
-are gone from the library, and a triangulation keeps no simplices."""
+class in ``src/trinities``, and every public method and property of its
+classes, has a caller in the library or the benchmark, so code that only the
+tests take lives in ``tests/helpers.py``, ``tests/oracles.py`` or the test
+that uses it; the rank code and the test-only helpers moved there are gone
+from the library, and a triangulation keeps no simplices."""
 
 import ast
 import dataclasses
@@ -33,24 +34,48 @@ def parsed(paths):
     return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
 
-def references(nodes) -> Counter:
-    """How often each name is read, as a name or an attribute, or imported.
-    Names only: an attribute of the same name counts as a reference."""
-    names: Counter = Counter()
-    for root in nodes:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Name):
-                names[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                names[node.attr] += 1
-            elif isinstance(node, ast.alias):
-                names[node.name.rsplit(".", 1)[-1]] += 1
-    return names
+def binding_reads(modules) -> Counter:
+    """How often each library name is read through a binding of it, outside
+    the top-level definition of that name: as a bare name that the file
+    defines at module level or imports from a library module, where no
+    enclosing function binds a local of that name; as an attribute of a name
+    bound to a library module (``polytopes.x``); or imported. A local
+    variable, or an attribute of any other object, of the same name does not
+    count."""
+    reads: Counter = Counter()
+    for module in modules:
+        names = {node.name for node in module.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        library_modules = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "trinities"):
+                bound = {alias.asname or alias.name for alias in node.names}
+                (library_modules if node.module in (None, "trinities") else names).update(bound)
+                reads.update(alias.name for alias in node.names)
+
+        def visit(node, owner, shadowed):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                shadowed = shadowed | {
+                    n.arg if isinstance(n, ast.arg) else n.id
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.arg) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                }
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in names - shadowed and node.id != owner:
+                    reads[node.id] += 1
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in library_modules and node.attr != owner:
+                    reads[node.attr] += 1
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner, shadowed)
+
+        for top in module.body:
+            visit(top, getattr(top, "name", None), frozenset())
+    return reads
 
 
 def test_every_public_library_name_has_a_caller_outside_the_tests():
     library = parsed(LIBRARY)
-    everywhere = references([*library.values(), *parsed(BENCHMARK).values()])
+    everywhere = binding_reads([*library.values(), *parsed(BENCHMARK).values()])
     unused = []
     for path, module in library.items():
         for node in module.body:
@@ -58,8 +83,43 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
                 continue
             if path.stem == "cli" and node.name.startswith("cmd_"):
                 continue  # ``cli.main`` dispatches them by name
-            if everywhere[node.name] == references([node])[node.name]:  # only its own body names it
+            if not everywhere[node.name]:
                 unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+
+
+# Members kept without a library or benchmark caller.
+EXEMPT_MEMBERS = {
+    # Part of the rational LP block that ``perfbench/tests`` pins (ROADMAP
+    # item 3): the benchmark's own tests build polytopes with it.
+    "VPolytope.from_points",
+}
+
+
+def attribute_reads(nodes) -> Counter:
+    """How often each attribute name is read, on any object."""
+    return Counter(
+        node.attr
+        for root in nodes
+        for node in ast.walk(root)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_public_library_member_has_a_caller_outside_the_tests():
+    library = parsed(LIBRARY)
+    everywhere = attribute_reads([*library.values(), *parsed(BENCHMARK).values()])
+    unused = []
+    for path, module in library.items():
+        for cls in module.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                name = f"{cls.name}.{node.name}"
+                if name not in EXEMPT_MEMBERS and everywhere[node.name] == attribute_reads([node])[node.name]:
+                    unused.append(f"{path.stem}.{name}")
     assert unused == []
 
 

@@ -14,10 +14,8 @@ from trinities.polytopes import (
     f_vector,
     gp_polytope_of,
     h_vector,
-    hyperedges,
     hypergraph_root_polytope_of,
     hypertree_polytope_of,
-    root_polytope,
     root_polytope_of,
     trimmed_gp_of,
     verify_duality_suite,
@@ -25,7 +23,14 @@ from trinities.polytopes import (
 from trinities.trinity import COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, build_trinity, hypergraph_view
 
 from helpers import bipartition, count_calls_everywhere, fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
-from oracles import cayley_slice, hypertree_set_of_graph, slice_matches_scaled_gp, tree_simplex
+from oracles import (
+    cayley_slice,
+    hyperedges,
+    hypertree_set_of_graph,
+    root_polytope,
+    slice_matches_scaled_gp,
+    tree_simplex,
+)
 
 
 def vset(poly):
@@ -35,6 +40,7 @@ def vset(poly):
 def test_hyperedges_extraction():
     m = g1_map()
     assert hyperedges(m, (0, 1, 2), (3, 4)) == ((0, 1, 2), (1, 2))
+    assert polytopes._hyperedges_of(g1_trinity(), "VE") == ((0, 1, 2), (1, 2))
 
 
 def test_g1_gp_polytope_violet_coordinates():
@@ -74,7 +80,7 @@ def test_single_hyperedge_gives_simplex():
 
 
 def test_g1_root_polytope():
-    rp = root_polytope_of(g1_trinity(), RED)
+    rp = root_polytope_of(g1_trinity(), "VE")
     assert (rp.u_size, rp.v_size) == (2, 3)
     assert rp.affine_dim == 3
     assert vset(rp) == {
@@ -95,7 +101,7 @@ def test_path_root_polytope_is_a_segment():
 
 
 def test_tree_simplex_rejects_cycles():
-    rp = root_polytope_of(g1_trinity(), RED)
+    rp = root_polytope_of(g1_trinity(), "VE")
     # Edges 1,2,3,4 form a four-cycle on v2, v3, e1, e2.
     with pytest.raises(ValueError):
         tree_simplex(rp, (1, 2, 3, 4))
@@ -124,13 +130,13 @@ def test_triangulations_exist_for_all_colours_and_roots():
 
 def test_cayley_slices_scale_to_gp_polytopes():
     t = g1_trinity()
-    rp = root_polytope_of(t, RED)
+    rp = root_polytope_of(t, "VE")
     assert slice_matches_scaled_gp(rp, "U", gp_polytope_of(t, "VE"))
     assert slice_matches_scaled_gp(rp, "V", gp_polytope_of(t, "EV"))
 
 
 def test_cayley_slice_points_are_exact():
-    rp = root_polytope_of(g1_trinity(), RED)
+    rp = root_polytope_of(g1_trinity(), "VE")
     sl = cayley_slice(rp, "U")
     for v in sl.vertices:
         assert v[0] == Fraction(1, 2) and v[1] == Fraction(1, 2)
@@ -179,7 +185,7 @@ def _set_difference_trimming(points, n):
 def assert_matches_lp_path(t):
     for code in HYPERGRAPH_CODES:
         cm, x_ids, y_ids = hypergraph_view(t, code)
-        sums = _minkowski_sums(polytopes.hyperedges(cm, x_ids, y_ids), len(x_ids))
+        sums = _minkowski_sums(hyperedges(cm, x_ids, y_ids), len(x_ids))
         trimmed = _set_difference_trimming(sums, len(x_ids))
         hypertrees = hypertree_set_of_graph(cm, y_ids)
         for tp, independent in (

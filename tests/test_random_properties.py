@@ -81,7 +81,7 @@ def test_all_invariants_on_random_graphs(chunk):
 
         if k % 5 == 0:
             # Cayley slice identities of the red root polytope.
-            rp = root_polytope_of(t, RED)
+            rp = root_polytope_of(t, "VE")
             assert slice_matches_scaled_gp(rp, "U", gp_polytope_of(t, "VE"))
             assert slice_matches_scaled_gp(rp, "V", gp_polytope_of(t, "EV"))
 

@@ -16,8 +16,6 @@ import pytest
 from trinities import polytopes, trees
 from trinities.polytopes import verify_duality_suite
 from trinities.trinity import (
-    COLOUR_CLASSES,
-    COLOURS,
     HYPERGRAPH_CODES,
     build_trinity,
     hypergraph_view,
@@ -155,10 +153,8 @@ def test_dimension_rules_are_the_rank_of_the_vertices(case):
             for build in (polytopes.gp_polytope_of, polytopes.trimmed_gp_of, polytopes.hypertree_polytope_of):
                 tp = build(t, code)
                 assert tp.affine_dim == affine_dim(tp.vertices), (code, tp.kind)
-        for colour in COLOURS:
-            for u_colour in COLOUR_CLASSES[colour]:
-                rp = polytopes.root_polytope_of(t, colour, u_colour)
-                assert rp.affine_dim == affine_dim(rp.vertices) == rp.u_size + rp.v_size - 2, (colour, u_colour)
+            rp = polytopes.root_polytope_of(t, code)
+            assert rp.affine_dim == affine_dim(rp.vertices) == rp.u_size + rp.v_size - 2, code
 
 
 def box_scan(bound, n):

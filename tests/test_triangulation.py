@@ -24,14 +24,14 @@ import trinities
 from trinities import geometry, linalg, polytopes, trees
 from trinities.cli import EXIT_OK, main
 from trinities.maps import build_map
-from trinities.polytopes import ridge_certificate, root_polytope, root_polytope_of
+from trinities.polytopes import ridge_certificate, root_polytope_of
 from trinities.trinity import (
+    COLOUR_SELECTORS,
     COLOURS,
     HYPERGRAPH_CODES,
     RED,
     InternalConsistencyError,
     colour_graph,
-    colour_of_hypergraph,
     directed_dual,
 )
 
@@ -47,6 +47,7 @@ from oracles import (
     generic_point,
     intersect_in_common_face,
     placing_triangulation,
+    root_polytope,
     simplex_holds_point,
     simplex_normalized_volume,
     spanning_trees_of_map,
@@ -82,7 +83,7 @@ def lemma_disagreements(t, limit=None):
     checked = failing = 0
     wrong = []
     for colour in COLOURS:
-        rp = root_polytope_of(t, colour)
+        rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
         for t1, t2 in tree_pairs(t, colour, limit):
             lp = intersect_in_common_face(tree_simplex(rp, t1), tree_simplex(rp, t2))
             if tree_simplices_meet_in_common_face(rp, t1, t2) != lp:
@@ -109,7 +110,7 @@ def test_lemma_12_6_agrees_with_the_lp_on_corpus_tree_pairs(chunk):
 
 def assert_placing_volume_is_the_hypertree_count(t):
     for code in HYPERGRAPH_CODES:
-        rp = root_polytope_of(t, colour_of_hypergraph(code))
+        rp = root_polytope_of(t, code)
         assert total_normalized_volume(rp.vertices) == len(trees.hypertree_set(t, code)), code
 
 
@@ -127,7 +128,7 @@ def test_placing_volume_is_the_hypertree_count_on_the_corpus(chunk):
 def assert_tree_and_placing_simplices_are_unimodular(t):
     # Postnikov's Lemma 12.5, which the library takes as a theorem.
     for colour in COLOURS:
-        rp = root_polytope_of(t, colour)
+        rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
         for tree in spanning_trees_of_map(colour_graph(t, colour)[0]):
             assert simplex_normalized_volume(tree_simplex(rp, tree)) == 1, (colour, tree)
         for s in placing_triangulation(rp.vertices):
@@ -150,7 +151,7 @@ def assert_the_sign_rule_finds_the_generic_point(t):
     exact barycentric coordinates of the point at eps = 1/3."""
     held = 0
     for colour in COLOURS:
-        rp = root_polytope_of(t, colour)
+        rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
         p = generic_point(rp)
         for tree in spanning_trees_of_map(colour_graph(t, colour)[0]):
             holds = simplex_holds_point(tree_simplex(rp, tree), p)
@@ -236,7 +237,7 @@ def test_the_h_vector_of_a_large_grid_sums_to_the_magic_number(rows, columns, ma
 
 def test_a_bad_tree_pair_fails_the_triangulation(monkeypatch):
     t = g1_trinity()
-    rp = root_polytope_of(t, RED)
+    rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
     bad = next(
         (t1, t2)
         for t1, t2 in tree_pairs(t, RED)
@@ -275,7 +276,7 @@ def mutation_verdicts(t, rng):
     generic point once, and the two verdicts must agree."""
     verdicts = []
     for colour in COLOURS:
-        rp = root_polytope_of(t, colour)
+        rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
         spanning = spanning_trees_of_map(colour_graph(t, colour)[0])
         for root in directed_dual(t, colour).vertices:
             tree_sets = polytopes.arborescence_trees(t, colour, root)
@@ -334,7 +335,7 @@ def volume_oracle_verdicts(t, rng):
     replaces: unit simplices, as many as the placing volume, and the ridges."""
     verdicts = []
     for colour in COLOURS:
-        rp = root_polytope_of(t, colour)
+        rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
         volume = total_normalized_volume(rp.vertices)
         for tree_sets in mutated_tree_sets(t, colour, rng):
             ridges, accepted = certificate_verdicts(rp, tree_sets)
@@ -359,14 +360,14 @@ def test_the_generic_point_counts_the_simplices_that_cover_it():
     # part and covers the point 0 times.
     t = single_edge_trinity()
     for colour in COLOURS:
-        rp = root_polytope_of(t, colour)
+        rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
         assert polytopes._certificate_pass(rp, ()) == ({}, 0)
         with pytest.raises(InternalConsistencyError, match=f"{POINT_FAILURE} 0 times"):
             ridge_certificate(rp, ())
     # g1's two red triangulations together cover it twice; the union also
     # fails the ridge part (see below), so the count is taken directly.
     t = g1_trinity()
-    rp = root_polytope_of(t, RED)
+    rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
     union = polytopes.arborescence_trees(t, RED, 0) + polytopes.arborescence_trees(t, RED, 1)
     assert polytopes._certificate_pass(rp, union)[1] == 2
     assert sum(simplex_holds_point(tree_simplex(rp, tree), generic_point(rp)) for tree in union) == 2
@@ -382,7 +383,7 @@ def test_the_ridge_certificate_needs_the_boundary_count():
     # simplices on opposite sides, but the two triangulate part of the
     # boundary alike, so some boundary ridges lie in two simplices.
     t = g1_trinity()
-    rp = root_polytope_of(t, RED)
+    rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
     union = polytopes.arborescence_trees(t, RED, 0) + polytopes.arborescence_trees(t, RED, 1)
     assert set(ridge_counts(rp, union).values()) == {1, 2}
     with pytest.raises(InternalConsistencyError, match="triangulation boundary ridge"):
