@@ -4,10 +4,12 @@ triangulations, slice identities and their f- and h-vectors.
 
 Hypergraphs are named by two-letter colour selectors ("VE", "ER", ...): the
 first letter is the vertex class X, the second the hyperedge class Y; the
-backing bipartite graph is the colour graph of the remaining colour. One edge
-incidence per selector, each edge's (Y, X) ends, gives its hyperedges, its
+backing bipartite graph is the colour graph of the remaining colour. One
+incidence per selector, ``trinity.incidence``, each white triangle's (Y, X)
+corners, which are the ends of that graph's edges, gives its hyperedges, its
 root polytope Q = conv(e_y - e_x) with the Y coordinates first, and the
-hypertrees of Q's triangulating trees, their degree-minus-one vectors on Y.
+hypertrees of Q's triangulating trees, their degree-minus-one vectors on Y;
+none of them builds a colour-graph map.
 
 The GP, trimmed and hypertree polytopes are built from their subset-inequality
 descriptions in integer arithmetic, and each is checked against a second,
@@ -51,7 +53,7 @@ from .trinity import (
     colour_of_hypergraph,
     default_root,
     directed_dual,
-    hypergraph_view,
+    incidence,
 )
 from . import trees
 
@@ -61,8 +63,6 @@ class TaggedPolytope:
     vertices: tuple[IntVec, ...]  # sorted
     affine_dim: int
     lattice: tuple[IntVec, ...]
-    hypergraph: str  # the selector
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -247,25 +247,9 @@ def _vertices_and_dim(points: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int
     return [p for p, c in zip(points, codes) if c not in inner], n - len(set(component))
 
 
-def _tagged(lattice: tuple[tuple[int, ...], ...], code: str, kind: str) -> TaggedPolytope:
+def _tagged(lattice: tuple[tuple[int, ...], ...]) -> TaggedPolytope:
     vertices, dim = _vertices_and_dim(lattice)  # sorted, as the lattice is
-    return TaggedPolytope(vertices=tuple(vertices), affine_dim=dim, lattice=lattice, hypergraph=code, kind=kind)
-
-
-def _incidence(t: Trinity, code: str) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    """Each colour-graph edge's (Y position, X position) in edge-id order,
-    with |Y| and |X|, once per trinity and selector: the positions in the
-    sorted classes of ``hypergraph_view``. The hyperedges, the root polytope
-    and the trees' hypertrees of the selector all read these ends."""
-
-    def build():
-        m, x_ids, y_ids = hypergraph_view(t, code)
-        x_pos = {v: i for i, v in enumerate(x_ids)}
-        y_pos = {v: i for i, v in enumerate(y_ids)}
-        ends = tuple((y_pos[a], x_pos[b]) if a in y_pos else (y_pos[b], x_pos[a]) for a, b in m.edges)
-        return ends, len(y_ids), len(x_ids)
-
-    return memo(t, ("incidence", code), build)
+    return TaggedPolytope(vertices=tuple(vertices), affine_dim=dim, lattice=lattice)
 
 
 def _hyperedges_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
@@ -273,7 +257,7 @@ def _hyperedges_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
     once per trinity and selector."""
 
     def build():
-        ends, n_y, _ = _incidence(t, code)
+        ends, n_y, _ = incidence(t, code)
         groups: list[set[int]] = [set() for _ in range(n_y)]
         for y, x in ends:
             groups[y].add(x)
@@ -288,7 +272,7 @@ def _gp_data_of(t: Trinity, code: str):
     """n, the coverage bound f and the sums of generators of the selector's
     hypergraph on its n vertices, once per trinity and selector: the GP and
     trimmed builds share them."""
-    he, n = _hyperedges_of(t, code), _incidence(t, code)[2]
+    he, n = _hyperedges_of(t, code), incidence(t, code)[2]
     return memo(t, ("gp_data", code), lambda: (n, _coverage_bound(he, n), _generator_sums(he, n)))
 
 
@@ -335,12 +319,12 @@ def gp_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     lattice = _subset_lattice(bound, n)
     if sums != lattice:
         raise InternalConsistencyError("sums of generators do not exhaust the lattice points")
-    return _tagged(lattice, code, "gp")
+    return _tagged(lattice)
 
 
 def trimmed_gp_of(t: Trinity, code: str) -> TaggedPolytope:
     """Minkowski difference of the GP polytope by the standard simplex on X."""
-    return _tagged(_trimmed_of(t, code), code, "trimmed")
+    return _tagged(_trimmed_of(t, code))
 
 
 def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
@@ -352,7 +336,7 @@ def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     lattice = hypertree_lattice_of(t, code)
     if triangulation_hypertrees(t, code) != lattice:
         raise InternalConsistencyError("hypertree set is not convexly closed")
-    return _tagged(lattice, code, "hypertree")
+    return _tagged(lattice)
 
 
 def root_polytope_of(t: Trinity, code: str) -> RootPolytope:
@@ -367,8 +351,8 @@ def root_polytope_of(t: Trinity, code: str) -> RootPolytope:
     """
 
     def build() -> RootPolytope:
-        incidence, n_y, n_x = _incidence(t, code)
-        ends = tuple((y, n_y + x) for y, x in incidence)
+        yx, n_y, n_x = incidence(t, code)
+        ends = tuple((y, n_y + x) for y, x in yx)
         gens = []
         for u, v in ends:
             p = [0] * (n_y + n_x)
@@ -388,9 +372,7 @@ def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     on Y and the negated simplex on X, whose lattice points e_y - e_x are all
     vertices of that product."""
     rp = root_polytope_of(t, code)
-    return TaggedPolytope(
-        vertices=rp.vertices, affine_dim=rp.affine_dim, lattice=rp.vertices, hypergraph=code, kind="root"
-    )
+    return TaggedPolytope(vertices=rp.vertices, affine_dim=rp.affine_dim, lattice=rp.vertices)
 
 
 def arborescence_trees(t: Trinity, colour: str, root: int) -> tuple[tuple[int, ...], ...]:
@@ -415,7 +397,7 @@ def triangulation_hypertrees(t: Trinity, code: str, root: Optional[int] = None) 
     """
     colour = colour_of_hypergraph(code)
     tree_sets = arborescence_trees(t, colour, default_root(t, colour) if root is None else root)
-    ends, n_y, _ = _incidence(t, code)
+    ends, n_y, _ = incidence(t, code)
     return tuple(sorted(_tree_hypertrees(ends, n_y, tree_sets)))
 
 

@@ -7,13 +7,18 @@ the one immediately to the left of d, with corners (violet end, emerald end,
 left face). It is white exactly when d is based at a violet vertex — in the
 counter-clockwise plane picture the white triangle of an edge lies left of the
 violet-to-emerald direction.
+
+Edge i of every colour graph is the i-th white triangle, joining its corners
+of the other two colours: ``incidence`` reads a selector's ends off the
+triangles with no map, and a map's rotations are the cyclic orders of the
+white triangles around its vertices.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .linalg import integer_det
 from .maps import Bipartition, MapError, PlanarMap, build_map, memo
@@ -43,12 +48,13 @@ class Triangle:
     red: int  # face id of the input map
     colour: str  # "white" or "black"
 
-    def corner(self, colour: str) -> tuple[str, int]:
+    def corner(self, colour: str) -> int:
+        """The id of the triangle's corner of the colour."""
         if colour == VIOLET:
-            return (VIOLET, self.violet)
+            return self.violet
         if colour == EMERALD:
-            return (EMERALD, self.emerald)
-        return (RED, self.red)
+            return self.emerald
+        return self.red
 
     @property
     def corners(self) -> tuple[tuple[str, int], ...]:
@@ -172,19 +178,21 @@ def _validate_triangle_colouring(t: Trinity) -> None:
             if tb.colour != "black":
                 raise InternalConsistencyError("triangle 2-colouring is not proper")
             # The shared edge's two endpoints must agree.
-            other = [c for c in COLOURS if c != colour]
-            for c in other:
-                if tb.corner(c) != tw.corner(c):
-                    raise InternalConsistencyError("triangles paired across an edge disagree on its endpoints")
+            if any(tb.corner(c) != tw.corner(c) for c in COLOURS if c != colour):
+                raise InternalConsistencyError("triangles paired across an edge disagree on its endpoints")
 
 
 def colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
     """The colour-c subgraph of the trinity as an embedded map, built once per
     trinity and colour.
 
-    Vertex ids: class_a vertices (in id order) then class_b vertices; edge i
-    corresponds to the i-th white triangle (for red, edge ids match the input
-    graph's edge ids, and the map IS the input map).
+    Edge i is the white triangle of input edge i. For red the map IS the
+    input map; for violet and emerald the vertices are the positions of
+    ``incidence(t, COLOUR_SELECTORS[colour])``, class_a (X) then class_b (Y).
+    The faces are the colour's own vertices, and the directed dual is the
+    oriented planar dual: its edge i crosses edge i from right to left, seen
+    from the class_a end (Kalman-Postnikov, *Root polytopes, Tutte
+    polynomials, and a duality theorem for bipartite graphs*, 2017).
     """
     return memo(t, ("colour_graph", colour), lambda: _colour_graph(t, colour))
 
@@ -192,48 +200,45 @@ def colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
 def _colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
     if colour == RED:
         return t.map, Bipartition(class_a=t.violet, class_b=t.emerald)
+    code = COLOUR_SELECTORS[colour]
+    ends, n_y, n_x = incidence(t, code)
+    # Each input edge has one white dart, at its violet end: white triangle w is edge w // 2.
+    rotations = [
+        [w // 2 for w in _whites_around(t, c, v)] for c in hypergraph_classes(code) for v in t.vertices_of_colour(c)
+    ]
+    cm = build_map(n_x + n_y, [(x, n_x + y) for y, x in ends], rotations)
+    return cm, Bipartition(class_a=frozenset(range(n_x)), class_b=frozenset(range(n_x, n_x + n_y)))
+
+
+def _whites_around(t: Trinity, colour: str, v: int) -> Sequence[int]:
+    """The white triangles at the colour-c vertex v in counter-clockwise order:
+    at a violet vertex the triangles of its darts, at an emerald vertex those
+    of alpha of its darts, and at a red vertex, a face, the white darts of the
+    face orbit."""
     m = t.map
-    whites = t.white_triangles
-    class_a_colour, class_b_colour = hypergraph_classes(COLOUR_SELECTORS[colour])
-    a_ids = t.vertices_of_colour(class_a_colour)
-    b_ids = t.vertices_of_colour(class_b_colour)
-    a_index = {v: i for i, v in enumerate(a_ids)}
-    b_index = {v: len(a_ids) + i for i, v in enumerate(b_ids)}
-
-    def endpoint(tri: Triangle, c: str) -> int:
-        tag, vid = tri.corner(c)
-        return a_index[vid] if c == class_a_colour else b_index[vid]
-
-    white_index = {w: i for i, w in enumerate(whites)}
-    edges = []
-    for w in whites:
-        tri = t.triangles[w]
-        edges.append((endpoint(tri, class_a_colour), endpoint(tri, class_b_colour)))
-    # Rotations. Around an original (violet/emerald) vertex the new edges
-    # follow the CCW dart order; around a face vertex they follow the face
-    # orbit, restricted to the darts whose triangle has that red corner.
-    rotations: dict[int, list[int]] = {}
     if colour == VIOLET:
-        # Edges join emerald and red corners; white triangle of dart d sits at
-        # its emerald end just before dart alpha(d) in CCW order.
-        for x in t.vertices_of_colour(EMERALD):
-            rotations[a_index[x] if class_a_colour == EMERALD else b_index[x]] = [
-                white_index[m.alpha(d)] for d in m.darts_of_vertex(x)
-            ]
-    else:
-        # Emerald edges join violet and red corners; white triangle t(d) sits
-        # at its violet base just after dart d.
-        for v in t.vertices_of_colour(VIOLET):
-            rotations[b_index[v] if class_b_colour == VIOLET else a_index[v]] = [
-                white_index[d] for d in m.darts_of_vertex(v)
-            ]
-    for r, orbit in enumerate(m.faces):
-        key = a_index[r] if class_a_colour == RED else b_index[r]
-        rotations[key] = [white_index[d] for d in orbit if d in white_index and t.triangles[d].red == r]
-    n_vertices = len(a_ids) + len(b_ids)
-    cm = build_map(n_vertices, edges, [rotations[v] for v in range(n_vertices)])
-    bip = Bipartition(class_a=frozenset(range(len(a_ids))), class_b=frozenset(range(len(a_ids), n_vertices)))
-    return cm, bip
+        return m.darts_of_vertex(v)
+    if colour == EMERALD:
+        return [m.alpha(d) for d in m.darts_of_vertex(v)]
+    return [d for d in m.faces[v] if t.triangles[d].colour == "white"]
+
+
+def incidence(t: Trinity, code: str) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """Each white triangle's (Y position, X position), in white-triangle
+    order, with |Y| and |X|, once per trinity and selector: its Y and X
+    corners as positions in ``vertices_of_colour``. Edge i of the colour graph
+    ``colour_of_hypergraph(code)`` has these ends; the selector's hyperedges,
+    root polytope and trees' hypertrees all read them."""
+
+    def build():
+        x_colour, y_colour = hypergraph_classes(code)
+        x_pos = {v: i for i, v in enumerate(t.vertices_of_colour(x_colour))}
+        y_pos = {v: i for i, v in enumerate(t.vertices_of_colour(y_colour))}
+        whites = [t.triangles[w] for w in t.white_triangles]
+        ends = tuple((y_pos[tri.corner(y_colour)], x_pos[tri.corner(x_colour)]) for tri in whites)
+        return ends, len(y_pos), len(x_pos)
+
+    return memo(t, ("incidence", code), build)
 
 
 def directed_dual(t: Trinity, colour: str) -> DirectedDual:
@@ -247,8 +252,8 @@ def _directed_dual(t: Trinity, colour: str) -> DirectedDual:
     edges = []
     for w in whites:
         b = _black_partner_across(t, w, colour)
-        tail = t.triangles[b].corner(colour)[1]
-        head = t.triangles[w].corner(colour)[1]
+        tail = t.triangles[b].corner(colour)
+        head = t.triangles[w].corner(colour)
         edges.append((tail, head))
     vertices = t.vertices_of_colour(colour)
     dd = DirectedDual(colour=colour, vertices=vertices, edges=tuple(edges), white_triangles=tuple(whites))
@@ -356,26 +361,9 @@ def colour_of_hypergraph(code: str) -> str:
     return missing
 
 
-def hypergraph_view(t: Trinity, code: str):
-    """(map, x vertex ids in map, y vertex ids in map) for a hypergraph selector,
-    built once per trinity and selector.
-
-    X are the hypergraph's vertices, Y its hyperedges; the backing bipartite
-    graph is the colour graph of the remaining colour.
-    """
-    return memo(t, ("hypergraph_view", code), lambda: _hypergraph_view(t, code))
-
-
-def _hypergraph_view(t: Trinity, code: str):
-    colour = colour_of_hypergraph(code)
-    cm, bip = colour_graph(t, colour)
-    a, b = tuple(sorted(bip.class_a)), tuple(sorted(bip.class_b))
-    return (cm, a, b) if code == COLOUR_SELECTORS[colour] else (cm, b, a)
-
-
 def default_root(t: Trinity, colour: str) -> int:
     """The root triangle's corner of the colour."""
-    return t.triangles[t.root_triangle].corner(colour)[1]
+    return t.triangles[t.root_triangle].corner(colour)
 
 
 def magic_number_report(t: Trinity) -> dict:

@@ -3,10 +3,12 @@
 - exhaustive Tutte-matching enumeration, every bijection from the non-root
   vertices to adjacent non-root white triangles by backtracking (the library
   counts them by a frontier dynamic program and lists none);
-- a selector's hyperedges and root polytope straight from a map and its
-  two vertex lists, scanning every edge once per hyperedge and placing each
-  generator by vertex id (the library reads both off one memoized edge
-  incidence per selector);
+- a selector's hypergraph view, its colour graph with the two vertex lists
+  read off the map's classes, and the selector's hyperedges and root
+  polytope straight from that map, scanning every edge once per hyperedge
+  and placing each generator by vertex id (the library reads the hyperedges
+  and the root polytope off one memoized incidence per selector, the white
+  triangles' corners, with no map);
 - exhaustive spanning-tree enumeration and the hypertree sets it gives (the
   library takes hypertrees from Kalman's mu-lattice and the trees of its
   arborescence triangulations; this enumerates every spanning tree, far more
@@ -55,9 +57,12 @@ from trinities.links import Crossing, LaurentPoly2, LinkDiagram, _split_factor, 
 from trinities.maps import PlanarMap, memo
 from trinities.polytopes import RootPolytope, TaggedPolytope
 from trinities.trinity import (
+    COLOUR_SELECTORS,
     InternalConsistencyError,
     Trinity,
     _adjacent,
+    colour_graph,
+    colour_of_hypergraph,
     non_root_vertices,
     non_root_white_triangles,
 )
@@ -86,6 +91,16 @@ class _DSU:
         d = _DSU(0)
         d.parent = list(self.parent)
         return d
+
+
+def hypergraph_view(t: Trinity, code: str) -> tuple[PlanarMap, tuple[int, ...], tuple[int, ...]]:
+    """(map, x vertex ids in map, y vertex ids in map) for a hypergraph
+    selector: X are the hypergraph's vertices, Y its hyperedges, and the map
+    is the colour graph of the remaining colour."""
+    colour = colour_of_hypergraph(code)
+    cm, bip = colour_graph(t, colour)
+    a, b = tuple(sorted(bip.class_a)), tuple(sorted(bip.class_b))
+    return (cm, a, b) if code == COLOUR_SELECTORS[colour] else (cm, b, a)
 
 
 def hyperedges(m: PlanarMap, x_ids: Sequence[int], y_ids: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -1,8 +1,8 @@
-"""Each colour graph, directed dual, hypergraph view, hypertree set,
+"""Each colour graph, directed dual, selector's incidence, hypertree set,
 selector's hyperedges, coverage bound and generator sums, trimmed lattice,
 root polytope, triangulation and median diagram is derived once per trinity,
-and never shared between two trinities; a report reads the sutured support
-once, and verify not at all. The counts come from wrappers around the
+and never shared between two trinities; no incidence builds a colour graph;
+a report reads the sutured support once, and verify not at all. The counts come from wrappers around the
 builders. No spanning tree is enumerated: the hypertree sets are mu-lattices.
 No Tutte matching is listed: the matchings are counted."""
 
@@ -20,7 +20,7 @@ from trinities.trinity import (
     build_trinity,
     colour_graph,
     directed_dual,
-    hypergraph_view,
+    incidence,
     magic_number_report,
 )
 
@@ -62,7 +62,7 @@ def test_report_builds_each_hypertree_lattice_once(monkeypatch):
     report, code = build_report(doc, t, crossing_cap=16, emit_pd=False)
     assert code == EXIT_OK and report["magic"]["magic_number"] == 11
     assert len(calls) == 6
-    assert sorted(len(he) for (he,) in calls) == sorted(len(hypergraph_view(t, c)[2]) for c in HYPERGRAPH_CODES)
+    assert sorted(len(he) for (he,) in calls) == sorted(incidence(t, c)[1] for c in HYPERGRAPH_CODES)
 
 
 def test_verify_builds_each_hypertree_lattice_once(monkeypatch, capsys):
@@ -98,7 +98,7 @@ def test_two_trinities_of_one_document_derive_separately(monkeypatch):
 def test_default_and_explicit_root_share_one_triangulation(monkeypatch):
     calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
     _doc, t = load_fig7()
-    default_root = t.triangles[t.root_triangle].corner("red")[1]
+    default_root = t.triangles[t.root_triangle].corner("red")
     tr = polytopes.arborescence_triangulation(t, "red")
     assert polytopes.arborescence_triangulation(t, "red", default_root) is tr
     assert len(calls) == 1
@@ -117,29 +117,40 @@ def test_report_trims_once_per_selector(monkeypatch):
 def test_report_derives_each_selectors_hypergraph_data_once(monkeypatch):
     # The GP and trimmed builds share the hyperedges, coverage bound and
     # generator sums of a selector; the mu-bound shares its hyperedges. The
-    # hyperedges, root polytope and tree hypertrees read one edge incidence,
-    # the only reader of the selector's hypergraph view in ``polytopes``.
+    # hyperedges, root polytope and tree hypertrees read one incidence.
     counted = {
         name: count_calls(monkeypatch, polytopes, name)
-        for name in ("hypergraph_view", "_coverage_bound", "_generator_sums", "_hypertree_bound")
+        for name in ("_coverage_bound", "_generator_sums", "_hypertree_bound")
     }
     doc, t = load_fig7()
     build_report(doc, t, crossing_cap=16, emit_pd=False)
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 6)
-    assert sorted(code for _t, code in counted["hypergraph_view"]) == sorted(HYPERGRAPH_CODES)
     hyperedges = [polytopes._hyperedges_of(t, code) for code in HYPERGRAPH_CODES]
     for name in ("_coverage_bound", "_hypertree_bound"):
         assert sorted(map(id, (args[0] for args in counted[name]))) == sorted(map(id, hyperedges)), name
+    for code in HYPERGRAPH_CODES:
+        assert incidence(t, code) is incidence(t, code)
 
 
-def test_report_builds_each_hypergraph_view_once(monkeypatch):
-    # Every hypergraph selector's polytopes, hypertree sets and magic-number
-    # route share one view, sorted once.
-    calls = count_calls(monkeypatch, trinity, "_hypergraph_view")
+def test_the_incidences_build_no_colour_graph(monkeypatch, capsys):
+    # Every selector's ends are read off the white triangles, so its
+    # hyperedges and root polytope need no map. The spanning trees dual to a
+    # colour's arborescences build that colour's map, once: a report reaches
+    # them at the default roots (for its hypertree polytopes), verify at
+    # every root.
+    calls = count_calls(monkeypatch, trinity, "_colour_graph")
+    _doc, t = load_fig7()
+    for code in HYPERGRAPH_CODES:
+        polytopes._hyperedges_of(t, code)
+        polytopes.root_polytope_of(t, code)
+    assert calls == []
     doc, t = load_fig7()
     build_report(doc, t, crossing_cap=16, emit_pd=False)
-    assert sorted(code for _t, code in calls) == sorted(HYPERGRAPH_CODES)
-    assert hypergraph_view(t, "ER") is hypergraph_view(t, "ER")
+    assert Counter(colour for _t, colour in calls) == Counter(COLOURS)
+    calls.clear()
+    assert main(["verify", FIG7]) == EXIT_OK
+    assert '"ok": true' in capsys.readouterr().out
+    assert Counter(colour for _t, colour in calls) == Counter(COLOURS)
 
 
 def test_report_builds_one_median_diagram(monkeypatch):

@@ -26,11 +26,11 @@ from trinities.trinity import (
     colour_of_hypergraph,
     default_root,
     directed_dual,
-    hypergraph_view,
 )
 
 from helpers import fig7_trinity, g1_trinity, grid_trinity, random_trinity, single_edge_trinity
 from oracles import (
+    hypergraph_view,
     hypertree_set_of_graph,
     simplex_normalized_volume,
     spanning_trees_of_map,

@@ -8,10 +8,10 @@ import random
 import pytest
 
 from trinities import polytopes
-from trinities.trinity import HYPERGRAPH_CODES, colour_of_hypergraph, directed_dual, hypergraph_view
+from trinities.trinity import HYPERGRAPH_CODES, colour_of_hypergraph, directed_dual
 
 from helpers import fig7_trinity, g1_trinity, grid_trinity, random_trinity, single_edge_trinity
-from oracles import hyperedges, root_polytope
+from oracles import hyperedges, hypergraph_view, root_polytope
 
 
 def graphs(case):

@@ -8,6 +8,7 @@ from the library, and a triangulation keeps no simplices."""
 import ast
 import dataclasses
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 from trinities.polytopes import Triangulation
@@ -27,6 +28,9 @@ MOVED = {
     "planar_dual",
     "maps_isomorphic",
     "bipartition",
+    "hypergraph_view",
+    "_hypergraph_view",
+    "_incidence",
 }
 
 
@@ -134,3 +138,43 @@ def test_the_moved_names_are_gone_from_the_library():
         }
         assert not (defined | imported) & MOVED, path.name
     assert "simplices" not in {field.name for field in dataclasses.fields(Triangulation)}
+
+
+def benchmark_reads() -> set[tuple[str, str]]:
+    """(module, name) for every name the benchmark's own files import from a
+    library module, or read as an attribute of a name bound to one."""
+    reads = set()
+    for module in parsed(BENCHMARK).values():
+        bound = {}  # local name -> library module
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "trinities":
+                for alias in node.names:
+                    if node.module == "trinities":
+                        bound[alias.asname or alias.name] = f"trinities.{alias.name}"
+                    else:
+                        reads.add((node.module, alias.name))
+        for node in ast.walk(module):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                reads.add((bound[node.value.id], node.attr))
+    return reads
+
+
+# Bindings that ``from x import y`` copies and the benchmark's tracer test
+# wraps by their importing module's name.
+COPIED_BINDINGS = {
+    ("geometry", "lp_solve"): ("linalg", "lp_solve"),
+    ("polytopes", "lattice_points"): ("geometry", "lattice_points"),
+    ("trees", "colour_graph"): ("trinity", "colour_graph"),
+    ("cli", "directed_dual"): ("trinity", "directed_dual"),
+}
+
+
+def test_the_names_the_benchmark_reaches_exist():
+    reads = benchmark_reads()
+    assert ("trinities.trinity", "build_trinity") in reads
+    missing = sorted(f"{module}.{name}" for module, name in reads if not hasattr(import_module(module), name))
+    assert missing == []
+    for (copy, name), (origin, original) in COPIED_BINDINGS.items():
+        assert getattr(import_module(f"trinities.{copy}"), name, None) is getattr(
+            import_module(f"trinities.{origin}"), original
+        ), f"{copy}.{name}"

@@ -20,12 +20,13 @@ from trinities.polytopes import (
     trimmed_gp_of,
     verify_duality_suite,
 )
-from trinities.trinity import COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, build_trinity, hypergraph_view
+from trinities.trinity import COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, build_trinity
 
 from helpers import bipartition, count_calls_everywhere, fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
 from oracles import (
     cayley_slice,
     hyperedges,
+    hypergraph_view,
     hypertree_set_of_graph,
     root_polytope,
     slice_matches_scaled_gp,
@@ -188,14 +189,15 @@ def assert_matches_lp_path(t):
         sums = _minkowski_sums(hyperedges(cm, x_ids, y_ids), len(x_ids))
         trimmed = _set_difference_trimming(sums, len(x_ids))
         hypertrees = hypertree_set_of_graph(cm, y_ids)
-        for tp, independent in (
-            (gp_polytope_of(t, code), sums),
-            (trimmed_gp_of(t, code), trimmed),
-            (hypertree_polytope_of(t, code), hypertrees),
+        for build, independent in (
+            (gp_polytope_of, sums),
+            (trimmed_gp_of, trimmed),
+            (hypertree_polytope_of, hypertrees),
         ):
+            tp = build(t, code)
             lattice, vertices = _lp_lattice_and_vertices(independent)
-            assert tp.lattice == lattice, (code, tp.kind)
-            assert tp.vertices == vertices, (code, tp.kind)
+            assert tp.lattice == lattice, (code, build.__name__)
+            assert tp.vertices == vertices, (code, build.__name__)
 
 
 @pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])

@@ -18,7 +18,6 @@ from trinities.polytopes import verify_duality_suite
 from trinities.trinity import (
     HYPERGRAPH_CODES,
     build_trinity,
-    hypergraph_view,
     magic_number_report,
 )
 
@@ -31,7 +30,7 @@ from helpers import (
     random_trinity,
     single_edge_trinity,
 )
-from oracles import affine_dim, subset_lattice, subset_vertices
+from oracles import affine_dim, hypergraph_view, subset_lattice, subset_vertices
 
 
 def selector_bounds(t):
@@ -152,7 +151,7 @@ def test_dimension_rules_are_the_rank_of_the_vertices(case):
         for code in HYPERGRAPH_CODES:
             for build in (polytopes.gp_polytope_of, polytopes.trimmed_gp_of, polytopes.hypertree_polytope_of):
                 tp = build(t, code)
-                assert tp.affine_dim == affine_dim(tp.vertices), (code, tp.kind)
+                assert tp.affine_dim == affine_dim(tp.vertices), (code, build.__name__)
             rp = polytopes.root_polytope_of(t, code)
             assert rp.affine_dim == affine_dim(rp.vertices) == rp.u_size + rp.v_size - 2, code
 

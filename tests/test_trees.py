@@ -91,7 +91,7 @@ def test_arborescences_biject_with_hypertrees():
     t = g1_trinity()
     for colour, code in ((RED, "VE"), (VIOLET, "ER"), (EMERALD, "RV")):
         assert colour_of_hypergraph(code) == colour
-        root = t.triangles[t.root_triangle].corner(colour)[1]
+        root = t.triangles[t.root_triangle].corner(colour)
         # Sorted with repeats kept, so equality is a bijection.
         assert triangulation_hypertrees(t, code, root) == hypertree_set(t, code)
         assert len(enumerate_arborescences(directed_dual(t, colour), root)) == len(hypertree_set(t, code))

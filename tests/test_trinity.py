@@ -18,7 +18,7 @@ from trinities.trinity import (
     colour_of_hypergraph,
     count_tutte_matchings,
     directed_dual,
-    hypergraph_view,
+    incidence,
     magic_number_report,
     non_root_vertices,
     non_root_white_triangles,
@@ -35,7 +35,7 @@ from helpers import (
     random_trinity,
     single_edge_trinity,
 )
-from oracles import det_exact, enumerate_tutte_matchings
+from oracles import det_exact, enumerate_tutte_matchings, hypergraph_view
 
 
 def test_g1_triangles():
@@ -219,6 +219,35 @@ def test_g1_colour_graphs():
     assert red_map is t.map
 
 
+def planar_dual_cases(case):
+    """The fixtures, the 2x3 to 4x4 grids, or a chunk of the seeded corpus of
+    test_random_properties."""
+    if case == "fixtures":
+        return [single_edge_trinity(), g1_trinity(), fig7_trinity()]
+    if case == "grids":
+        return [grid_trinity(r, c) for r, c in ((2, 3), (3, 3), (3, 4), (4, 4))]
+    rng = random.Random(9000 + case)
+    return [random_trinity(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("case", ["fixtures", "grids", *range(10)])
+def test_each_colour_graph_is_the_oriented_planar_dual_of_its_directed_dual(case):
+    # Directed-dual edge i crosses colour-graph edge i, from the face on its
+    # right to the face on its left, read from the class-a end: the tail is
+    # the black triangle's corner, the head the white one's. A mirrored
+    # rotation system is still planar but swaps the two sides.
+    for t in planar_dual_cases(case):
+        for colour in COLOURS:
+            cm, bip = colour_graph(t, colour)
+            dd = directed_dual(t, colour)
+            assert cm.n_faces == len(dd.vertices), colour
+            for i, (tail, head) in enumerate(dd.edges):
+                left = 2 * i if cm.vertex_of[2 * i] in bip.class_a else 2 * i + 1
+                for dart, end in ((left, head), (left ^ 1, tail)):
+                    crossing = {d // 2 for d in cm.faces[cm.face_of[dart]]}
+                    assert crossing == {j for j, ends in enumerate(dd.edges) if end in ends}, (colour, i, dart)
+
+
 def test_hypergraph_views():
     t = g1_trinity()
     cm, x_ids, y_ids = hypergraph_view(t, "VE")
@@ -229,6 +258,8 @@ def test_hypergraph_views():
     assert cm is t.map and x_ids == (3, 4) and y_ids == (0, 1, 2)
     with pytest.raises(ValueError):
         hypergraph_view(t, "VV")
+    with pytest.raises(ValueError):
+        incidence(t, "VV")
 
 
 def test_non_root_pieces():
