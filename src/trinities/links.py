@@ -11,15 +11,26 @@ evaluates to 1, and a split union multiplies by (v^-1 - v)/z per extra
 component. The over/under assignment of the median crossings is calibrated so
 that these diagrams come out positive.
 
-The skein recursion runs on Gauss codes, with the crossing signs and the
-free-circle count: a switch, a Reidemeister-I move and a smoothing are tuple
-splices, and no arc is relabelled. Each splice keeps the start of the
-component it edits, so the descending test reads from fixed base points.
+The skein runs on Gauss codes, with the crossing signs and the free-circle
+count: a switch, a Reidemeister-I move and a smoothing are tuple splices, and
+no arc is relabelled. Each splice keeps the start of the component it edits,
+so the descending test reads from fixed base points.
+
+One reading per skein node: a node drops its kinks, then reads its code once,
+in order, switching each crossing met under-first after pushing that
+crossing's smoothing as a child; what is left is descending, an unlink. This
+walks the tree of the recursion that switches only the first under-first
+crossing, each chain of its switch children in one pass: a switch changes no
+crossing id, so it makes no kink; and it leaves the set of crossings already
+met unchanged, so the switched diagram's first under-first crossing is the
+reading's next one. The leaves' terms are summed into one polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import comb
 from typing import Optional, Sequence
 
 from .maps import Bipartition, PlanarMap, memo
@@ -27,7 +38,7 @@ from .polytopes import arborescence_triangulation, h_vector
 from .trinity import RED, InternalConsistencyError, Trinity
 
 
-# The most crossings the skein recursion takes unless told otherwise.
+# The most crossings the skein takes unless told otherwise.
 CROSSING_CAP = 16
 
 
@@ -181,9 +192,6 @@ class LaurentPoly2:
                 d[k] = d.get(k, 0) + c1 * c2
         return LaurentPoly2.from_dict(d)
 
-    def shift(self, v: int = 0, z: int = 0, coeff: int = 1) -> "LaurentPoly2":
-        return LaurentPoly2(tuple(sorted((((vv + v, zz + z), coeff * c) for (vv, zz), c in self.coeffs))))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -199,10 +207,6 @@ class LaurentPoly2:
 
     def z_coefficient(self, z: int) -> "LaurentPoly2":
         return LaurentPoly2(tuple(((v, 0), c) for (v, zz), c in self.coeffs if zz == z))
-
-
-ONE = LaurentPoly2.from_dict({(0, 0): 1})
-ZERO = LaurentPoly2.from_dict({})
 
 
 def format_poly(p: LaurentPoly2) -> str:
@@ -230,7 +234,7 @@ def format_poly(p: LaurentPoly2) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Skein recursion.
+# The skein, one reading per node.
 # ---------------------------------------------------------------------------
 
 
@@ -255,18 +259,19 @@ def _drop_kinks(comps: list[tuple[int, ...]], free: int) -> tuple[list[tuple[int
     return out, free
 
 
-def _first_under(comps: Sequence[tuple[int, ...]]) -> Optional[int]:
-    """The first crossing met under-first, reading the components in order
-    from their starts; None for a descending diagram."""
+def _under_first(comps: Sequence[tuple[int, ...]]) -> list[int]:
+    """The crossings met under-first, in the order met, reading the
+    components in order from their starts; empty for a descending diagram."""
     seen: set[int] = set()
+    out = []
     for comp in comps:
         for v in comp:
             c = v >> 1
             if c not in seen:
-                if v & 1:
-                    return c
                 seen.add(c)
-    return None
+                if v & 1:
+                    out.append(c)
+    return out
 
 
 def _smoothed(comps: list[tuple[int, ...]], c: int) -> list[tuple[int, ...]]:
@@ -281,41 +286,56 @@ def _smoothed(comps: list[tuple[int, ...]], c: int) -> list[tuple[int, ...]]:
     return comps[:i] + [a[:k1] + b[k2 + 1 :] + b[:k2] + a[k1 + 1 :]] + comps[i + 1 : j] + comps[j + 1 :]
 
 
-DELTA = LaurentPoly2.from_dict({(-1, -1): 1, (1, -1): -1})  # (v^-1 - v) / z
-
-
-def _split_factor(n_components: int) -> LaurentPoly2:
-    out = ONE
-    for _ in range(n_components - 1):
-        out = out * DELTA
-    return out
-
-
-def _homfly(comps: list[tuple[int, ...]], signs: tuple[int, ...], free: int) -> LaurentPoly2:
-    comps, free = _drop_kinks(comps, free)
-    c = _first_under(comps)
-    if c is None:
-        # Descending diagram: an unlink of its components.
-        return _split_factor(len(comps) + free)
-    switched = [tuple(v ^ 1 if v >> 1 == c else v for v in comp) for comp in comps]
-    p_switch = _homfly(switched, signs[:c] + (-signs[c],) + signs[c + 1 :], free)
-    p_smooth = _homfly(_smoothed(comps, c), signs, free)
-    if signs[c] > 0:
-        # v^-1 P+ - v P- = z P0  =>  P+ = v^2 P- + v z P0
-        return p_switch.shift(v=2) + p_smooth.shift(v=1, z=1)
-    # P- = v^-2 P+ - v^-1 z P0
-    return p_switch.shift(v=-2) - p_smooth.shift(v=-1, z=1)
+@cache
+def _unlink(k: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The terms of ((v^-1 - v)/z)^(k-1), the unlink of k components, by the
+    binomial theorem."""
+    n = k - 1
+    return tuple(((2 * j - n, -n), (-1) ** j * comb(n, j)) for j in range(n + 1))
 
 
 def homfly(d: LinkDiagram, crossing_cap: int = CROSSING_CAP) -> LaurentPoly2:
-    """HOMFLY-PT polynomial by the skein recursion on the diagram's Gauss
-    code; the number of steps depends on the base points the splices keep."""
+    """HOMFLY-PT polynomial by the skein relation on the diagram's Gauss
+    code, one reading per skein node.
+
+    A node drops its kinks, then reads its code once, in order. At each
+    crossing c met under-first, of sign s, P_s = v^(2s) P_-s + s v^s z P_0:
+    the smoothing of c is pushed as a child weighted s v^s z, and c is
+    switched, multiplying the node's weight by v^(2s). Once read, the diagram
+    is descending, an unlink of its k components, and the node adds weight *
+    ((v^-1 - v)/z)^(k-1) to the sum. This is the recursion that switches the
+    first under-first crossing and recurses on both children, with each chain
+    of switch children read in one pass: a switch changes no crossing id, so
+    it makes no kink; and it leaves the set of crossings already met
+    unchanged, so the next under-first crossing of the switched diagram is
+    the next one of the reading.
+
+    The signs stay the diagram's own: a child's code starts with its
+    parent's reading up to the smoothed crossing, all of it met over-first
+    once switched, and kinks drop whole crossings, so a switched crossing is
+    met over-first at every node below and its sign is never read again.
+    """
     if d.n_crossings > crossing_cap:
         raise CrossingCapExceeded(
             f"diagram has {d.n_crossings} crossings, cap is {crossing_cap}"
         )
     _validate_arcs(d.crossings)
-    return _homfly(gauss_code(d), tuple(c.sign for c in d.crossings), d.free_circles)
+    signs = tuple(c.sign for c in d.crossings)
+    terms: dict[tuple[int, int], int] = {}
+    # (components, free circles, weight coeff * v^dv * z^dz)
+    stack = [(gauss_code(d), d.free_circles, 1, 0, 0)]
+    while stack:
+        comps, free, coeff, dv, dz = stack.pop()
+        comps, free = _drop_kinks(comps, free)
+        for c in _under_first(comps):
+            s = signs[c]
+            stack.append((_smoothed(comps, c), free, s * coeff, dv + s, dz + 1))
+            comps = [tuple(v ^ 1 if v >> 1 == c else v for v in comp) for comp in comps]
+            dv += 2 * s
+        for (uv, uz), u in _unlink(len(comps) + free):
+            key = (dv + uv, dz + uz)
+            terms[key] = terms.get(key, 0) + coeff * u
+    return LaurentPoly2.from_dict(terms)
 
 
 def homfly_top(p: LaurentPoly2) -> LaurentPoly2:

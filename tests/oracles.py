@@ -39,7 +39,12 @@
   no two coordinates can be exchanged, one up and one down, both ways);
 - the skein recursion on arc-labelled crossings, which relabels every
   crossing on each Reidemeister-I move and smoothing (the library runs the
-  skein on Gauss codes).
+  skein on Gauss codes);
+- the skein recursion on Gauss codes, which drops kinks and rescans the code
+  at every switch child, builds a polynomial per node and multiplies the
+  unlink factor out one component at a time (the library reads each node's
+  code once, switching every under-first crossing, and sums its leaves into
+  one polynomial).
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from typing import Iterable, Optional, Sequence
 
 from trinities.geometry import VPolytope, canonical_lattice_set
 from trinities.linalg import OPTIMAL, DimensionError, RatVec, fvec, integer_det, lp_solve
-from trinities.links import Crossing, LaurentPoly2, LinkDiagram, _split_factor, component_count
+from trinities.links import Crossing, LaurentPoly2, LinkDiagram, _drop_kinks, _smoothed, component_count, gauss_code
 from trinities.maps import PlanarMap, memo
 from trinities.polytopes import RootPolytope, TaggedPolytope
 from trinities.trinity import (
@@ -671,6 +676,63 @@ def subset_vertices(bound: Sequence[int], n: int, points: Sequence[tuple[int, ..
 
 
 # ---------------------------------------------------------------------------
+# Skein recursion on Gauss codes, one node per switch.
+# ---------------------------------------------------------------------------
+
+ONE = LaurentPoly2.from_dict({(0, 0): 1})
+DELTA = LaurentPoly2.from_dict({(-1, -1): 1, (1, -1): -1})  # (v^-1 - v) / z
+
+
+def shift(p: LaurentPoly2, v: int = 0, z: int = 0) -> LaurentPoly2:
+    """p times v^v z^z."""
+    return LaurentPoly2(tuple(sorted(((vv + v, zz + z), c) for (vv, zz), c in p.coeffs)))
+
+
+def homfly_by_recursion(d: LinkDiagram) -> LaurentPoly2:
+    """HOMFLY-PT polynomial of the diagram by the Gauss-code skein recursion
+    that switches the first under-first crossing and recurses on both
+    children; its leaves are its ``_split_factor`` calls."""
+    return _gauss_homfly(gauss_code(d), tuple(c.sign for c in d.crossings), d.free_circles)
+
+
+def _first_under(comps: Sequence[tuple[int, ...]]) -> Optional[int]:
+    """The first crossing met under-first, reading the components in order
+    from their starts; None for a descending diagram."""
+    seen: set[int] = set()
+    for comp in comps:
+        for v in comp:
+            c = v >> 1
+            if c not in seen:
+                if v & 1:
+                    return c
+                seen.add(c)
+    return None
+
+
+def _split_factor(n_components: int) -> LaurentPoly2:
+    out = ONE
+    for _ in range(n_components - 1):
+        out = out * DELTA
+    return out
+
+
+def _gauss_homfly(comps: list[tuple[int, ...]], signs: tuple[int, ...], free: int) -> LaurentPoly2:
+    comps, free = _drop_kinks(comps, free)
+    c = _first_under(comps)
+    if c is None:
+        # Descending diagram: an unlink of its components.
+        return _split_factor(len(comps) + free)
+    switched = [tuple(v ^ 1 if v >> 1 == c else v for v in comp) for comp in comps]
+    p_switch = _gauss_homfly(switched, signs[:c] + (-signs[c],) + signs[c + 1 :], free)
+    p_smooth = _gauss_homfly(_smoothed(comps, c), signs, free)
+    if signs[c] > 0:
+        # v^-1 P+ - v P- = z P0  =>  P+ = v^2 P- + v z P0
+        return shift(p_switch, v=2) + shift(p_smooth, v=1, z=1)
+    # P- = v^-2 P+ - v^-1 z P0
+    return shift(p_switch, v=-2) - shift(p_smooth, v=-1, z=1)
+
+
+# ---------------------------------------------------------------------------
 # Skein recursion on arc labels.
 # ---------------------------------------------------------------------------
 
@@ -770,6 +832,6 @@ def _homfly(crossings: list[Crossing], free: int) -> LaurentPoly2:
     p_smooth = _homfly(smoothed, free_s)
     if c.sign > 0:
         # v^-1 P+ - v P- = z P0  =>  P+ = v^2 P- + v z P0
-        return p_switch.shift(v=2) + p_smooth.shift(v=1, z=1)
+        return shift(p_switch, v=2) + shift(p_smooth, v=1, z=1)
     # P- = v^-2 P+ - v^-1 z P0
-    return p_switch.shift(v=-2) - p_smooth.shift(v=-1, z=1)
+    return shift(p_switch, v=-2) - shift(p_smooth, v=-1, z=1)

@@ -31,6 +31,10 @@ MOVED = {
     "hypergraph_view",
     "_hypergraph_view",
     "_incidence",
+    "_homfly",
+    "_first_under",
+    "_split_factor",
+    "shift",
 }
 
 

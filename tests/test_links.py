@@ -7,8 +7,6 @@ import pytest
 import trinities
 from trinities import links
 from trinities.links import (
-    DELTA,
-    ONE,
     Crossing,
     CrossingCapExceeded,
     LaurentPoly2,
@@ -41,7 +39,8 @@ from helpers import (
     single_edge_trinity,
     switched,
 )
-from oracles import homfly_by_relabeling
+import oracles
+from oracles import DELTA, ONE, homfly_by_recursion, homfly_by_relabeling
 
 def monomial(coeff=1, v=0, z=0):
     return LaurentPoly2.from_dict({(v, z): coeff})
@@ -277,54 +276,77 @@ def test_smoothing_two_components_joins_them_at_the_first_ones_start():
 
 
 def test_the_descending_test_reads_the_components_in_order():
-    assert links._first_under([(0, 2), (1, 3)]) is None
-    assert links._first_under([(1, 3), (0, 2)]) == 0
-    assert links._first_under([(0, 2, 5), (1, 3, 4)]) == 2
+    # Every crossing met under-first, in the order the reading meets it.
+    assert links._under_first([(0, 2), (1, 3)]) == []
+    assert links._under_first([(1, 3), (0, 2)]) == [0, 1]
+    assert links._under_first([(0, 2, 5), (1, 3, 4)]) == [2]
+
+
+@pytest.fixture
+def skein_counts(monkeypatch):
+    """The library's skein nodes (one ``_drop_kinks`` each) and the leaves of
+    the Gauss-code recursion oracle (one ``_split_factor`` each)."""
+    return count_calls(monkeypatch, links, "_drop_kinks"), count_calls(monkeypatch, oracles, "_split_factor")
+
+
+def assert_agrees_with_the_oracles(skein_counts, d):
+    """Both oracle skeins give the library's polynomial, and the library
+    visits one node per leaf of the recursion: one node per chain of its
+    switch children."""
+    nodes, leaves = skein_counts
+    nodes.clear()
+    leaves.clear()
+    p = homfly(d, crossing_cap=d.n_crossings)
+    assert p == homfly_by_recursion(d)
+    assert len(nodes) == len(leaves)
+    assert p == homfly_by_relabeling(d)
+    return p
 
 
 @pytest.mark.parametrize("every", (1, 2, 3))
-def test_negative_crossings_agree_with_the_oracle(every):
+def test_negative_crossings_agree_with_the_oracle(every, skein_counts):
     d = with_signs_switched(median_diagram_of(fig7_trinity()), every)
     assert any(c.sign < 0 for c in d.crossings)
-    p = homfly(d)
-    assert p == homfly_by_relabeling(d)
+    p = assert_agrees_with_the_oracles(skein_counts, d)
     flipped = LaurentPoly2.from_dict({(-v, z): c * ((-1) ** z) for (v, z), c in p.coeffs})
-    assert homfly(mirror(d)) == flipped
+    assert assert_agrees_with_the_oracles(skein_counts, mirror(d)) == flipped
 
 
 @pytest.mark.parametrize("build", (single_edge_trinity, g1_trinity, fig7_trinity))
-def test_skein_is_the_relabeling_oracle_on_fixtures(build):
+def test_skein_is_the_relabeling_oracle_on_fixtures(build, skein_counts):
     d = median_diagram_of(build())
     for dd in (d, mirror(d)):
-        assert homfly(dd) == homfly_by_relabeling(dd)
+        assert_agrees_with_the_oracles(skein_counts, dd)
 
 
 @pytest.mark.parametrize("chunk", range(4))
-def test_skein_is_the_relabeling_oracle_on_random_diagrams(chunk):
+def test_skein_is_the_relabeling_oracle_on_random_diagrams(chunk, skein_counts):
     rng = random.Random(4400 + chunk)
     for _ in range(50):
         d = median_diagram_of(random_trinity(rng))
         for dd in (d, mirror(d)):
-            assert homfly(dd) == homfly_by_relabeling(dd)
+            assert_agrees_with_the_oracles(skein_counts, dd)
 
 
 @pytest.mark.parametrize("rows,columns", ((2, 3), (2, 4), (3, 3), (3, 4)))
-def test_skein_is_the_relabeling_oracle_on_grids_with_shuffled_edge_ids(rows, columns):
+def test_skein_is_the_relabeling_oracle_on_grids_with_shuffled_edge_ids(rows, columns, skein_counts):
     m = grid_trinity(rows, columns).map
     rng = random.Random(f"skein:{rows}x{columns}")
     for mm in (m, permute_edge_ids(m, rng), permute_edge_ids(m, rng)):
-        d = median_diagram(mm, bipartition(mm))
-        assert homfly(d, crossing_cap=mm.n_edges) == homfly_by_relabeling(d)
+        assert_agrees_with_the_oracles(skein_counts, median_diagram(mm, bipartition(mm)))
 
 
 def test_skein_keeps_base_points_on_the_3x5_grid(monkeypatch):
-    # Each splice keeps the start of the component it edits, so the crossing
-    # the descending test picks stays put: 6,439 skein nodes; the arc-label
-    # recursion takes 39,279, and moving a start at each splice far more.
-    calls = count_calls(monkeypatch, links, "_homfly")
-    d = median_diagram_of(grid_trinity(3, 5))
-    homfly(d, crossing_cap=22)
-    assert len(calls) < 10_000
+    # Each splice keeps the start of the component it edits, so the reading
+    # order stays put: 3,220 skein nodes on 3x5, the leaves of a 6,439-node
+    # recursion that switches one crossing per node; the arc-label recursion
+    # takes 39,279, and moving a start at each splice far more.
+    calls = count_calls(monkeypatch, links, "_drop_kinks")
+    for rows, columns, nodes in ((3, 4, 423), (3, 5, 3_220)):
+        calls.clear()
+        d = median_diagram_of(grid_trinity(rows, columns))
+        homfly(d, crossing_cap=d.n_crossings)
+        assert len(calls) == nodes
 
 
 @pytest.mark.parametrize("rows,columns,magic", ((3, 5, 209), (4, 4, 384)))
