@@ -69,7 +69,9 @@ def parse_graph_document(text: str) -> GraphDocument:
     canonical JSON type (nothing is coerced) and no key may be unknown."""
     try:
         raw = json.loads(text, object_pairs_hook=_object)
-    except json.JSONDecodeError as exc:
+    except DocumentError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")

@@ -12,18 +12,14 @@ component. The over/under assignment of the median crossings is calibrated so
 that these diagrams come out positive.
 
 The skein runs on Gauss codes, with the crossing signs and the free-circle
-count: a switch, a Reidemeister-I move and a smoothing are tuple splices, and
-no arc is relabelled. Each splice keeps the start of the component it edits,
-so the descending test reads from fixed base points.
+count: a Reidemeister-I move and a smoothing are tuple splices, and no arc is
+relabelled. Each splice keeps the start of the component it edits, so the
+descending test reads from fixed base points.
 
 One reading per skein node: a node drops its kinks, then reads its code once,
-in order, switching each crossing met under-first after pushing that
-crossing's smoothing as a child; what is left is descending, an unlink. This
-walks the tree of the recursion that switches only the first under-first
-crossing, each chain of its switch children in one pass: a switch changes no
-crossing id, so it makes no kink; and it leaves the set of crossings already
-met unchanged, so the switched diagram's first under-first crossing is the
-reading's next one. The leaves' terms are summed into one polynomial.
+in order, pushing the smoothing of each crossing first met on its under-strand
+as a child; no visit or sign is rewritten (see ``homfly``). The leaves' terms
+are summed into one polynomial.
 """
 
 from __future__ import annotations
@@ -259,21 +255,6 @@ def _drop_kinks(comps: list[tuple[int, ...]], free: int) -> tuple[list[tuple[int
     return out, free
 
 
-def _under_first(comps: Sequence[tuple[int, ...]]) -> list[int]:
-    """The crossings met under-first, in the order met, reading the
-    components in order from their starts; empty for a descending diagram."""
-    seen: set[int] = set()
-    out = []
-    for comp in comps:
-        for v in comp:
-            c = v >> 1
-            if c not in seen:
-                seen.add(c)
-                if v & 1:
-                    out.append(c)
-    return out
-
-
 def _smoothed(comps: list[tuple[int, ...]], c: int) -> list[tuple[int, ...]]:
     """Oriented smoothing of crossing c: each strand that arrives at c leaves
     along the other strand. One component splits in two, two join in one; the
@@ -298,22 +279,26 @@ def homfly(d: LinkDiagram, crossing_cap: int = CROSSING_CAP) -> LaurentPoly2:
     """HOMFLY-PT polynomial by the skein relation on the diagram's Gauss
     code, one reading per skein node.
 
-    A node drops its kinks, then reads its code once, in order. At each
-    crossing c met under-first, of sign s, P_s = v^(2s) P_-s + s v^s z P_0:
-    the smoothing of c is pushed as a child weighted s v^s z, and c is
-    switched, multiplying the node's weight by v^(2s). Once read, the diagram
+    A node is a code, its free circles, the bitmask ``met`` of the crossings
+    its ancestors had met when it was pushed, and a weight. It drops its
+    kinks, then reads its code once, in order, from ``met``. At the first
+    visit of any other crossing c, of sign s, c joins ``met``; if that visit
+    is an under-visit, P_s = v^(2s) P_-s + s v^s z P_0: the smoothing of c is
+    pushed as a child weighted s v^s z, with ``met`` as it is then, and the
+    switch multiplies the weight by v^(2s). Once read, the switched diagram
     is descending, an unlink of its k components, and the node adds weight *
-    ((v^-1 - v)/z)^(k-1) to the sum. This is the recursion that switches the
-    first under-first crossing and recurses on both children, with each chain
-    of switch children read in one pass: a switch changes no crossing id, so
-    it makes no kink; and it leaves the set of crossings already met
-    unchanged, so the next under-first crossing of the switched diagram is
-    the next one of the reading.
+    ((v^-1 - v)/z)^(k-1) to the sum.
 
-    The signs stay the diagram's own: a child's code starts with its
-    parent's reading up to the smoothed crossing, all of it met over-first
-    once switched, and kinks drop whole crossings, so a switched crossing is
-    met over-first at every node below and its sign is never read again.
+    This is the recursion that switches the first under-first crossing, each
+    chain of its switch children read in one pass: a switch changes no
+    crossing id, so it makes no kink, and leaves the crossings met unchanged.
+    Its smoothing children are this skein's: a smoothing keeps the components
+    before the one it edits and that component's start up to c, and kinks
+    drop whole crossings, so every crossing in ``met`` keeps its first visit
+    in the child ahead of all visits of the others. The recursion reads each
+    of them over-first there, met over-first or switched at that visit; a
+    crossing outside ``met`` has both visits after that prefix, with the same
+    bits in both.
     """
     if d.n_crossings > crossing_cap:
         raise CrossingCapExceeded(
@@ -322,16 +307,20 @@ def homfly(d: LinkDiagram, crossing_cap: int = CROSSING_CAP) -> LaurentPoly2:
     _validate_arcs(d.crossings)
     signs = tuple(c.sign for c in d.crossings)
     terms: dict[tuple[int, int], int] = {}
-    # (components, free circles, weight coeff * v^dv * z^dz)
-    stack = [(gauss_code(d), d.free_circles, 1, 0, 0)]
+    # (components, free circles, crossings met, weight coeff * v^dv * z^dz)
+    stack = [(gauss_code(d), d.free_circles, 0, 1, 0, 0)]
     while stack:
-        comps, free, coeff, dv, dz = stack.pop()
+        comps, free, met, coeff, dv, dz = stack.pop()
         comps, free = _drop_kinks(comps, free)
-        for c in _under_first(comps):
-            s = signs[c]
-            stack.append((_smoothed(comps, c), free, s * coeff, dv + s, dz + 1))
-            comps = [tuple(v ^ 1 if v >> 1 == c else v for v in comp) for comp in comps]
-            dv += 2 * s
+        for comp in comps:
+            for v in comp:
+                c = v >> 1
+                if not met >> c & 1:
+                    met |= 1 << c
+                    if v & 1:
+                        s = signs[c]
+                        stack.append((_smoothed(comps, c), free, met, s * coeff, dv + s, dz + 1))
+                        dv += 2 * s
         for (uv, uz), u in _unlink(len(comps) + free):
             key = (dv + uv, dz + uz)
             terms[key] = terms.get(key, 0) + coeff * u

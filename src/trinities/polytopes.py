@@ -377,11 +377,16 @@ def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
 
 def arborescence_trees(t: Trinity, colour: str, root: int) -> tuple[tuple[int, ...], ...]:
     """The colour graph's spanning trees dual to the arborescences of its
-    directed dual at ``root``, enumerated once per trinity, colour and root."""
+    directed dual at ``root``, enumerated once per trinity, colour and root.
+    Directed-dual edge i crosses the colour graph's edge i; a tree is the
+    edges its arborescence does not cross. ``_tree_edge_sides`` checks each
+    certified tree's size, and the mu-lattice of ``hypertree_polytope_of``,
+    whose points sum to |X| - 1, each default-root tree's."""
 
     def build():
-        arbs = trees.enumerate_arborescences(directed_dual(t, colour), root)
-        return tuple(trees.arborescence_to_spanning_tree(t, colour, a) for a in arbs)
+        dd = directed_dual(t, colour)
+        arbs = map(set, trees.enumerate_arborescences(dd, root))
+        return tuple(tuple(i for i in range(len(dd.edges)) if i not in used) for used in arbs)
 
     return memo(t, ("arborescence_trees", colour, root), build)
 

@@ -5,8 +5,9 @@ its subset-inequality description in ``polytopes``; a spanning tree of the
 bipartite graph induces one as its degree-minus-one vector on the hyperedge
 side. Arborescence counts come from the directed matrix-tree theorem, and the
 arborescences themselves, enumerated, give the colour graph's spanning trees
-that triangulate its root polytope. Exhaustive spanning-tree enumeration is
-a test oracle (``tests/oracles.py``), not part of the library.
+that triangulate its root polytope (``polytopes.arborescence_trees``).
+Exhaustive spanning-tree enumeration is a test oracle (``tests/oracles.py``),
+not part of the library.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .trinity import (
     DirectedDual,
     InternalConsistencyError,
     Trinity,
-    colour_graph,
-    directed_dual,
+    colour_graph,  # noqa: F401  (no caller here; perfbench/tests wraps this binding)
 )
 from . import polytopes
 
@@ -84,19 +84,4 @@ def _reaches_all(dd: DirectedDual, root: int, choice: Sequence[int]) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(adj)
-
-
-def arborescence_to_spanning_tree(t: Trinity, colour: str, arborescence: Sequence[int]) -> tuple[int, ...]:
-    """Colour-graph spanning tree dual to an arborescence of the directed dual.
-
-    Directed-dual edge i crosses the i-th white triangle, which is the i-th
-    edge of the colour graph; the tree consists of the edges NOT crossed.
-    """
-    dd = directed_dual(t, colour)
-    cm, _ = colour_graph(t, colour)
-    used = set(arborescence)
-    tree = tuple(i for i in range(len(dd.edges)) if i not in used)
-    if len(tree) != cm.n_vertices - 1:
-        raise InternalConsistencyError("arborescence complement has the wrong size")
-    return tree
 

@@ -166,6 +166,19 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     assert main(["report", str(bad)]) == EXIT_INVALID_INPUT
     assert main(["report", str(tmp_path / "missing.json")]) == EXIT_INVALID_INPUT
+    # JSON nested past the recursion limit, and an integer past Python's
+    # digit limit, are invalid input too, not a traceback.
+    too_deep = "[" * 100_000
+    too_long = fixture_text("g1.json").replace('"format_version": 1', '"format_version": ' + "1" * 5_000)
+    assert too_long != fixture_text("g1.json")
+    for text in (too_deep, too_long):
+        bad.write_text(text)
+        for command in ("report", "verify"):
+            capsys.readouterr()
+            assert main([command, str(bad)]) == EXIT_INVALID_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: invalid JSON: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["report", "verify"])

@@ -2,8 +2,9 @@
 class in ``src/trinities``, and every public method and property of its
 classes, has a caller in the library or the benchmark, so code that only the
 tests take lives in ``tests/helpers.py``, ``tests/oracles.py`` or the test
-that uses it; the rank code and the test-only helpers moved there are gone
-from the library, and a triangulation keeps no simplices."""
+that uses it; the rank code and the test-only helpers moved there, and the
+deleted skein switch and tree-size check, are gone from the library, and a
+triangulation keeps no simplices."""
 
 import ast
 import dataclasses
@@ -35,6 +36,8 @@ MOVED = {
     "_first_under",
     "_split_factor",
     "shift",
+    "_under_first",
+    "arborescence_to_spanning_tree",
 }
 
 

@@ -275,13 +275,6 @@ def test_smoothing_two_components_joins_them_at_the_first_ones_start():
     assert homfly(braid_closure(2, (1, 1))) == homfly_by_relabeling(braid_closure(2, (1, 1)))
 
 
-def test_the_descending_test_reads_the_components_in_order():
-    # Every crossing met under-first, in the order the reading meets it.
-    assert links._under_first([(0, 2), (1, 3)]) == []
-    assert links._under_first([(1, 3), (0, 2)]) == [0, 1]
-    assert links._under_first([(0, 2, 5), (1, 3, 4)]) == [2]
-
-
 @pytest.fixture
 def skein_counts(monkeypatch):
     """The library's skein nodes (one ``_drop_kinks`` each) and the leaves of
@@ -324,6 +317,20 @@ def test_skein_is_the_relabeling_oracle_on_random_diagrams(chunk, skein_counts):
     rng = random.Random(4400 + chunk)
     for _ in range(50):
         d = median_diagram_of(random_trinity(rng))
+        for dd in (d, mirror(d)):
+            assert_agrees_with_the_oracles(skein_counts, dd)
+
+
+@pytest.mark.parametrize("strands", (2, 3, 4))
+def test_skein_is_the_recursion_on_random_braid_closures(strands, skein_counts):
+    # Off the median diagrams: mixed signs, several components read in
+    # order, crossings met under-first on either strand, kinks and joins.
+    rng = random.Random(f"braids:{strands}")
+    for _ in range(150):
+        word = [rng.choice((1, -1)) * g for g in range(1, strands)]  # every position meets a crossing
+        word += [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 10 - strands))]
+        rng.shuffle(word)
+        d = braid_closure(strands, tuple(word))
         for dd in (d, mirror(d)):
             assert_agrees_with_the_oracles(skein_counts, dd)
 

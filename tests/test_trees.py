@@ -1,8 +1,7 @@
 import pytest
 
-from trinities.polytopes import triangulation_hypertrees
+from trinities.polytopes import arborescence_trees, triangulation_hypertrees
 from trinities.trees import (
-    arborescence_to_spanning_tree,
     count_arborescences,
     enumerate_arborescences,
     hypertree_set,
@@ -98,10 +97,12 @@ def test_arborescences_biject_with_hypertrees():
 
 
 def test_arborescence_to_spanning_tree_sizes():
+    # One spanning tree of the colour graph per arborescence.
     t = g1_trinity()
-    dd = directed_dual(t, RED)
-    for a in enumerate_arborescences(dd, t.triangles[t.root_triangle].red):
-        tree = arborescence_to_spanning_tree(t, RED, a)
+    root = t.triangles[t.root_triangle].red
+    tree_sets = arborescence_trees(t, RED, root)
+    assert len(tree_sets) == len(enumerate_arborescences(directed_dual(t, RED), root))
+    for tree in tree_sets:
         assert tree in spanning_trees_of_map(t.map)
 
 

@@ -244,8 +244,7 @@ def test_a_bad_tree_pair_fails_the_triangulation(monkeypatch):
         if not intersect_in_common_face(tree_simplex(rp, t1), tree_simplex(rp, t2))
     )
     assert not tree_simplices_meet_in_common_face(rp, *bad)
-    replacement = iter(bad)
-    monkeypatch.setattr(trees, "arborescence_to_spanning_tree", lambda *args: next(replacement))
+    monkeypatch.setattr(polytopes, "arborescence_trees", lambda *args: bad)
     with pytest.raises(InternalConsistencyError, match=RIDGE_FAILURE):
         polytopes.arborescence_triangulation(t, RED)
 
