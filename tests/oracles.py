@@ -43,8 +43,8 @@
 - the skein recursion on Gauss codes, which drops kinks and rescans the code
   at every switch child, builds a polynomial per node and multiplies the
   unlink factor out one component at a time (the library reads each node's
-  code once, switching every under-first crossing, and sums its leaves into
-  one polynomial).
+  code once from the crossings its ancestors met, switching nothing, and
+  sums its leaves into one polynomial).
 """
 
 from __future__ import annotations
