@@ -148,11 +148,10 @@ def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: boo
     triangulations = {}
     dd = directed_dual(t, "red")
     for root in dd.vertices:
-        tr = polytopes.arborescence_triangulation(t, "red", root)
         triangulations[str(root)] = {
-            "trees": tr.trees,
-            "f_vector": polytopes.f_vector(tr),
-            "h_vector": polytopes.h_vector(tr),
+            "trees": polytopes.arborescence_triangulation(t, "red", root),
+            "f_vector": polytopes.f_vector(t, "red", root),
+            "h_vector": polytopes.h_vector(t, "red", root),
         }
     support = floer.sfh_support(t)
     homfly_section, code = _homfly_section(t, crossing_cap, None, emit_pd)
@@ -242,11 +241,11 @@ def cmd_verify(args) -> int:
         hypertrees_hold = True
         for root in dd.vertices:
             try:
-                tr = polytopes.arborescence_triangulation(t, colour, root)
+                tree_sets = polytopes.arborescence_triangulation(t, colour, root)
             except InternalConsistencyError:
                 failures.append(f"triangulation-{colour}-root-{root}")
                 continue
-            if len(tr.trees) != magic["magic_number"]:
+            if len(tree_sets) != magic["magic_number"]:
                 failures.append(f"triangulation-size-{colour}-root-{root}")
             hypertrees_hold &= all(
                 polytopes.triangulation_hypertrees(t, code, root) == trees.hypertree_set(t, code) for code in sides

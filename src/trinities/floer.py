@@ -35,12 +35,10 @@ class SupportSet:
 
 
 def canonical_translate(points: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
+    """The set moved to coordinate-wise minimum zero; a translate of a sorted set stays sorted."""
     pts = canonical_lattice_set(points)
-    if not pts:
-        return ()
-    dim = len(pts[0])
-    lo = [min(p[i] for p in pts) for i in range(dim)]
-    return canonical_lattice_set(tuple(p[i] - lo[i] for i in range(dim)) for p in pts)
+    lo = [min(column) for column in zip(*pts)]
+    return tuple(tuple(x - m for x, m in zip(p, lo)) for p in pts)
 
 
 def sfh_support(t: Trinity) -> SupportSet:

@@ -30,7 +30,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .maps import Bipartition, PlanarMap, memo
-from .polytopes import arborescence_triangulation, h_vector
+from .polytopes import h_vector
 from .trinity import RED, InternalConsistencyError, Trinity
 
 
@@ -354,8 +354,7 @@ def verify_homfly_h_vector(t: Trinity, root: Optional[int] = None, crossing_cap:
     m = t.map
     p = homfly(median_diagram_of(t), crossing_cap)
     top = homfly_top(p)
-    tr = arborescence_triangulation(t, RED, root)
-    h = h_vector(tr)
+    h = h_vector(t, RED, root)
     exponent = m.n_edges + m.n_vertices - 1
     top_deg = len(h) - 1  # h coefficients run from x^(d+1) down to x^0
     rhs2 = LaurentPoly2.from_dict(

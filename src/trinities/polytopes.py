@@ -25,10 +25,10 @@ linear in their number: each tree has n - 1 edges that span, and every
 ridge of a tree simplex lies in one simplex on the boundary and in two, on
 opposite sides, inside, and one generic point lies in exactly one simplex.
 The simplices are unimodular by Postnikov's Lemma 12.5, so no volume is
-computed, and h is the interior polynomial of the trees' hypertrees, so no
-face is counted. Every point is an integer vector; ranks, volumes, the
-placing triangulation, the Cayley slices, Lemma 12.6 and face counts live
-in the test oracles.
+computed, and h is the interior polynomial of the hypertree set, once per
+colour, so no face is counted. Every point is an integer vector; ranks,
+volumes, the placing triangulation, the Cayley slices, Lemma 12.6 and face
+counts live in the test oracles.
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class RootPolytope:
     u_size: int  # |Y|: U is the hyperedge class, whose coordinates come first
     v_size: int  # |X|
     ends: tuple[tuple[int, int], ...]  # each edge's coordinates (u, v)
-
-
-@dataclass(frozen=True)
-class Triangulation:
-    parent: RootPolytope
-    trees: tuple[tuple[int, ...], ...]  # spanning trees, one per simplex
 
 
 def _generator_sums(edges: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], ...]:
@@ -420,18 +414,11 @@ def _tree_hypertrees(
     return out
 
 
-def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = None) -> Triangulation:
-    """Triangulation of the colour graph's root polytope by the simplices of
-    the spanning trees dual to the arborescences at the given root (by default
-    the root triangle's corner), built once per trinity, colour and root."""
-    if root is None:
-        root = default_root(t, colour)
-    key = ("arborescence_triangulation", colour, root)
-    return memo(t, key, lambda: _arborescence_triangulation(t, colour, root))
-
-
-def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangulation:
-    """The tree simplices, proved to triangulate Q_G.
+def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+    """The spanning trees dual to the arborescences at the given root (by
+    default the root triangle's corner), proved once per trinity, colour and
+    root to triangulate the colour graph's root polytope Q_G by their
+    simplices: the tuple that ``arborescence_trees`` memoizes.
 
     Full-dimensional simplices spanned by points of a polytope P triangulate
     it iff (i) each of their ridges on the boundary of P lies in one of them
@@ -450,10 +437,14 @@ def _arborescence_triangulation(t: Trinity, colour: str, root: int) -> Triangula
     totally unimodular (Postnikov, 2009, Lemma 12.5), so the number of trees
     is the normalized volume of Q_G; no volume is computed.
     """
-    rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
-    tree_sets = arborescence_trees(t, colour, root)
-    ridge_certificate(rp, tree_sets)
-    return Triangulation(parent=rp, trees=tree_sets)
+    root = default_root(t, colour) if root is None else root
+
+    def build():
+        tree_sets = arborescence_trees(t, colour, root)
+        ridge_certificate(root_polytope_of(t, COLOUR_SELECTORS[colour]), tree_sets)
+        return tree_sets
+
+    return memo(t, ("arborescence_triangulation", colour, root), build)
 
 
 def ridge_certificate(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> None:
@@ -564,35 +555,43 @@ def interior_polynomial(hypertrees: Iterable[tuple[int, ...]]) -> tuple[int, ...
     return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
-def h_vector(tr: Triangulation) -> tuple[int, ...]:
-    """Coefficients of h(x) = f(x-1), highest degree first, once per
-    triangulation. The simplices are unimodular (Lemma 12.5), so h is the
-    h*-vector of Q_G: the interior polynomial of the trees' U-side hypertrees
-    (Kalman and Postnikov, *Root polytopes, Tutte polynomials, and a duality
-    theorem for bipartite graphs*, 2017), padded with zeros to f's length."""
+def h_vector(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[int, ...]:
+    """Coefficients of h(x) = f(x-1) of the arborescence triangulation at
+    ``root``, highest degree first. Its simplices are unimodular (Lemma 12.5),
+    so h is the h*-vector of Q_G: the interior polynomial of the hypertree
+    set (Kalman and Postnikov, *Root polytopes, Tutte polynomials, and a
+    duality theorem for bipartite graphs*, 2017), once per trinity and
+    colour, padded with zeros to f's length |Y| + |X|. Once per root, the
+    trees' U-side hypertrees must be that set, each once (Postnikov, 2009,
+    section 12)."""
+    root = default_root(t, colour) if root is None else root
 
     def build() -> tuple[int, ...]:
-        hypertrees = set(_tree_hypertrees(tr.parent.ends, tr.parent.u_size, tr.trees))
-        if len(hypertrees) != len(tr.trees):  # each occurs once (Postnikov, 2009, section 12)
-            raise InternalConsistencyError("two triangulation trees have the same hypertree")
-        h = interior_polynomial(hypertrees)
-        return h + (0,) * (len(tr.trees[0]) + 1 - len(h))
+        code = COLOUR_SELECTORS[colour]
+        ends, n_y, n_x = incidence(t, code)
+        lattice = hypertree_lattice_of(t, code)
+        if tuple(sorted(_tree_hypertrees(ends, n_y, arborescence_triangulation(t, colour, root)))) != lattice:
+            raise InternalConsistencyError("the triangulation trees' hypertrees are not the hypertree set")
+        h = memo(t, ("interior_polynomial", colour), lambda: interior_polynomial(lattice))
+        return h + (0,) * (n_y + n_x - len(h))
 
-    return memo(tr, "h_vector", build)
+    return memo(t, ("h_vector", colour, root), build)
 
 
-def f_vector(tr: Triangulation) -> tuple[int, ...]:
-    """Face counts, highest degree first, once per triangulation: f(y) = h(y+1),
-    whose y^(d+1-k) coefficient counts the (k-1)-dimensional faces, from the
-    single empty face at y^(d+1) down to the top simplices."""
+def f_vector(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[int, ...]:
+    """Face counts, highest degree first, once per trinity and colour after
+    ``h_vector``'s check at ``root``: f(y) = h(y+1), whose y^(d+1-k)
+    coefficient counts the (k-1)-dimensional faces, from the single empty
+    face at y^(d+1) down to the top simplices."""
+    h = h_vector(t, colour, root)
 
     def build() -> tuple[int, ...]:
-        f = list(h_vector(tr))
+        f = list(h)
         for m in range(len(f), 1, -1):  # Taylor shift by 1: prefix sums of ever shorter heads
             f[:m] = accumulate(f[:m])
         return tuple(f)
 
-    return memo(tr, "f_vector", build)
+    return memo(t, ("f_vector", colour), build)
 
 
 def verify_duality_suite(t: Trinity) -> dict:

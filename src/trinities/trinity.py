@@ -70,13 +70,6 @@ class DirectedDual:
 
 
 @dataclass(frozen=True)
-class AdjMatrix:
-    rows: tuple[tuple[str, int], ...]  # non-root vertices (colour tag, id)
-    columns: tuple[int, ...]  # non-root white triangle ids (darts)
-    entries: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class Trinity:
     map: PlanarMap
     violet: frozenset[int]
@@ -118,8 +111,23 @@ def build_trinity(
     outer_face: int = 0,
     root_triangle: Optional[int] = None,
 ) -> Trinity:
+    """The trinity of the plane map whose violet vertices are class_a and
+    emerald ones class_b: the triangle of dart d is white iff d is based at a
+    violet vertex. Each edge must join a vertex of class_a only to one of
+    class_b only (else ``MapError``), so its dart at the emerald end is
+    black. With next(d) = sigma^-1(alpha(d)) on d's face, the partner of a
+    white w across its side of each colour, ``_black_partner_across``, is
+    such a dart and shares the side's two corners by the map axioms alone:
+    - red: alpha(w), the other dart of w's edge, has the same two ends;
+    - violet: sigma^-1(alpha(w)) = next(w) is on w's face, at w's emerald end;
+    - emerald: alpha(sigma(w)) is on w's face, as its next is w, and its
+      head is w's violet vertex.
+    """
     if not (0 <= outer_face < m.n_faces):
         raise MapError(f"outer face {outer_face} out of range")
+    for e, ends in enumerate(m.edges):
+        if sorted((v in bip.class_a, v in bip.class_b) for v in ends) != [(False, True), (True, False)]:
+            raise MapError(f"edge {e} does not join class_a to class_b")
     triangles = []
     for d in range(m.n_darts):
         base = m.vertex_of[d]
@@ -141,7 +149,7 @@ def build_trinity(
         root_triangle = min(outer_whites)
     elif not (0 <= root_triangle < m.n_darts) or triangles[root_triangle].colour != "white":
         raise MapError(f"root triangle {root_triangle} is not a white triangle")
-    t = Trinity(
+    return Trinity(
         map=m,
         violet=frozenset(bip.class_a),
         emerald=frozenset(bip.class_b),
@@ -149,37 +157,17 @@ def build_trinity(
         triangles=tuple(triangles),
         root_triangle=root_triangle,
     )
-    _validate_triangle_colouring(t)
-    return t
 
 
-def _black_partner_across(t: Trinity, white: int, colour: str) -> int:
-    """The black triangle sharing the colour-c edge of the given white triangle."""
+def _black_partner_across(t: Trinity, w: int, colour: str) -> int:
+    """The black triangle sharing the colour-c edge of the white triangle w
+    (see ``build_trinity``)."""
     m = t.map
-    d = white
     if colour == RED:
-        return m.alpha(d)
+        return m.alpha(w)
     if colour == VIOLET:
-        # Shared violet edge joins the emerald and red corners; the partner
-        # sits in the same corner at the emerald end, just clockwise.
-        return m.sigma_inv(m.alpha(d))
-    # Shared emerald edge joins the violet and red corners.
-    return m.alpha(m.sigma[d])
-
-
-def _validate_triangle_colouring(t: Trinity) -> None:
-    whites = t.white_triangles
-    if 2 * len(whites) != len(t.triangles):
-        raise InternalConsistencyError("black/white triangle counts differ")
-    for w in whites:
-        for colour in COLOURS:
-            b = _black_partner_across(t, w, colour)
-            tb, tw = t.triangles[b], t.triangles[w]
-            if tb.colour != "black":
-                raise InternalConsistencyError("triangle 2-colouring is not proper")
-            # The shared edge's two endpoints must agree.
-            if any(tb.corner(c) != tw.corner(c) for c in COLOURS if c != colour):
-                raise InternalConsistencyError("triangles paired across an edge disagree on its endpoints")
+        return m.sigma_inv(m.alpha(w))
+    return m.alpha(m.sigma[w])
 
 
 def colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
@@ -285,19 +273,16 @@ def _adjacent(tri: Triangle, vertex: tuple[str, int]) -> bool:
     return vertex in tri.corners
 
 
-def adjacency_matrix(t: Trinity) -> AdjMatrix:
-    """The 0/1 matrix of non-root vertices against non-root white triangles,
-    built once per trinity: the determinant and the matching count share it."""
-    return memo(t, "adjacency_matrix", lambda: _adjacency_matrix(t))
+def adjacency_matrix(t: Trinity) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 entries of the matrix of ``non_root_vertices`` (rows) against
+    ``non_root_white_triangles`` (columns), built once per trinity: the
+    determinant and the matching count share it."""
 
+    def build():
+        cols = non_root_white_triangles(t)
+        return tuple(tuple(1 if _adjacent(t.triangles[c], v) else 0 for c in cols) for v in non_root_vertices(t))
 
-def _adjacency_matrix(t: Trinity) -> AdjMatrix:
-    rows = non_root_vertices(t)
-    cols = non_root_white_triangles(t)
-    entries = tuple(
-        tuple(1 if _adjacent(t.triangles[c], v) else 0 for c in cols) for v in rows
-    )
-    return AdjMatrix(rows=rows, columns=cols, entries=entries)
+    return memo(t, "adjacency_matrix", build)
 
 
 def count_tutte_matchings(t: Trinity) -> int:
@@ -317,7 +302,7 @@ def count_tutte_matchings(t: Trinity) -> int:
     Only the 0/1 pattern is read, never a determinant, so this route stays
     independent of ``round_det``.
     """
-    entries = adjacency_matrix(t).entries
+    entries = adjacency_matrix(t)
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise InternalConsistencyError("the Tutte adjacency matrix is not square")
@@ -387,4 +372,4 @@ def magic_number_report(t: Trinity) -> dict:
 
 
 def round_det(t: Trinity) -> int:
-    return integer_det(adjacency_matrix(t).entries)
+    return integer_det(adjacency_matrix(t))

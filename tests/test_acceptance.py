@@ -26,7 +26,7 @@ from trinities.polytopes import (
     verify_duality_suite,
 )
 from trinities.trees import hypertree_set
-from trinities.trinity import COLOURS, RED, magic_number_report
+from trinities.trinity import COLOUR_SELECTORS, COLOURS, RED, magic_number_report
 
 from helpers import fig7_trinity, g1_trinity, negate, random_trinity
 from oracles import tree_simplex
@@ -62,20 +62,21 @@ def test_criterion_3_worked_example_triangulations():
     # bounded face's uses T2 and T3. Both are validated internally
     # (unimodular simplices, the ridge certificate, volume sum 2).
     by_root = {
-        root: set(arborescence_triangulation(t, RED, root=root).trees) for root in (0, 1)
+        root: set(arborescence_triangulation(t, RED, root=root)) for root in (0, 1)
     }
     assert by_root[0] == {trees_lex[0], trees_lex[3]}
     assert by_root[1] == {trees_lex[1], trees_lex[2]}
+    rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
     for root in (0, 1):
-        tr = arborescence_triangulation(t, RED, root=root)
-        assert len([tree_simplex(tr.parent, tree) for tree in tr.trees]) == 2
+        tree_sets = arborescence_triangulation(t, RED, root=root)
+        assert len([tree_simplex(rp, tree) for tree in tree_sets]) == 2
 
 
 def test_criterion_4_worked_example_face_vectors():
-    tr = arborescence_triangulation(g1_trinity(), RED)
+    t = g1_trinity()
     # f(y) = y^4 + 5y^3 + 9y^2 + 7y + 2 and h(x) = x^4 + x^3.
-    assert f_vector(tr) == (1, 5, 9, 7, 2)
-    assert h_vector(tr) == (1, 1, 0, 0, 0)
+    assert f_vector(t, RED) == (1, 5, 9, 7, 2)
+    assert h_vector(t, RED) == (1, 1, 0, 0, 0)
 
 
 def test_criterion_5_worked_example_link_polynomial():
@@ -127,8 +128,8 @@ def test_criterion_8_random_corpus():
         assert report["all_equal"], (i, report)
         magic = report["magic_number"]
         assert verify_duality_suite(t)["all_hold"], i
-        tr = arborescence_triangulation(t, RED)
-        assert len([tree_simplex(tr.parent, tree) for tree in tr.trees]) == magic
+        rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
+        assert len([tree_simplex(rp, tree) for tree in arborescence_triangulation(t, RED)]) == magic
         assert sfh_support(t).size == magic
         # Every corpus graph has at most 8 edges, so at most 8 crossings.
         assert verify_homfly_h_vector(t)["holds"], i

@@ -1,9 +1,9 @@
 """Each colour graph, directed dual, selector's incidence, hypertree set,
 selector's hyperedges, coverage bound and generator sums, trimmed lattice,
-root polytope, triangulation and median diagram is derived once per trinity,
-and never shared between two trinities; no incidence builds a colour graph;
-a report reads the sutured support once, and verify not at all. The counts come from wrappers around the
-builders. No spanning tree is enumerated: the hypertree sets are mu-lattices.
+root polytope, triangulation, red interior polynomial and median diagram is
+derived once per trinity, and never shared between two trinities; no
+incidence builds a colour graph; a report reads the sutured support once,
+and verify not at all. The counts come from wrappers around the builders. No spanning tree is enumerated: the hypertree sets are mu-lattices.
 No Tutte matching is listed: the matchings are counted."""
 
 import pkgutil
@@ -103,6 +103,15 @@ def test_default_and_explicit_root_share_one_triangulation(monkeypatch):
     assert polytopes.arborescence_triangulation(t, "red", default_root) is tr
     assert len(calls) == 1
     assert links.verify_homfly_h_vector(t)["holds"]
+    assert len(calls) == 1
+
+
+def test_report_reads_one_interior_polynomial(monkeypatch, capsys):
+    # Every red root's h-vector is the interior polynomial of the one
+    # hypertree set; only the check of its trees' hypertrees is per root.
+    calls = count_calls(monkeypatch, polytopes, "interior_polynomial")
+    assert main(["report", FIG7]) == EXIT_OK
+    assert '"h_vector"' in capsys.readouterr().out
     assert len(calls) == 1
 
 

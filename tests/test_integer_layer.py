@@ -15,7 +15,7 @@ from trinities.polytopes import (
     root_polytope_of,
     trimmed_gp_of,
 )
-from trinities.trinity import COLOURS, HYPERGRAPH_CODES
+from trinities.trinity import COLOUR_SELECTORS, COLOURS, HYPERGRAPH_CODES
 
 from helpers import fig7_trinity, g1_trinity, single_edge_trinity
 from oracles import tree_simplex
@@ -35,9 +35,9 @@ def test_fixture_polytopes_have_int_coordinates(build):
         rp = root_polytope_of(t, code)
         values += coordinates(rp.generators) + coordinates(rp.vertices)
     for colour in COLOURS:
-        tr = arborescence_triangulation(t, colour)
-        for tree in tr.trees:
-            values += coordinates(tree_simplex(tr.parent, tree))
+        rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
+        for tree in arborescence_triangulation(t, colour):
+            values += coordinates(tree_simplex(rp, tree))
     for code in HYPERGRAPH_CODES:
         for build_polytope in (gp_polytope_of, trimmed_gp_of, hypertree_polytope_of, hypergraph_root_polytope_of):
             tp = build_polytope(t, code)

@@ -3,16 +3,13 @@ class in ``src/trinities``, and every public method and property of its
 classes, has a caller in the library or the benchmark, so code that only the
 tests take lives in ``tests/helpers.py``, ``tests/oracles.py`` or the test
 that uses it; the rank code and the test-only helpers moved there, and the
-deleted skein switch and tree-size check, are gone from the library, and a
-triangulation keeps no simplices."""
+deleted skein switch, tree-size check, triangle-colouring recheck and the
+triangulation and adjacency-matrix wrappers, are gone from the library."""
 
 import ast
-import dataclasses
 from collections import Counter
 from importlib import import_module
 from pathlib import Path
-
-from trinities.polytopes import Triangulation
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "trinities").glob("*.py"))
@@ -38,6 +35,9 @@ MOVED = {
     "shift",
     "_under_first",
     "arborescence_to_spanning_tree",
+    "Triangulation",
+    "AdjMatrix",
+    "_validate_triangle_colouring",
 }
 
 
@@ -144,7 +144,6 @@ def test_the_moved_names_are_gone_from_the_library():
             for alias in node.names
         }
         assert not (defined | imported) & MOVED, path.name
-    assert "simplices" not in {field.name for field in dataclasses.fields(Triangulation)}
 
 
 def benchmark_reads() -> set[tuple[str, str]]:

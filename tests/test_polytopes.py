@@ -20,7 +20,7 @@ from trinities.polytopes import (
     trimmed_gp_of,
     verify_duality_suite,
 )
-from trinities.trinity import COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, build_trinity
+from trinities.trinity import COLOUR_SELECTORS, COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, build_trinity
 
 from helpers import bipartition, count_calls_everywhere, fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
 from oracles import (
@@ -111,11 +111,11 @@ def test_tree_simplex_rejects_cycles():
 
 def test_g1_red_triangulation():
     t = g1_trinity()
-    tr = arborescence_triangulation(t, RED)
-    assert tr.trees == ((0, 2, 3, 4), (0, 1, 2, 3))
-    assert len([tree_simplex(tr.parent, tree) for tree in tr.trees]) == 2
-    assert f_vector(tr) == (1, 5, 9, 7, 2)
-    assert h_vector(tr) == (1, 1, 0, 0, 0)
+    tree_sets = arborescence_triangulation(t, RED)
+    assert tree_sets == ((0, 2, 3, 4), (0, 1, 2, 3))
+    assert len([tree_simplex(root_polytope_of(t, "VE"), tree) for tree in tree_sets]) == 2
+    assert f_vector(t, RED) == (1, 5, 9, 7, 2)
+    assert h_vector(t, RED) == (1, 1, 0, 0, 0)
 
 
 def test_triangulations_exist_for_all_colours_and_roots():
@@ -125,8 +125,8 @@ def test_triangulations_exist_for_all_colours_and_roots():
 
         dd = directed_dual(t, colour)
         for root in dd.vertices:
-            tr = arborescence_triangulation(t, colour, root=root)
-            assert len([tree_simplex(tr.parent, tree) for tree in tr.trees]) == 2
+            rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
+            assert len([tree_simplex(rp, tree) for tree in arborescence_triangulation(t, colour, root=root)]) == 2
 
 
 def test_cayley_slices_scale_to_gp_polytopes():

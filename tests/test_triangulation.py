@@ -32,6 +32,7 @@ from trinities.trinity import (
     RED,
     InternalConsistencyError,
     colour_graph,
+    default_root,
     directed_dual,
 )
 
@@ -178,31 +179,33 @@ def face_counts(simplices):
 
 
 def f_vector_cases(case):
-    """Triangulations whose f-vector, read off the interior polynomial, is
-    compared with their faces: every colour at the default root of a corpus
-    chunk, every root of every colour of the fixtures, and the red default
-    root of the plane grids 2x3 to 3x4."""
+    """(trinity, colour, root) of triangulations whose f-vector, read off the
+    interior polynomial, is compared with their faces: every colour at the
+    default root of a corpus chunk, every root of every colour of the
+    fixtures, and the red default root of the plane grids 2x3 to 3x4."""
     if case == "fixtures":
         for build in FIXTURES:
             t = build()
             for colour in COLOURS:
                 for root in directed_dual(t, colour).vertices:
-                    yield polytopes.arborescence_triangulation(t, colour, root)
+                    yield t, colour, root
     elif case == "grids":
         for rows, columns in GRIDS:
-            yield polytopes.arborescence_triangulation(grid_trinity(rows, columns), RED)
+            yield grid_trinity(rows, columns), RED, None
     else:
         for t in corpus(case):
             for colour in COLOURS:
-                yield polytopes.arborescence_triangulation(t, colour)
+                yield t, colour, None
 
 
 @pytest.mark.parametrize("case", [*range(10), "fixtures", "grids"])
 def test_f_vector_counts_the_faces_of_the_tree_simplices(case):
-    for tr in f_vector_cases(case):
-        assert polytopes.f_vector(tr) == face_counts([tree_simplex(tr.parent, tree) for tree in tr.trees])
-        assert polytopes.f_vector(tr) is polytopes.f_vector(tr)
-        assert polytopes.h_vector(tr) is polytopes.h_vector(tr)
+    for t, colour, root in f_vector_cases(case):
+        rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
+        simplices = [tree_simplex(rp, tree) for tree in polytopes.arborescence_triangulation(t, colour, root)]
+        assert polytopes.f_vector(t, colour, root) == face_counts(simplices)
+        assert polytopes.f_vector(t, colour, root) is polytopes.f_vector(t, colour, root)
+        assert polytopes.h_vector(t, colour, root) is polytopes.h_vector(t, colour, root)
 
 
 @pytest.mark.parametrize("chunk", range(10))
@@ -222,17 +225,23 @@ def test_the_interior_polynomial_ignores_the_coordinate_order_and_the_side(chunk
                 assert polytopes.interior_polynomial(permuted) == interior, (code, order)
 
 
-def test_a_repeated_tree_fails_the_h_vector():
-    tr = polytopes.arborescence_triangulation(g1_trinity(), RED)
-    repeated = polytopes.Triangulation(parent=tr.parent, trees=tr.trees + tr.trees[:1])
-    with pytest.raises(InternalConsistencyError, match="same hypertree"):
-        polytopes.h_vector(repeated)
+def test_a_repeated_tree_fails_the_h_vector(monkeypatch):
+    # A dropped, an added or a repeated tree: the trees' hypertrees are then
+    # not the hypertree set, each once. The added tree is one of another
+    # root's, a spanning tree with a hypertree of its own.
+    t = g1_trinity()
+    trees_at, other = (polytopes.arborescence_triangulation(t, RED, root) for root in (0, 1))
+    assert default_root(t, RED) == 0 and not set(trees_at) & set(other)
+    for mutated in (trees_at[1:], trees_at + other[:1], trees_at + trees_at[:1]):
+        monkeypatch.setattr(polytopes, "arborescence_triangulation", lambda *args: mutated)
+        with pytest.raises(InternalConsistencyError, match="hypertrees are not the hypertree set"):
+            polytopes.h_vector(g1_trinity(), RED)
 
 
 @pytest.mark.parametrize("rows, columns, magic", [(3, 6, 780), (4, 5, 2_624)])
 def test_the_h_vector_of_a_large_grid_sums_to_the_magic_number(rows, columns, magic):
-    tr = polytopes.arborescence_triangulation(grid_trinity(rows, columns), RED)
-    assert sum(polytopes.h_vector(tr)) == polytopes.f_vector(tr)[-1] == magic
+    t = grid_trinity(rows, columns)
+    assert sum(polytopes.h_vector(t, RED)) == polytopes.f_vector(t, RED)[-1] == magic
 
 
 def test_a_bad_tree_pair_fails_the_triangulation(monkeypatch):

@@ -10,7 +10,6 @@ from trinities.trinity import (
     EMERALD,
     RED,
     VIOLET,
-    AdjMatrix,
     InternalConsistencyError,
     adjacency_matrix,
     build_trinity,
@@ -28,6 +27,7 @@ from trinities.trinity import (
 from helpers import (
     bipartition,
     fig7_trinity,
+    g1_map,
     g1_trinity,
     grid_trinity,
     patch_everywhere,
@@ -62,13 +62,22 @@ def test_root_override_validation():
         g1_trinity(root_triangle=10)  # out of range
 
 
+@pytest.mark.parametrize("class_a", [{0, 1}, {0, 1, 2, 3, 4}])
+def test_an_improper_bipartition_is_a_map_error(class_a):
+    # {0, 1} | rest puts the edges at vertex 2 inside class_b, and an
+    # all-violet map puts every edge inside class_a: bad input, not a bug.
+    m = g1_map()
+    bip = Bipartition(class_a=frozenset(class_a), class_b=frozenset(range(m.n_vertices)) - class_a)
+    with pytest.raises(MapError, match="does not join class_a to class_b"):
+        build_trinity(m, bip)
+
+
 def test_g1_adjacency_matrix_and_determinant():
     # Root at the white triangle of dart 6 (edge v2-e2, outer corner).
     t = g1_trinity(root_triangle=6)
-    m = adjacency_matrix(t)
-    assert m.rows == ((VIOLET, 0), (VIOLET, 2), (EMERALD, 3), (RED, 1))
-    assert m.columns == (0, 2, 4, 8)
-    assert m.entries == ((1, 0, 0, 0), (0, 0, 1, 1), (1, 1, 1, 0), (0, 1, 0, 1))
+    assert non_root_vertices(t) == ((VIOLET, 0), (VIOLET, 2), (EMERALD, 3), (RED, 1))
+    assert non_root_white_triangles(t) == (0, 2, 4, 8)
+    assert adjacency_matrix(t) == ((1, 0, 0, 0), (0, 0, 1, 1), (1, 1, 1, 0), (0, 1, 0, 1))
     assert round_det(t) == -2
     assert round_det(g1_trinity()) in (-2, 2)
 
@@ -78,7 +87,7 @@ def test_determinant_routes_are_integer_determinants():
     # with int determinants, equal to the rational determinant.
     for t in (g1_trinity(), fig7_trinity()):
         value = round_det(t)
-        assert type(value) is int and value == det_exact(adjacency_matrix(t).entries)
+        assert type(value) is int and value == det_exact(adjacency_matrix(t))
         for colour in COLOURS:
             dd = directed_dual(t, colour)
             counts = {count_arborescences(dd, root) for root in dd.vertices}
@@ -89,9 +98,9 @@ def test_g1_matrix_matches_reference_form_under_column_permutation():
     # Reading the columns as t3, t4, t1, t2 and the rows bottom-up gives the
     # hand-computed reference matrix for this example.
     t = g1_trinity(root_triangle=6)
-    entries = adjacency_matrix(t).entries
+    entries = adjacency_matrix(t)
     col_perm = {0: 2, 2: 3, 4: 0, 8: 1}  # dart -> reference column t_{i+1}
-    cols = adjacency_matrix(t).columns
+    cols = non_root_white_triangles(t)
     reference = (
         (0, 1, 0, 1),  # r1
         (1, 0, 1, 1),  # e1
@@ -99,7 +108,7 @@ def test_g1_matrix_matches_reference_form_under_column_permutation():
         (1, 1, 0, 0),  # v3
     )
     rows = {(VIOLET, 0): 2, (VIOLET, 2): 3, (EMERALD, 3): 1, (RED, 1): 0}
-    for i, row_key in enumerate(adjacency_matrix(t).rows):
+    for i, row_key in enumerate(non_root_vertices(t)):
         for j, c in enumerate(cols):
             assert entries[i][j] == reference[rows[row_key]][col_perm[c]]
     assert abs(det_exact(reference)) == 2
@@ -162,8 +171,8 @@ def test_tutte_count_is_the_determinant_where_enumeration_cannot_run(rows, colum
 
 def test_tutte_count_rejects_a_matrix_that_is_not_square(monkeypatch):
     t = g1_trinity()
-    m = adjacency_matrix(t)
-    monkeypatch.setattr(trinity, "adjacency_matrix", lambda _t: AdjMatrix(m.rows[1:], m.columns, m.entries[1:]))
+    entries = adjacency_matrix(t)
+    monkeypatch.setattr(trinity, "adjacency_matrix", lambda _t: entries[1:])
     with pytest.raises(InternalConsistencyError):
         count_tutte_matchings(t)
 
