@@ -8,23 +8,28 @@ backing bipartite graph is the colour graph of the remaining colour. One
 incidence per selector, ``trinity.incidence``, each white triangle's (Y, X)
 corners, which are the ends of that graph's edges, gives its hyperedges, its
 root polytope Q = conv(e_y - e_x) with the Y coordinates first, and the
-hypertrees of Q's triangulating trees, their degree-minus-one vectors on Y;
-none of them builds a colour-graph map.
+hypertrees of Q's triangulating trees, their degree-minus-one vectors on Y
+and on X; none of them builds a colour-graph map.
 
 The GP, trimmed and hypertree polytopes are built from their subset-inequality
 descriptions in integer arithmetic, and each is checked against a second,
 independent description of its lattice points: the sums of generators, the
-set-difference trimming, and the hypertrees of the trees of an arborescence
-triangulation of the root polytope (Postnikov, *Permutohedra, associahedra,
-and beyond*, 2009, section 12: each hypertree exactly once). Their vertices
-and dimension are read off the exchanges e_i - e_j that the lattice points
-take. The lattice points of a root polytope are its generators, and its
-dimension is |Y| + |X| - 2. The tree simplices of an arborescence
-triangulation are proved to triangulate the root polytope in one pass,
-linear in their number: each tree has n - 1 edges that span, and every
-ridge of a tree simplex lies in one simplex on the boundary and in two, on
-opposite sides, inside, and one generic point lies in exactly one simplex.
-The simplices are unimodular by Postnikov's Lemma 12.5, so no volume is
+set-difference trimming, and the hypertrees of an arborescence triangulation
+of the root polytope. Their vertices and dimension are read off the
+exchanges e_i - e_j that the lattice points take. The lattice points of a
+root polytope are its generators, and its dimension is |Y| + |X| - 2.
+
+``arborescence_triangulation`` is the one place that reads a colour's
+spanning trees at a root, the complements of the arborescences of its
+directed dual, and it returns them only once certified. The tree simplices
+are proved to triangulate the root polytope in one pass, linear in their
+number: each tree has n - 1 edges that span, and every ridge of a tree
+simplex lies in one simplex on the boundary and in two, on opposite sides,
+inside, and one generic point lies in exactly one simplex. Then each
+hypertree of either side is the degree-minus-one vector of exactly one tree
+(Postnikov, *Permutohedra, associahedra, and beyond*, 2009, section 12), and
+both sides' vectors are checked against the two hypertree sets. The
+simplices are unimodular by Postnikov's Lemma 12.5, so no volume is
 computed, and h is the interior polynomial of the hypertree set, once per
 colour, so no face is counted. Every point is an integer vector; ranks,
 volumes, the placing triangulation, the Cayley slices, Lemma 12.6 and face
@@ -324,13 +329,12 @@ def trimmed_gp_of(t: Trinity, code: str) -> TaggedPolytope:
 def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     """Convex hull of the hypertree vectors, indexed by the hyperedge class.
 
-    The lattice of mu is checked against the hypertrees of the triangulation
-    trees at the colour's default root: equal sets, no vector repeated.
+    The lattice of mu is the hypertree set that ``arborescence_triangulation``
+    checks, at the colour's default root, against the hypertrees of the trees
+    that triangulate the root polytope: equal sets, no vector repeated.
     """
-    lattice = hypertree_lattice_of(t, code)
-    if triangulation_hypertrees(t, code) != lattice:
-        raise InternalConsistencyError("hypertree set is not convexly closed")
-    return _tagged(lattice)
+    arborescence_triangulation(t, colour_of_hypergraph(code))
+    return _tagged(hypertree_lattice_of(t, code))
 
 
 def root_polytope_of(t: Trinity, code: str) -> RootPolytope:
@@ -369,56 +373,13 @@ def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     return TaggedPolytope(vertices=rp.vertices, affine_dim=rp.affine_dim, lattice=rp.vertices)
 
 
-def arborescence_trees(t: Trinity, colour: str, root: int) -> tuple[tuple[int, ...], ...]:
-    """The colour graph's spanning trees dual to the arborescences of its
-    directed dual at ``root``, enumerated once per trinity, colour and root.
-    Directed-dual edge i crosses the colour graph's edge i; a tree is the
-    edges its arborescence does not cross. ``_tree_edge_sides`` checks each
-    certified tree's size, and the mu-lattice of ``hypertree_polytope_of``,
-    whose points sum to |X| - 1, each default-root tree's."""
-
-    def build():
-        dd = directed_dual(t, colour)
-        arbs = map(set, trees.enumerate_arborescences(dd, root))
-        return tuple(tuple(i for i in range(len(dd.edges)) if i not in used) for used in arbs)
-
-    return memo(t, ("arborescence_trees", colour, root), build)
-
-
-def triangulation_hypertrees(t: Trinity, code: str, root: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
-    """The selector's hypertrees read off the arborescence trees of its colour
-    at ``root`` (by default the root triangle's corner), sorted, repeats kept:
-    each tree's degree-minus-one vector on the Y ends of its edges.
-
-    When those trees triangulate the root polytope, each hypertree of either
-    side is the degree-minus-one vector of exactly one of them (Postnikov,
-    2009, section 12), so this is the hypertree set itself.
-    """
-    colour = colour_of_hypergraph(code)
-    tree_sets = arborescence_trees(t, colour, default_root(t, colour) if root is None else root)
-    ends, n_y, _ = incidence(t, code)
-    return tuple(sorted(_tree_hypertrees(ends, n_y, tree_sets)))
-
-
-def _tree_hypertrees(
-    ends: Sequence[tuple[int, int]], n_y: int, tree_sets: Iterable[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """Each tree's degree-minus-one vector on the n_y Y positions, the first
-    of its edges' ends."""
-    out = []
-    for tree in tree_sets:
-        degree = [-1] * n_y
-        for e in tree:
-            degree[ends[e][0]] += 1
-        out.append(tuple(degree))
-    return out
-
-
 def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
-    """The spanning trees dual to the arborescences at the given root (by
-    default the root triangle's corner), proved once per trinity, colour and
-    root to triangulate the colour graph's root polytope Q_G by their
-    simplices: the tuple that ``arborescence_trees`` memoizes.
+    """The colour graph's spanning trees dual to the arborescences of its
+    directed dual at the given root (by default the root triangle's corner),
+    proved once per trinity, colour and root to triangulate the colour
+    graph's root polytope Q_G by their simplices, and checked against the
+    hypertree sets of both sides. Directed-dual edge i crosses the colour
+    graph's edge i; a tree is the edges its arborescence does not cross.
 
     Full-dimensional simplices spanned by points of a polytope P triangulate
     it iff (i) each of their ridges on the boundary of P lies in one of them
@@ -436,12 +397,33 @@ def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = No
     is also unimodular, the incidence matrix of a bipartite graph being
     totally unimodular (Postnikov, 2009, Lemma 12.5), so the number of trees
     is the normalized volume of Q_G; no volume is computed.
+
+    When the trees triangulate Q_G, each hypertree of either side is the
+    degree-minus-one vector of exactly one of them on that side's ends
+    (Postnikov, 2009, section 12). So the trees' vectors on the Y ends, and on
+    the X ends, sorted with repeats kept, must be the hypertree sets of the
+    colour's selector and of its reverse: a tree dropped, added or repeated,
+    or a wrong mu-lattice, fails here.
     """
     root = default_root(t, colour) if root is None else root
 
     def build():
-        tree_sets = arborescence_trees(t, colour, root)
-        ridge_certificate(root_polytope_of(t, COLOUR_SELECTORS[colour]), tree_sets)
+        code = COLOUR_SELECTORS[colour]
+        rp = root_polytope_of(t, code)
+        arbs = map(set, trees.enumerate_arborescences(directed_dual(t, colour), root))
+        tree_sets = tuple(tuple(e for e in range(len(rp.ends)) if e not in used) for used in arbs)
+        ridge_certificate(rp, tree_sets)
+        degrees = []
+        for tree in tree_sets:
+            degree = [-1] * (rp.u_size + rp.v_size)
+            for e in tree:
+                for x in rp.ends[e]:
+                    degree[x] += 1
+            degrees.append(degree)
+        for selector, side in ((code, slice(rp.u_size)), (code[::-1], slice(rp.u_size, None))):
+            if tuple(sorted(tuple(d[side]) for d in degrees)) != hypertree_lattice_of(t, selector):
+                message = f"the triangulation trees' {selector} hypertrees are not the hypertree set"
+                raise InternalConsistencyError(message)
         return tree_sets
 
     return memo(t, ("arborescence_triangulation", colour, root), build)
@@ -557,32 +539,29 @@ def interior_polynomial(hypertrees: Iterable[tuple[int, ...]]) -> tuple[int, ...
 
 def h_vector(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[int, ...]:
     """Coefficients of h(x) = f(x-1) of the arborescence triangulation at
-    ``root``, highest degree first. Its simplices are unimodular (Lemma 12.5),
-    so h is the h*-vector of Q_G: the interior polynomial of the hypertree
-    set (Kalman and Postnikov, *Root polytopes, Tutte polynomials, and a
-    duality theorem for bipartite graphs*, 2017), once per trinity and
-    colour, padded with zeros to f's length |Y| + |X|. Once per root, the
-    trees' U-side hypertrees must be that set, each once (Postnikov, 2009,
-    section 12)."""
-    root = default_root(t, colour) if root is None else root
+    ``root``, highest degree first. Its simplices are unimodular (Lemma 12.5)
+    and its trees' hypertrees are the hypertree set, each once, as
+    ``arborescence_triangulation`` checks; so h is the h*-vector of Q_G, the
+    interior polynomial of that set (Kalman and Postnikov, *Root polytopes,
+    Tutte polynomials, and a duality theorem for bipartite graphs*, 2017),
+    once per trinity and colour, padded with zeros to f's length
+    |Y| + |X|."""
+    arborescence_triangulation(t, colour, root)
+    code = COLOUR_SELECTORS[colour]
 
     def build() -> tuple[int, ...]:
-        code = COLOUR_SELECTORS[colour]
-        ends, n_y, n_x = incidence(t, code)
-        lattice = hypertree_lattice_of(t, code)
-        if tuple(sorted(_tree_hypertrees(ends, n_y, arborescence_triangulation(t, colour, root)))) != lattice:
-            raise InternalConsistencyError("the triangulation trees' hypertrees are not the hypertree set")
-        h = memo(t, ("interior_polynomial", colour), lambda: interior_polynomial(lattice))
+        _, n_y, n_x = incidence(t, code)
+        h = interior_polynomial(hypertree_lattice_of(t, code))
         return h + (0,) * (n_y + n_x - len(h))
 
-    return memo(t, ("h_vector", colour, root), build)
+    return memo(t, ("h_vector", colour), build)
 
 
 def f_vector(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[int, ...]:
     """Face counts, highest degree first, once per trinity and colour after
-    ``h_vector``'s check at ``root``: f(y) = h(y+1), whose y^(d+1-k)
-    coefficient counts the (k-1)-dimensional faces, from the single empty
-    face at y^(d+1) down to the top simplices."""
+    ``h_vector`` at ``root``: f(y) = h(y+1), whose y^(d+1-k) coefficient
+    counts the (k-1)-dimensional faces, from the single empty face at
+    y^(d+1) down to the top simplices."""
     h = h_vector(t, colour, root)
 
     def build() -> tuple[int, ...]:

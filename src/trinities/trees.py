@@ -5,7 +5,7 @@ its subset-inequality description in ``polytopes``; a spanning tree of the
 bipartite graph induces one as its degree-minus-one vector on the hyperedge
 side. Arborescence counts come from the directed matrix-tree theorem, and the
 arborescences themselves, enumerated, give the colour graph's spanning trees
-that triangulate its root polytope (``polytopes.arborescence_trees``).
+that triangulate its root polytope (``polytopes.arborescence_triangulation``).
 Exhaustive spanning-tree enumeration is a test oracle (``tests/oracles.py``),
 not part of the library.
 """

@@ -1,7 +1,9 @@
 """Shared builders for the test suite: the worked example graph, the larger
 fixture graph, plane grid graphs, the graph document of a trinity, edge-id
 shuffles of a map, a seeded generator of random plane bipartite maps, the
-negation of a point set, and call counters; and the map and link operations
+negation of a point set, and call counters; the uncertified arborescence
+trees of a colour, their hypertrees, and a patch that makes the library
+enumerate chosen trees; and the map and link operations
 that only the tests take: the bipartition of a map, its planar dual, map
 isomorphism, the dual spanning tree, and the switch of a crossing and the
 mirror of a link diagram."""
@@ -26,7 +28,8 @@ from trinities.maps import (
     build_map,
     build_map_from_darts,
 )
-from trinities.trinity import Trinity, build_trinity
+from trinities import trees
+from trinities.trinity import Trinity, build_trinity, directed_dual, incidence
 
 # Worked 5-edge example: violet v1,v2,v3 = 0,1,2; emerald e1,e2 = 3,4.
 G1_EDGES = ((0, 3), (1, 3), (2, 3), (1, 4), (2, 4))
@@ -261,3 +264,45 @@ def count_calls_everywhere(monkeypatch, module, name):
 
     patch_everywhere(monkeypatch, module, name, counted)
     return calls
+
+
+def uncertified_trees(t: Trinity, colour: str, root: int) -> tuple[tuple[int, ...], ...]:
+    """The colour graph's spanning trees dual to the arborescences of its
+    directed dual at ``root``, not certified: the complement of each
+    arborescence in the edge ids, since directed-dual edge i crosses the
+    colour graph's edge i."""
+    dd = directed_dual(t, colour)
+    return tuple(_complement(dd, arb) for arb in trees.enumerate_arborescences(dd, root))
+
+
+def _complement(dd, edge_ids) -> tuple[int, ...]:
+    used = set(edge_ids)
+    return tuple(e for e in range(len(dd.edges)) if e not in used)
+
+
+def tree_hypertrees(t: Trinity, code: str, tree_sets) -> tuple[tuple[int, ...], ...]:
+    """Each tree's degree-minus-one vector on the selector's Y positions, the
+    first of its edges' incidence ends, sorted with repeats kept."""
+    ends, n_y, _ = incidence(t, code)
+    vectors = []
+    for tree in tree_sets:
+        degree = [-1] * n_y
+        for e in tree:
+            degree[ends[e][0]] += 1
+        vectors.append(tuple(degree))
+    return tuple(sorted(vectors))
+
+
+def enumerate_trees_as(monkeypatch, t: Trinity, colour: str, root: int, tree_sets) -> None:
+    """Make the library's arborescence enumeration, on a directed dual equal
+    to the colour's and at ``root``, return the complements of ``tree_sets``,
+    so that those are the trees ``polytopes.arborescence_triangulation``
+    reads there. Other calls enumerate as before."""
+    dd = directed_dual(t, colour)
+    arbs = tuple(_complement(dd, tree) for tree in tree_sets)
+    enumerate_arborescences = trees.enumerate_arborescences
+    monkeypatch.setattr(
+        trees,
+        "enumerate_arborescences",
+        lambda d, r: arbs if (d, r) == (dd, root) else enumerate_arborescences(d, r),
+    )

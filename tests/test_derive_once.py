@@ -1,10 +1,13 @@
 """Each colour graph, directed dual, selector's incidence, hypertree set,
 selector's hyperedges, coverage bound and generator sums, trimmed lattice,
 root polytope, triangulation, red interior polynomial and median diagram is
-derived once per trinity, and never shared between two trinities; no
-incidence builds a colour graph; a report reads the sutured support once,
-and verify not at all. The counts come from wrappers around the builders. No spanning tree is enumerated: the hypertree sets are mu-lattices.
-No Tutte matching is listed: the matchings are counted."""
+derived once per trinity, and never shared between two trinities: a report
+triangulates every red root and the violet and emerald default roots, and
+verify every root of every colour. No incidence builds a colour graph; a
+report reads the sutured support once, and verify not at all. The counts
+come from wrappers around the builders. No spanning tree is enumerated: the
+hypertree sets are mu-lattices. No Tutte matching is listed: the matchings
+are counted."""
 
 import pkgutil
 from collections import Counter
@@ -16,9 +19,13 @@ from trinities.cli import EXIT_OK, build_report, main
 from trinities.documents import document_to_map, parse_graph_document
 from trinities.trinity import (
     COLOURS,
+    EMERALD,
     HYPERGRAPH_CODES,
+    RED,
+    VIOLET,
     build_trinity,
     colour_graph,
+    default_root,
     directed_dual,
     incidence,
     magic_number_report,
@@ -75,11 +82,27 @@ def test_verify_builds_each_hypertree_lattice_once(monkeypatch, capsys):
 def test_verify_triangulates_once_per_colour_and_root(monkeypatch, capsys):
     # The link identity reuses the red triangulation at the default root.
     calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
+    certified = count_calls(monkeypatch, polytopes, "ridge_certificate")
     assert main(["verify", FIG7]) == EXIT_OK
     assert '"ok": true' in capsys.readouterr().out
     pairs = Counter((dd.colour, root) for dd, root in calls)
     _doc, t = load_fig7()
     assert pairs == Counter((c, root) for c in COLOURS for root in directed_dual(t, c).vertices)
+    assert len(certified) == len(calls)
+
+
+def test_report_triangulates_each_red_root_and_the_other_default_roots_once(monkeypatch, capsys):
+    # The red listing reads every red root; the violet and emerald hypertree
+    # polytopes read the certified trees at their default roots only.
+    calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
+    certified = count_calls(monkeypatch, polytopes, "ridge_certificate")
+    assert main(["report", FIG7]) == EXIT_OK
+    assert '"triangulations_red"' in capsys.readouterr().out
+    pairs = Counter((dd.colour, root) for dd, root in calls)
+    _doc, t = load_fig7()
+    red = [(RED, root) for root in directed_dual(t, RED).vertices]
+    assert pairs == Counter(red + [(c, default_root(t, c)) for c in (VIOLET, EMERALD)])
+    assert len(certified) == len(calls)
 
 
 def test_two_trinities_of_one_document_derive_separately(monkeypatch):

@@ -3,8 +3,9 @@ class in ``src/trinities``, and every public method and property of its
 classes, has a caller in the library or the benchmark, so code that only the
 tests take lives in ``tests/helpers.py``, ``tests/oracles.py`` or the test
 that uses it; the rank code and the test-only helpers moved there, and the
-deleted skein switch, tree-size check, triangle-colouring recheck and the
-triangulation and adjacency-matrix wrappers, are gone from the library."""
+deleted skein switch, tree-size check, triangle-colouring recheck, the
+triangulation and adjacency-matrix wrappers, and the uncertified tree and
+tree-hypertree readers, are gone from the library."""
 
 import ast
 from collections import Counter
@@ -38,6 +39,8 @@ MOVED = {
     "Triangulation",
     "AdjMatrix",
     "_validate_triangle_colouring",
+    "arborescence_trees",
+    "triangulation_hypertrees",
 }
 
 

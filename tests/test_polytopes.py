@@ -20,16 +20,36 @@ from trinities.polytopes import (
     trimmed_gp_of,
     verify_duality_suite,
 )
-from trinities.trinity import COLOUR_SELECTORS, COLOURS, HYPERGRAPH_CODES, RED, InternalConsistencyError, build_trinity
+from trinities.trinity import (
+    COLOUR_SELECTORS,
+    COLOURS,
+    HYPERGRAPH_CODES,
+    RED,
+    InternalConsistencyError,
+    build_trinity,
+    default_root,
+)
 
-from helpers import bipartition, count_calls_everywhere, fig7_trinity, g1_map, g1_trinity, random_trinity, single_edge_trinity
+from helpers import (
+    bipartition,
+    count_calls_everywhere,
+    enumerate_trees_as,
+    fig7_trinity,
+    g1_map,
+    g1_trinity,
+    random_trinity,
+    single_edge_trinity,
+    uncertified_trees,
+)
 from oracles import (
     cayley_slice,
     hyperedges,
     hypergraph_view,
+    hypertree_of,
     hypertree_set_of_graph,
     root_polytope,
     slice_matches_scaled_gp,
+    spanning_trees_of_map,
     tree_simplex,
 )
 
@@ -227,7 +247,7 @@ def _add_far_point(points):
     [
         (gp_polytope_of, "sums of generators do not exhaust the lattice points"),
         (trimmed_gp_of, "trimmed lattice set is not convexly closed"),
-        (hypertree_polytope_of, "hypertree set is not convexly closed"),
+        (hypertree_polytope_of, "hypertrees are not the hypertree set"),
     ],
 )
 def test_each_description_check_catches_a_changed_lattice(monkeypatch, build, message, change):
@@ -249,15 +269,43 @@ def _duplicate_last(points):
     return points + points[-1:]
 
 
-@pytest.mark.parametrize("change", [_drop_last, _add_far_point, _duplicate_last])
+def _add_another_roots_tree(tree_sets):
+    # g1's red trees at root 1 share none with those at the default root 0.
+    return tree_sets + uncertified_trees(g1_trinity(), RED, 1)[:1]
+
+
+@pytest.mark.parametrize("change", [_drop_last, _add_another_roots_tree, _duplicate_last])
 def test_hypertree_check_catches_changed_tree_hypertrees(monkeypatch, change):
-    # The triangulation-tree side: a vector dropped, added or repeated.
-    triangulation_hypertrees = polytopes.triangulation_hypertrees
-    monkeypatch.setattr(
-        polytopes, "triangulation_hypertrees", lambda *args: change(triangulation_hypertrees(*args))
-    )
-    with pytest.raises(InternalConsistencyError, match="hypertree set is not convexly closed"):
+    # The triangulation-tree side: a tree, so its vector, dropped, added or
+    # repeated. With the certificate stubbed out, only the hypertree check
+    # stands between those trees and the polytope.
+    t = g1_trinity()
+    root = default_root(t, RED)
+    enumerate_trees_as(monkeypatch, t, RED, root, change(uncertified_trees(t, RED, root)))
+    monkeypatch.setattr(polytopes, "ridge_certificate", lambda *args: None)
+    with pytest.raises(InternalConsistencyError, match="VE hypertrees are not the hypertree set"):
         hypertree_polytope_of(g1_trinity(), "VE")
+
+
+def test_the_hypertree_check_reads_both_sides(monkeypatch):
+    # A spanning tree with a tree's Y-side vector but another X-side vector
+    # swapped in for it: with the certificate stubbed out, the Y side still
+    # matches the hypertree set and only the X side catches the swap.
+    t = fig7_trinity()
+    code = COLOUR_SELECTORS[RED]
+    trees_at = arborescence_triangulation(t, RED)
+    m, x_ids, y_ids = hypergraph_view(t, code)
+    i, swap = next(
+        (i, tree)
+        for tree in spanning_trees_of_map(m)
+        for i, kept in enumerate(trees_at)
+        if hypertree_of(tree, m.edges, y_ids) == hypertree_of(kept, m.edges, y_ids)
+        and hypertree_of(tree, m.edges, x_ids) != hypertree_of(kept, m.edges, x_ids)
+    )
+    enumerate_trees_as(monkeypatch, t, RED, default_root(t, RED), trees_at[:i] + (swap,) + trees_at[i + 1 :])
+    monkeypatch.setattr(polytopes, "ridge_certificate", lambda *args: None)
+    with pytest.raises(InternalConsistencyError, match=f"the triangulation trees' {code[::-1]} hypertrees"):
+        arborescence_triangulation(fig7_trinity(), RED)
 
 
 def test_root_polytope_listing_lattice_points_are_the_generators():

@@ -1,6 +1,5 @@
 import pytest
 
-from trinities.polytopes import arborescence_trees, triangulation_hypertrees
 from trinities.trees import (
     count_arborescences,
     enumerate_arborescences,
@@ -9,7 +8,16 @@ from trinities.trees import (
 from trinities.maps import build_map
 from trinities.trinity import COLOURS, EMERALD, RED, VIOLET, colour_of_hypergraph, directed_dual
 
-from helpers import G1_EDGES, dual_tree, g1_map, g1_trinity, planar_dual, single_edge_trinity
+from helpers import (
+    G1_EDGES,
+    dual_tree,
+    g1_map,
+    g1_trinity,
+    planar_dual,
+    single_edge_trinity,
+    tree_hypertrees,
+    uncertified_trees,
+)
 from oracles import enumerate_spanning_trees, hypertree_of, hypertree_set_of_graph, spanning_trees_of_map
 
 
@@ -92,7 +100,7 @@ def test_arborescences_biject_with_hypertrees():
         assert colour_of_hypergraph(code) == colour
         root = t.triangles[t.root_triangle].corner(colour)
         # Sorted with repeats kept, so equality is a bijection.
-        assert triangulation_hypertrees(t, code, root) == hypertree_set(t, code)
+        assert tree_hypertrees(t, code, uncertified_trees(t, colour, root)) == hypertree_set(t, code)
         assert len(enumerate_arborescences(directed_dual(t, colour), root)) == len(hypertree_set(t, code))
 
 
@@ -100,7 +108,7 @@ def test_arborescence_to_spanning_tree_sizes():
     # One spanning tree of the colour graph per arborescence.
     t = g1_trinity()
     root = t.triangles[t.root_triangle].red
-    tree_sets = arborescence_trees(t, RED, root)
+    tree_sets = uncertified_trees(t, RED, root)
     assert len(tree_sets) == len(enumerate_arborescences(directed_dual(t, RED), root))
     for tree in tree_sets:
         assert tree in spanning_trees_of_map(t.map)

@@ -38,11 +38,13 @@ from trinities.trinity import (
 
 from helpers import (
     count_calls_everywhere,
+    enumerate_trees_as,
     fig7_trinity,
     g1_trinity,
     grid_trinity,
     random_trinity,
     single_edge_trinity,
+    uncertified_trees,
 )
 from oracles import (
     generic_point,
@@ -227,14 +229,15 @@ def test_the_interior_polynomial_ignores_the_coordinate_order_and_the_side(chunk
 
 def test_a_repeated_tree_fails_the_h_vector(monkeypatch):
     # A dropped, an added or a repeated tree: the trees' hypertrees are then
-    # not the hypertree set, each once. The added tree is one of another
-    # root's, a spanning tree with a hypertree of its own.
+    # not the hypertree set, each once, and the trees no triangulation. The
+    # added tree is one of another root's, a spanning tree with a hypertree
+    # of its own. h_vector reads only certified trees, so it raises.
     t = g1_trinity()
     trees_at, other = (polytopes.arborescence_triangulation(t, RED, root) for root in (0, 1))
     assert default_root(t, RED) == 0 and not set(trees_at) & set(other)
     for mutated in (trees_at[1:], trees_at + other[:1], trees_at + trees_at[:1]):
-        monkeypatch.setattr(polytopes, "arborescence_triangulation", lambda *args: mutated)
-        with pytest.raises(InternalConsistencyError, match="hypertrees are not the hypertree set"):
+        enumerate_trees_as(monkeypatch, t, RED, 0, mutated)
+        with pytest.raises(InternalConsistencyError, match=f"{RIDGE_FAILURE}|hypertrees are not the hypertree set"):
             polytopes.h_vector(g1_trinity(), RED)
 
 
@@ -253,7 +256,7 @@ def test_a_bad_tree_pair_fails_the_triangulation(monkeypatch):
         if not intersect_in_common_face(tree_simplex(rp, t1), tree_simplex(rp, t2))
     )
     assert not tree_simplices_meet_in_common_face(rp, *bad)
-    monkeypatch.setattr(polytopes, "arborescence_trees", lambda *args: bad)
+    enumerate_trees_as(monkeypatch, t, RED, default_root(t, RED), bad)
     with pytest.raises(InternalConsistencyError, match=RIDGE_FAILURE):
         polytopes.arborescence_triangulation(t, RED)
 
@@ -287,7 +290,7 @@ def mutation_verdicts(t, rng):
         rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
         spanning = spanning_trees_of_map(colour_graph(t, colour)[0])
         for root in directed_dual(t, colour).vertices:
-            tree_sets = polytopes.arborescence_trees(t, colour, root)
+            tree_sets = uncertified_trees(t, colour, root)
             mutated = []
             for _ in range(3):
                 i = rng.randrange(len(tree_sets))
@@ -316,14 +319,14 @@ def mutated_tree_sets(t, colour, rng):
     spanning = spanning_trees_of_map(colour_graph(t, colour)[0])
     roots = directed_dual(t, colour).vertices
     for k, root in enumerate(roots):
-        tree_sets = polytopes.arborescence_trees(t, colour, root)
+        tree_sets = uncertified_trees(t, colour, root)
         i = rng.randrange(len(tree_sets))
         yield tree_sets
         yield tree_sets[:i] + (rng.choice(spanning),) + tree_sets[i + 1 :]
         yield tree_sets[:i] + tree_sets[i + 1 :]
         yield tree_sets + (rng.choice(spanning),)
         yield tree_sets + (tree_sets[i],)
-        yield tree_sets + polytopes.arborescence_trees(t, colour, roots[(k + 1) % len(roots)])
+        yield tree_sets + uncertified_trees(t, colour, roots[(k + 1) % len(roots)])
 
 
 def certificate_verdicts(rp, tree_sets):
@@ -376,7 +379,7 @@ def test_the_generic_point_counts_the_simplices_that_cover_it():
     # fails the ridge part (see below), so the count is taken directly.
     t = g1_trinity()
     rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
-    union = polytopes.arborescence_trees(t, RED, 0) + polytopes.arborescence_trees(t, RED, 1)
+    union = uncertified_trees(t, RED, 0) + uncertified_trees(t, RED, 1)
     assert polytopes._certificate_pass(rp, union)[1] == 2
     assert sum(simplex_holds_point(tree_simplex(rp, tree), generic_point(rp)) for tree in union) == 2
 
@@ -392,7 +395,7 @@ def test_the_ridge_certificate_needs_the_boundary_count():
     # boundary alike, so some boundary ridges lie in two simplices.
     t = g1_trinity()
     rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
-    union = polytopes.arborescence_trees(t, RED, 0) + polytopes.arborescence_trees(t, RED, 1)
+    union = uncertified_trees(t, RED, 0) + uncertified_trees(t, RED, 1)
     assert set(ridge_counts(rp, union).values()) == {1, 2}
     with pytest.raises(InternalConsistencyError, match="triangulation boundary ridge"):
         ridge_certificate(rp, union)
