@@ -343,10 +343,12 @@ def alexander_conway(p: LaurentPoly2) -> LaurentPoly2:
     return p.subst_v_one()
 
 
-def verify_homfly_h_vector(t: Trinity, root: Optional[int] = None, crossing_cap: int = CROSSING_CAP) -> dict:
+def verify_homfly_h_vector(t: Trinity, crossing_cap: int = CROSSING_CAP) -> dict:
     """Compare the top of the median link's HOMFLY-PT polynomial with the
-    h-polynomial of the arborescence triangulation at the given root, the
-    interior polynomial of its trees' hypertrees (Kalman and Murakami, 2017).
+    h-polynomial of the red arborescence triangulation, certified at the
+    default root, the interior polynomial of its trees' hypertrees (Kalman
+    and Murakami, 2017). Raises ``CrossingCapExceeded`` before any h is read
+    when the diagram has more than ``crossing_cap`` crossings.
 
     The identity checked is top = v^(E+V-1) * h(v^-2); the record also reports
     the h(v^-1) substitution for reference.
@@ -354,7 +356,7 @@ def verify_homfly_h_vector(t: Trinity, root: Optional[int] = None, crossing_cap:
     m = t.map
     p = homfly(median_diagram_of(t), crossing_cap)
     top = homfly_top(p)
-    h = h_vector(t, RED, root)
+    h = h_vector(t, RED)
     exponent = m.n_edges + m.n_vertices - 1
     top_deg = len(h) - 1  # h coefficients run from x^(d+1) down to x^0
     rhs2 = LaurentPoly2.from_dict(

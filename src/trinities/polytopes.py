@@ -21,7 +21,8 @@ root polytope are its generators, and its dimension is |Y| + |X| - 2.
 
 ``arborescence_triangulation`` is the one place that reads a colour's
 spanning trees at a root, the complements of the arborescences of its
-directed dual, and it returns them only once certified. The tree simplices
+directed dual, and the only function here that takes a root; it returns the
+trees only once certified. The tree simplices
 are proved to triangulate the root polytope in one pass, linear in their
 number: each tree has n - 1 edges that span, and every ridge of a tree
 simplex lies in one simplex on the boundary and in two, on opposite sides,
@@ -78,6 +79,13 @@ class RootPolytope:
     u_size: int  # |Y|: U is the hyperedge class, whose coordinates come first
     v_size: int  # |X|
     ends: tuple[tuple[int, int], ...]  # each edge's coordinates (u, v)
+
+    @property
+    def lattice(self) -> tuple[IntVec, ...]:
+        """The lattice points, which are the vertices: Q lies in the product
+        of the simplex on Y and the negated simplex on X, whose lattice points
+        e_y - e_x are all vertices of that product."""
+        return self.vertices
 
 
 def _generator_sums(edges: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], ...]:
@@ -364,15 +372,6 @@ def root_polytope_of(t: Trinity, code: str) -> RootPolytope:
     return memo(t, ("root_polytope", code), build)
 
 
-def hypergraph_root_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
-    """The memoized root polytope of the hypergraph's bipartite graph. Its
-    lattice points are its generators: it lies in the product of the simplex
-    on Y and the negated simplex on X, whose lattice points e_y - e_x are all
-    vertices of that product."""
-    rp = root_polytope_of(t, code)
-    return TaggedPolytope(vertices=rp.vertices, affine_dim=rp.affine_dim, lattice=rp.vertices)
-
-
 def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
     """The colour graph's spanning trees dual to the arborescences of its
     directed dual at the given root (by default the root triangle's corner),
@@ -537,19 +536,19 @@ def interior_polynomial(hypertrees: Iterable[tuple[int, ...]]) -> tuple[int, ...
     return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
-def h_vector(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[int, ...]:
-    """Coefficients of h(x) = f(x-1) of the arborescence triangulation at
-    ``root``, highest degree first. Its simplices are unimodular (Lemma 12.5)
-    and its trees' hypertrees are the hypertree set, each once, as
-    ``arborescence_triangulation`` checks; so h is the h*-vector of Q_G, the
-    interior polynomial of that set (Kalman and Postnikov, *Root polytopes,
-    Tutte polynomials, and a duality theorem for bipartite graphs*, 2017),
-    once per trinity and colour, padded with zeros to f's length
-    |Y| + |X|."""
-    arborescence_triangulation(t, colour, root)
+def h_vector(t: Trinity, colour: str) -> tuple[int, ...]:
+    """Coefficients of h(x) = f(x-1) of the colour's arborescence
+    triangulation, highest degree first, once per trinity and colour. Its
+    simplices are unimodular (Lemma 12.5) and its trees' hypertrees are the
+    hypertree set, each once, as ``arborescence_triangulation`` checks, here
+    at the colour's default root; so h is the h*-vector of Q_G, the interior
+    polynomial of that set (Kalman and Postnikov, *Root polytopes, Tutte
+    polynomials, and a duality theorem for bipartite graphs*, 2017), the same
+    at every root, padded with zeros to f's length |Y| + |X|."""
     code = COLOUR_SELECTORS[colour]
 
     def build() -> tuple[int, ...]:
+        arborescence_triangulation(t, colour)
         _, n_y, n_x = incidence(t, code)
         h = interior_polynomial(hypertree_lattice_of(t, code))
         return h + (0,) * (n_y + n_x - len(h))
@@ -557,12 +556,13 @@ def h_vector(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[int, 
     return memo(t, ("h_vector", colour), build)
 
 
-def f_vector(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[int, ...]:
-    """Face counts, highest degree first, once per trinity and colour after
-    ``h_vector`` at ``root``: f(y) = h(y+1), whose y^(d+1-k) coefficient
-    counts the (k-1)-dimensional faces, from the single empty face at
-    y^(d+1) down to the top simplices."""
-    h = h_vector(t, colour, root)
+def f_vector(t: Trinity, colour: str) -> tuple[int, ...]:
+    """Face counts of the colour's arborescence triangulation, highest degree
+    first, once per trinity and colour after ``h_vector`` (which certifies the
+    default root): f(y) = h(y+1), whose y^(d+1-k) coefficient counts the
+    (k-1)-dimensional faces, from the single empty face at y^(d+1) down to
+    the top simplices."""
+    h = h_vector(t, colour)
 
     def build() -> tuple[int, ...]:
         f = list(h)

@@ -20,9 +20,10 @@ from trinities.documents import (
     serialize_graph_document,
     format_point,
 )
-from trinities.trinity import build_trinity, magic_number_report
+from trinities import trees, trinity
+from trinities.trinity import VIOLET, build_trinity, default_root, directed_dual, magic_number_report
 
-from helpers import bipartition, document_text, grid_trinity
+from helpers import bipartition, document_text, grid_trinity, patch_everywhere
 
 
 def fixture_path(name: str) -> str:
@@ -255,20 +256,15 @@ def test_cli_root_triangle_override(capsys):
     assert main(["report", fixture_path("g1.json"), "--root-triangle", "1"]) == EXIT_INVALID_INPUT
 
 
-def test_cli_homfly_root_dual_vertex_must_be_red(capsys):
-    g1 = fixture_path("g1.json")
-    # 0 is g1's default red root, so the flag changes no byte.
-    assert run_cli(capsys, "homfly", g1, "--root-dual-vertex", "0") == run_cli(capsys, "homfly", g1)
-    for bad in ("99", "-1"):
-        assert main(["homfly", g1, "--root-dual-vertex", bad]) == EXIT_INVALID_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: root dual vertex {bad} is not a red vertex\n"
-
-
 # Each entry is a command and flags it does not read.
 @pytest.mark.parametrize(
-    "flags", [["verify", "--seed", "0"], ["verify", "--all"], ["polytope", "--crossing-cap", "5"]]
+    "flags",
+    [
+        ["verify", "--seed", "0"],
+        ["verify", "--all"],
+        ["polytope", "--crossing-cap", "5"],
+        ["homfly", "--root-dual-vertex", "0"],
+    ],
 )
 def test_removed_noop_flags_fail_argument_parsing(capsys, flags):
     command, *rest = flags
@@ -294,6 +290,33 @@ def test_cli_verify_lists_the_skipped_link_identity(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", str(doc), "--crossing-cap", "40")
     assert code == EXIT_OK
     assert json.loads(out) == {"checks_failed": [], "magic_number": 56, "ok": True}
+
+
+def test_cli_verify_names_only_the_magic_routes_when_they_disagree(monkeypatch, capsys):
+    # One route off by one: the certified trees still number the hypertree
+    # set's size at every root, so no triangulation check fires.
+    original = trinity.count_tutte_matchings
+    patch_everywhere(monkeypatch, trinity, "count_tutte_matchings", lambda t: original(t) + 1)
+    code, out = run_cli(capsys, "verify", fixture_path("fig7.json"))
+    assert code == EXIT_CHECKS_FAILED
+    assert json.loads(out)["checks_failed"] == ["magic-routes-disagree"]
+
+
+def test_cli_verify_names_a_root_dependent_arborescence_count(monkeypatch, capsys):
+    m, bip, outer = document_to_map(parse_graph_document(fixture_text("fig7.json")))
+    t = build_trinity(m, bip, outer_face=outer)
+    root = next(r for r in directed_dual(t, VIOLET).vertices if r != default_root(t, VIOLET))
+    original = trees.count_arborescences
+
+    def patched(dd, r):
+        return original(dd, r) + (dd.colour == VIOLET and r == root)
+
+    patch_everywhere(monkeypatch, trees, "count_arborescences", patched)
+    code, out = run_cli(capsys, "verify", fixture_path("fig7.json"))
+    assert code == EXIT_CHECKS_FAILED
+    payload = json.loads(out)
+    assert payload["checks_failed"] == ["arborescence-root-dependence-violet"]
+    assert payload["magic_number"] == 11
 
 
 # Seeded mutations of a raw fixture document, each in place. Those that edit

@@ -10,7 +10,6 @@ import pytest
 from trinities.polytopes import (
     arborescence_triangulation,
     gp_polytope_of,
-    hypergraph_root_polytope_of,
     hypertree_polytope_of,
     root_polytope_of,
     trimmed_gp_of,
@@ -39,7 +38,7 @@ def test_fixture_polytopes_have_int_coordinates(build):
         for tree in arborescence_triangulation(t, colour):
             values += coordinates(tree_simplex(rp, tree))
     for code in HYPERGRAPH_CODES:
-        for build_polytope in (gp_polytope_of, trimmed_gp_of, hypertree_polytope_of, hypergraph_root_polytope_of):
+        for build_polytope in (gp_polytope_of, trimmed_gp_of, hypertree_polytope_of, root_polytope_of):
             tp = build_polytope(t, code)
             values += coordinates(tp.vertices) + coordinates(tp.lattice)
     assert values and {type(x) for x in values} == {int}

@@ -41,6 +41,7 @@ MOVED = {
     "_validate_triangle_colouring",
     "arborescence_trees",
     "triangulation_hypertrees",
+    "hypergraph_root_polytope_of",
 }
 
 

@@ -24,6 +24,8 @@ from trinities.links import (
     verify_homfly_h_vector,
 )
 from trinities.maps import build_map
+from trinities.polytopes import arborescence_triangulation
+from trinities.trinity import RED
 
 from helpers import (
     bipartition,
@@ -171,7 +173,8 @@ def test_fig7_median_diagram_size():
 def test_top_matches_h_polynomial_for_both_roots():
     t = g1_trinity()
     for root in (0, 1):
-        record = verify_homfly_h_vector(t, root=root)
+        arborescence_triangulation(t, RED, root)
+        record = verify_homfly_h_vector(t)
         assert record["holds"]
         assert record["h_vector"] == (1, 1, 0, 0, 0)
         assert record["scaled_h_of_v_minus2"] == LaurentPoly2.from_dict({(3, 0): 1, (1, 0): 1})

@@ -14,7 +14,6 @@ from trinities.polytopes import (
     f_vector,
     gp_polytope_of,
     h_vector,
-    hypergraph_root_polytope_of,
     hypertree_polytope_of,
     root_polytope_of,
     trimmed_gp_of,
@@ -311,7 +310,7 @@ def test_the_hypertree_check_reads_both_sides(monkeypatch):
 def test_root_polytope_listing_lattice_points_are_the_generators():
     t = g1_trinity()
     for code in HYPERGRAPH_CODES:
-        tp = hypergraph_root_polytope_of(t, code)
+        tp = root_polytope_of(t, code)
         cm, x_ids, y_ids = hypergraph_view(t, code)
         gens = root_polytope(cm, y_ids, x_ids).generators
         assert tp.lattice == tuple(sorted({tuple(int(c) for c in g) for g in gens}))

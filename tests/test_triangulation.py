@@ -205,9 +205,9 @@ def test_f_vector_counts_the_faces_of_the_tree_simplices(case):
     for t, colour, root in f_vector_cases(case):
         rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
         simplices = [tree_simplex(rp, tree) for tree in polytopes.arborescence_triangulation(t, colour, root)]
-        assert polytopes.f_vector(t, colour, root) == face_counts(simplices)
-        assert polytopes.f_vector(t, colour, root) is polytopes.f_vector(t, colour, root)
-        assert polytopes.h_vector(t, colour, root) is polytopes.h_vector(t, colour, root)
+        assert polytopes.f_vector(t, colour) == face_counts(simplices)
+        assert polytopes.f_vector(t, colour) is polytopes.f_vector(t, colour)
+        assert polytopes.h_vector(t, colour) is polytopes.h_vector(t, colour)
 
 
 @pytest.mark.parametrize("chunk", range(10))
