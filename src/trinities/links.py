@@ -29,7 +29,7 @@ from functools import cache
 from math import comb
 from typing import Optional, Sequence
 
-from .maps import Bipartition, PlanarMap, memo
+from .maps import Bipartition, PlanarMap, memo, orbits
 from .polytopes import h_vector
 from .trinity import RED, InternalConsistencyError, Trinity
 
@@ -109,22 +109,14 @@ def median_diagram_of(t: Trinity) -> LinkDiagram:
 def gauss_code(d: LinkDiagram) -> list[tuple[int, ...]]:
     """The diagram's components as tuples of crossing visits, 2i for the
     over-strand of crossing i and 2i + 1 for its under-strand, in order of
-    their smallest arc id, each read from that arc."""
-    step: dict[int, tuple[int, int]] = {}  # in-arc -> (visit, out-arc)
+    their smallest arc id, each read from that arc: the cycles of the
+    next-arc permutation."""
+    visit: dict[int, int] = {}  # in-arc -> its crossing visit
+    next_arc: dict[int, int] = {}  # in-arc -> out-arc, the next in-arc
     for i, c in enumerate(d.crossings):
-        step[c.over_in] = (2 * i, c.over_out)
-        step[c.under_in] = (2 * i + 1, c.under_out)
-    seen: set[int] = set()
-    comps = []
-    for arc in sorted(step):
-        comp = []
-        while arc not in seen:
-            seen.add(arc)
-            v, arc = step[arc]
-            comp.append(v)
-        if comp:
-            comps.append(tuple(comp))
-    return comps
+        visit[c.over_in], next_arc[c.over_in] = 2 * i, c.over_out
+        visit[c.under_in], next_arc[c.under_in] = 2 * i + 1, c.under_out
+    return [tuple(visit[arc] for arc in cycle) for cycle in orbits(next_arc)]
 
 
 def component_count(d: LinkDiagram) -> int:
@@ -259,7 +251,9 @@ def _smoothed(comps: list[tuple[int, ...]], c: int) -> list[tuple[int, ...]]:
     """Oriented smoothing of crossing c: each strand that arrives at c leaves
     along the other strand. One component splits in two, two join in one; the
     edited component keeps its start."""
-    (i, k1), (j, k2) = [(i, k) for i, comp in enumerate(comps) for k, v in enumerate(comp) if v >> 1 == c]
+    (i, k1), (j, k2) = sorted(
+        (i, comp.index(v)) for v in (2 * c, 2 * c + 1) for i, comp in enumerate(comps) if v in comp
+    )
     a = comps[i]
     if i == j:
         return comps[:i] + [a[:k1] + a[k2 + 1 :], a[k1 + 1 : k2]] + comps[i + 1 :]

@@ -2,14 +2,18 @@
 
 A map is stored dart-first: edge e owns darts 2e and 2e+1, alpha(d) = d XOR 1,
 and sigma cycles the darts counter-clockwise around each vertex. Faces are the
-orbits of next(d) = sigma^-1(alpha(d)), which traces the face to the LEFT of
+cycles of next(d) = sigma^-1(alpha(d)), which traces the face to the LEFT of
 each dart; bounded faces come out counter-clockwise in the plane picture.
+
+Faces and vertex rotations are both read by ``orbits``, the one cycle walk of
+the library, so they are canonical by construction: each cycle starts at its
+smallest dart, and faces come in increasing order of that dart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence, TypeVar
+from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -74,16 +78,10 @@ class PlanarMap:
         return memo(self, "vertex_darts", self._vertex_darts)[v]
 
     def _vertex_darts(self) -> tuple[tuple[int, ...], ...]:
-        buckets: dict[int, list[int]] = {u: [] for u in range(self.n_vertices)}
-        seen = [False] * self.n_darts
-        for d in range(self.n_darts):
-            if not seen[d]:
-                cur = d
-                while not seen[cur]:
-                    seen[cur] = True
-                    buckets[self.vertex_of[cur]].append(cur)
-                    cur = self.sigma[cur]
-        return tuple(tuple(buckets[u]) for u in range(self.n_vertices))
+        darts: list[tuple[int, ...]] = [()] * self.n_vertices
+        for cycle in orbits(dict(enumerate(self.sigma))):
+            darts[self.vertex_of[cycle[0]]] = cycle
+        return tuple(darts)
 
     def head_of(self, d: int) -> int:
         return self.vertex_of[self.alpha(d)]
@@ -96,21 +94,21 @@ def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _face_orbits(sigma: Sequence[int], n_darts: int) -> tuple[tuple[int, ...], ...]:
-    sigma_inv = _inverse(sigma)
-    seen = [False] * n_darts
-    faces = []
-    for d in range(n_darts):
-        if seen[d]:
-            continue
-        orbit = []
-        cur = d
-        while not seen[cur]:
-            seen[cur] = True
-            orbit.append(cur)
-            cur = sigma_inv[cur ^ 1]
-        faces.append(tuple(orbit))
-    return tuple(faces)
+def orbits(step: Mapping[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the permutation ``step`` (element -> next element), each
+    from its smallest element, in increasing order of that element: a walk
+    from the smallest unseen element cannot meet a smaller one."""
+    seen: set[int] = set()
+    cycles = []
+    for x in sorted(step):
+        cycle = []
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = step[x]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 def build_map_from_darts(
@@ -154,14 +152,8 @@ def build_map_from_darts(
             raise NotConnectedError("graph is not connected")
         if len({vertex_of[d] for d in seen}) != n_vertices:
             raise NotConnectedError("isolated vertex present")
-    faces = _face_orbits(sigma, n_darts) if n_darts else ((),)
-    # Canonical face order: by smallest dart id; rotate each orbit to start at it.
-    faces = tuple(
-        sorted(
-            (tuple(orbit[orbit.index(min(orbit)) :] + orbit[: orbit.index(min(orbit))]) for orbit in faces),
-            key=lambda o: o[0] if o else -1,
-        )
-    )
+    sigma_inv = _inverse(sigma)
+    faces = orbits({d: sigma_inv[d ^ 1] for d in range(n_darts)}) if n_darts else ((),)
     if n_vertices - len(edges) + len(faces) != 2:
         raise NotPlanarError(
             f"Euler check failed: V-E+F = {n_vertices}-{len(edges)}+{len(faces)} != 2 (genus > 0)"
@@ -186,25 +178,17 @@ def build_map(
     rotations: Sequence[Sequence[int]],
 ) -> PlanarMap:
     """Build a loopless map from per-vertex CCW cyclic lists of incident edge ids."""
-    darts_left = [[2 * e, 2 * e + 1] for e in range(len(edges))]
-    vertex_rotations = []
-    for v, cycle in enumerate(rotations):
-        dart_cycle = []
-        for e in cycle:
-            if not (0 <= e < len(edges)):
-                raise MapError(f"unknown edge {e} in rotation of vertex {v}")
-            candidates = [d for d in darts_left[e] if edges[e][d & 1] == v]
-            if not candidates:
-                raise MapError(f"edge {e} is not (or no longer) incident to vertex {v}")
-            d = candidates[0]
-            darts_left[e].remove(d)
-            dart_cycle.append(d)
-        vertex_rotations.append(dart_cycle)
-    if any(darts_left):
-        raise MapError("rotations do not cover every edge-end")
     for u, v in edges:
         if u == v:
             raise MapError(f"loop at vertex {u} not allowed here")
+    vertex_rotations = []
+    for v, cycle in enumerate(rotations):
+        for e in cycle:
+            if not (0 <= e < len(edges)):
+                raise MapError(f"unknown edge {e} in rotation of vertex {v}")
+            if v not in edges[e]:
+                raise MapError(f"edge {e} is not incident to vertex {v}")
+        vertex_rotations.append([2 * e + (edges[e][1] == v) for e in cycle])
     return build_map_from_darts(n_vertices, edges, vertex_rotations)
 
 

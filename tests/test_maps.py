@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from trinities.maps import (
@@ -7,9 +9,22 @@ from trinities.maps import (
     betti1,
     build_map,
     build_map_from_darts,
+    orbits,
 )
 
-from helpers import G1_EDGES, G1_ROTATIONS, NotBipartiteError, bipartition, g1_map, maps_isomorphic, planar_dual
+from helpers import (
+    G1_EDGES,
+    G1_ROTATIONS,
+    NotBipartiteError,
+    bipartition,
+    fig7_map,
+    g1_map,
+    grid_trinity,
+    maps_isomorphic,
+    planar_dual,
+    random_plane_bipartite,
+    single_edge_trinity,
+)
 
 
 def test_g1_structure():
@@ -74,9 +89,22 @@ def test_disconnected_rejected():
         build_map(4, ((0, 1), (2, 3)), ((0,), (0,), (1,), (1,)))
 
 
-def test_bad_rotation_rejected():
+PATH_EDGES = ((0, 1), (1, 2))  # the path 0 - 1 - 2; its rotations are (0,), (0, 1), (1,)
+
+
+@pytest.mark.parametrize(
+    "n_vertices, edges, rotations",
+    [
+        pytest.param(3, PATH_EDGES, ((0,), (0, 5), (1,)), id="unknown-edge"),
+        pytest.param(3, PATH_EDGES, ((0,), (0, 1), (1, 0)), id="edge-at-a-vertex-it-does-not-touch"),
+        pytest.param(2, ((0, 1),), ((0, 0), (0,)), id="edge-twice-at-one-vertex"),
+        pytest.param(3, PATH_EDGES, ((0,), (0,), (1,)), id="edge-end-left-out"),
+        pytest.param(3, PATH_EDGES, ((0,), (0, 1)), id="fewer-rotations-than-vertices"),
+    ],
+)
+def test_bad_rotation_rejected(n_vertices, edges, rotations):
     with pytest.raises(MapError):
-        build_map(2, ((0, 1),), ((0, 0), (0,)))
+        build_map(n_vertices, edges, rotations)
 
 
 def test_rotation_order_is_respected():
@@ -87,11 +115,38 @@ def test_rotation_order_is_respected():
     assert m.sigma[1] == 5 and m.sigma[5] == 3 and m.sigma[3] == 1
 
 
-def test_canonical_face_ordering():
-    m = g1_map()
-    for orbit in m.faces:
-        assert orbit[0] == min(orbit)
-    assert [orbit[0] for orbit in m.faces] == sorted(orbit[0] for orbit in m.faces)
+def canonical_cycle_cases(case):
+    """The fixture maps, the 2x3 to 4x4 grids, or a chunk of the seeded
+    corpus of test_random_properties."""
+    if case == "fixtures":
+        return [single_edge_trinity().map, g1_map(), fig7_map()]
+    if case == "grids":
+        return [grid_trinity(r, c).map for r, c in ((2, 3), (3, 3), (3, 4), (4, 4))]
+    rng = random.Random(9000 + case)
+    return [random_plane_bipartite(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("case", ["fixtures", "grids", *range(10)])
+def test_canonical_face_ordering(case):
+    # Each face is a next(d) cycle from its smallest dart, the faces come in
+    # the order of that dart and partition the darts, and each vertex's darts
+    # are its sigma cycle from its smallest dart.
+    for m in canonical_cycle_cases(case):
+        for orbit in m.faces:
+            assert orbit[0] == min(orbit)
+            assert [next_in_face(m, d) for d in orbit] == [*orbit[1:], orbit[0]]
+        assert [orbit[0] for orbit in m.faces] == sorted(orbit[0] for orbit in m.faces)
+        assert sorted(d for orbit in m.faces for d in orbit) == list(range(m.n_darts))
+        for v in range(m.n_vertices):
+            darts = m.darts_of_vertex(v)
+            assert darts[0] == min(darts) and {m.vertex_of[d] for d in darts} == {v}
+            assert [m.sigma[d] for d in darts] == [*darts[1:], darts[0]]
+
+
+def test_orbits_are_cycles_from_their_smallest_element_in_its_order():
+    # Labels need not run from 0 or be contiguous.
+    assert orbits({10: 11, 11: 10, 3: 3, 7: 5, 5: 7}) == ((3,), (5, 7), (10, 11))
+    assert orbits({}) == ()
 
 
 def test_loops_allowed_only_when_requested():
