@@ -104,11 +104,8 @@ def _polytope_listing(tp: polytopes.TaggedPolytope | polytopes.RootPolytope) -> 
 
 def _homfly_section(t: Trinity, crossing_cap: int, emit_pd: bool) -> tuple[dict, int]:
     diagram = links.median_diagram_of(t)
-    section: dict = {
-        "crossings": diagram.n_crossings,
-        "components": links.component_count(diagram),
-        "seifert": links.seifert_data(t),
-    }
+    seifert = links.seifert_data(t)
+    section: dict = {"crossings": diagram.n_crossings, "components": seifert["components"], "seifert": seifert}
     if emit_pd:
         section["pd_code"] = links.pd_code(diagram).split("\n")
     try:

@@ -83,9 +83,6 @@ class PlanarMap:
             darts[self.vertex_of[cycle[0]]] = cycle
         return tuple(darts)
 
-    def head_of(self, d: int) -> int:
-        return self.vertex_of[self.alpha(d)]
-
 
 def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(perm)

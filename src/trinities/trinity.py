@@ -2,22 +2,23 @@
 bipartite graph, with their colour graphs, balanced directed duals, adjacency
 matrix and the count of its Tutte matchings.
 
-Triangles are indexed by darts of the input graph: the triangle of dart d is
-the one immediately to the left of d, with corners (violet end, emerald end,
-left face). It is white exactly when d is based at a violet vertex — in the
-counter-clockwise plane picture the white triangle of an edge lies left of the
-violet-to-emerald direction.
+A triangle is its dart: the triangle of dart d is the one immediately to the
+left of d, and ``Trinity.corner``, the one corner rule, reads its corners off
+the map: d's violet end, its emerald end and its left face. It is white
+exactly when d is based at a violet vertex — in the counter-clockwise plane
+picture the white triangle of an edge lies left of the violet-to-emerald
+direction.
 
 Edge i of every colour graph is the i-th white triangle, joining its corners
-of the other two colours: ``incidence`` reads a selector's ends off the
-triangles with no map, and a map's rotations are the cyclic orders of the
-white triangles around its vertices.
+of the other two colours: ``incidence`` reads a selector's ends off those
+corners with no colour graph, and a map's rotations are the cyclic orders of
+the white triangles around its vertices.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .linalg import integer_det
@@ -41,32 +42,10 @@ class InternalConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Triangle:
-    dart: int
-    violet: int
-    emerald: int
-    red: int  # face id of the input map
-    colour: str  # "white" or "black"
-
-    def corner(self, colour: str) -> int:
-        """The id of the triangle's corner of the colour."""
-        if colour == VIOLET:
-            return self.violet
-        if colour == EMERALD:
-            return self.emerald
-        return self.red
-
-    @property
-    def corners(self) -> tuple[tuple[str, int], ...]:
-        return ((VIOLET, self.violet), (EMERALD, self.emerald), (RED, self.red))
-
-
-@dataclass(frozen=True)
 class DirectedDual:
     colour: str
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]  # (tail, head), oriented black -> white
-    white_triangles: tuple[int, ...]  # edge i crosses this white triangle
+    edges: tuple[tuple[int, int], ...]  # (tail, head), oriented black -> white; edge i crosses white triangle i
 
 
 @dataclass(frozen=True)
@@ -75,34 +54,33 @@ class Trinity:
     violet: frozenset[int]
     emerald: frozenset[int]
     outer_face: int
-    triangles: tuple[Triangle, ...]  # indexed by dart
     root_triangle: int  # a white triangle id (dart)
 
-    @property
-    def red_vertices(self) -> tuple[int, ...]:
-        return tuple(range(self.map.n_faces))
+    def corner(self, d: int, colour: str) -> int:
+        """The corner of the colour of dart d's triangle: for red its left
+        face, else the end of d's edge in the colour's class."""
+        m = self.map
+        if colour == RED:
+            return m.face_of[d]
+        v = m.vertex_of[d]
+        return v if v in (self.violet if colour == VIOLET else self.emerald) else m.vertex_of[d ^ 1]
 
     @property
     def white_triangles(self) -> tuple[int, ...]:
-        return tuple(t.dart for t in self.triangles if t.colour == "white")
+        """The darts based at a violet vertex, one per edge, in edge order,
+        derived once per trinity."""
+        return memo(self, "white_triangles", self._white_triangles)
 
-    @property
-    def root_vertices(self) -> tuple[tuple[str, int], ...]:
-        return self.triangles[self.root_triangle].corners
+    def _white_triangles(self) -> tuple[int, ...]:
+        m = self.map
+        return tuple(d for d in range(m.n_darts) if m.vertex_of[d] in self.violet)
 
     def vertices_of_colour(self, colour: str) -> tuple[int, ...]:
         if colour == VIOLET:
             return tuple(sorted(self.violet))
         if colour == EMERALD:
             return tuple(sorted(self.emerald))
-        return self.red_vertices
-
-    @property
-    def all_vertices(self) -> tuple[tuple[str, int], ...]:
-        out = [(VIOLET, v) for v in sorted(self.violet)]
-        out += [(EMERALD, v) for v in sorted(self.emerald)]
-        out += [(RED, r) for r in self.red_vertices]
-        return tuple(out)
+        return tuple(range(self.map.n_faces))
 
 
 def build_trinity(
@@ -122,41 +100,29 @@ def build_trinity(
     - violet: sigma^-1(alpha(w)) = next(w) is on w's face, at w's emerald end;
     - emerald: alpha(sigma(w)) is on w's face, as its next is w, and its
       head is w's violet vertex.
+    The default root is the smallest white triangle whose red corner is the
+    outer face.
     """
     if not (0 <= outer_face < m.n_faces):
         raise MapError(f"outer face {outer_face} out of range")
     for e, ends in enumerate(m.edges):
         if sorted((v in bip.class_a, v in bip.class_b) for v in ends) != [(False, True), (True, False)]:
             raise MapError(f"edge {e} does not join class_a to class_b")
-    triangles = []
-    for d in range(m.n_darts):
-        base = m.vertex_of[d]
-        head = m.head_of(d)
-        white = base in bip.class_a
-        triangles.append(
-            Triangle(
-                dart=d,
-                violet=base if white else head,
-                emerald=head if white else base,
-                red=m.face_of[d],
-                colour="white" if white else "black",
-            )
-        )
-    if root_triangle is None:
-        outer_whites = [tr.dart for tr in triangles if tr.colour == "white" and tr.red == outer_face]
-        if not outer_whites:
-            raise InternalConsistencyError("outer face meets no white triangle")
-        root_triangle = min(outer_whites)
-    elif not (0 <= root_triangle < m.n_darts) or triangles[root_triangle].colour != "white":
-        raise MapError(f"root triangle {root_triangle} is not a white triangle")
-    return Trinity(
+    t = Trinity(
         map=m,
         violet=frozenset(bip.class_a),
         emerald=frozenset(bip.class_b),
         outer_face=outer_face,
-        triangles=tuple(triangles),
-        root_triangle=root_triangle,
+        root_triangle=-1,  # set below, once the corners can be read
     )
+    if root_triangle is None:
+        outer_whites = [w for w in t.white_triangles if t.corner(w, RED) == outer_face]
+        if not outer_whites:
+            raise InternalConsistencyError("outer face meets no white triangle")
+        root_triangle = min(outer_whites)
+    elif root_triangle not in t.white_triangles:
+        raise MapError(f"root triangle {root_triangle} is not a white triangle")
+    return replace(t, root_triangle=root_triangle)
 
 
 def _black_partner_across(t: Trinity, w: int, colour: str) -> int:
@@ -208,7 +174,7 @@ def _whites_around(t: Trinity, colour: str, v: int) -> Sequence[int]:
         return m.darts_of_vertex(v)
     if colour == EMERALD:
         return [m.alpha(d) for d in m.darts_of_vertex(v)]
-    return [d for d in m.faces[v] if t.triangles[d].colour == "white"]
+    return [d for d in m.faces[v] if m.vertex_of[d] in t.violet]
 
 
 def incidence(t: Trinity, code: str) -> tuple[tuple[tuple[int, int], ...], int, int]:
@@ -222,8 +188,7 @@ def incidence(t: Trinity, code: str) -> tuple[tuple[tuple[int, int], ...], int, 
         x_colour, y_colour = hypergraph_classes(code)
         x_pos = {v: i for i, v in enumerate(t.vertices_of_colour(x_colour))}
         y_pos = {v: i for i, v in enumerate(t.vertices_of_colour(y_colour))}
-        whites = [t.triangles[w] for w in t.white_triangles]
-        ends = tuple((y_pos[tri.corner(y_colour)], x_pos[tri.corner(x_colour)]) for tri in whites)
+        ends = tuple((y_pos[t.corner(w, y_colour)], x_pos[t.corner(w, x_colour)]) for w in t.white_triangles)
         return ends, len(y_pos), len(x_pos)
 
     return memo(t, ("incidence", code), build)
@@ -236,15 +201,10 @@ def directed_dual(t: Trinity, colour: str) -> DirectedDual:
 
 
 def _directed_dual(t: Trinity, colour: str) -> DirectedDual:
-    whites = t.white_triangles
-    edges = []
-    for w in whites:
-        b = _black_partner_across(t, w, colour)
-        tail = t.triangles[b].corner(colour)
-        head = t.triangles[w].corner(colour)
-        edges.append((tail, head))
-    vertices = t.vertices_of_colour(colour)
-    dd = DirectedDual(colour=colour, vertices=vertices, edges=tuple(edges), white_triangles=tuple(whites))
+    edges = tuple(
+        (t.corner(_black_partner_across(t, w, colour), colour), t.corner(w, colour)) for w in t.white_triangles
+    )
+    dd = DirectedDual(colour=colour, vertices=t.vertices_of_colour(colour), edges=edges)
     _check_balanced(dd)
     return dd
 
@@ -261,26 +221,24 @@ def _check_balanced(dd: DirectedDual) -> None:
 
 
 def non_root_vertices(t: Trinity) -> tuple[tuple[str, int], ...]:
-    roots = set(t.root_vertices)
-    return tuple(v for v in t.all_vertices if v not in roots)
+    """Every (colour, vertex) of the trinity but the root triangle's three
+    corners, colour by colour."""
+    return tuple((c, v) for c in COLOURS for v in t.vertices_of_colour(c) if v != default_root(t, c))
 
 
 def non_root_white_triangles(t: Trinity) -> tuple[int, ...]:
     return tuple(w for w in t.white_triangles if w != t.root_triangle)
 
 
-def _adjacent(tri: Triangle, vertex: tuple[str, int]) -> bool:
-    return vertex in tri.corners
-
-
 def adjacency_matrix(t: Trinity) -> tuple[tuple[int, ...], ...]:
     """The 0/1 entries of the matrix of ``non_root_vertices`` (rows) against
     ``non_root_white_triangles`` (columns), built once per trinity: the
-    determinant and the matching count share it."""
+    determinant and the matching count share it. Row (c, v) has a 1 in
+    column w iff v is w's corner of colour c."""
 
     def build():
         cols = non_root_white_triangles(t)
-        return tuple(tuple(1 if _adjacent(t.triangles[c], v) else 0 for c in cols) for v in non_root_vertices(t))
+        return tuple(tuple(int(t.corner(w, c) == v) for w in cols) for c, v in non_root_vertices(t))
 
     return memo(t, "adjacency_matrix", build)
 
@@ -348,7 +306,7 @@ def colour_of_hypergraph(code: str) -> str:
 
 def default_root(t: Trinity, colour: str) -> int:
     """The root triangle's corner of the colour."""
-    return t.triangles[t.root_triangle].corner(colour)
+    return t.corner(t.root_triangle, colour)
 
 
 def magic_number_report(t: Trinity) -> dict:

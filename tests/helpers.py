@@ -47,7 +47,7 @@ def bipartition(m: PlanarMap) -> Bipartition:
     while stack:
         u = stack.pop()
         for d in m.darts_of_vertex(u):
-            w = m.head_of(d)
+            w = m.vertex_of[d ^ 1]
             if colour[w] == -1:
                 colour[w] = 1 - colour[u]
                 stack.append(w)

@@ -1,5 +1,8 @@
 """Test oracles, independent routes that the library does not take:
 
+- a triangle's three corners read together off its dart: base, head and
+  left face, the base violet iff the triangle is white (the library reads one
+  corner at a time with ``Trinity.corner``);
 - exhaustive Tutte-matching enumeration, every bijection from the non-root
   vertices to adjacent non-root white triangles by backtracking (the library
   counts them by a frontier dynamic program and lists none);
@@ -63,9 +66,11 @@ from trinities.maps import PlanarMap, memo
 from trinities.polytopes import RootPolytope, TaggedPolytope
 from trinities.trinity import (
     COLOUR_SELECTORS,
+    EMERALD,
+    RED,
+    VIOLET,
     InternalConsistencyError,
     Trinity,
-    _adjacent,
     colour_graph,
     colour_of_hypergraph,
     non_root_vertices,
@@ -202,11 +207,21 @@ def hypertree_set_of_graph(m: PlanarMap, side: Sequence[int]) -> tuple[tuple[int
     return canonical_lattice_set(hypertree_of(t, m.edges, side) for t in spanning_trees_of_map(m))
 
 
+def triangle_corners(t: Trinity, d: int) -> tuple[tuple[str, int], ...]:
+    """The (colour, vertex) corners of dart d's triangle, read per dart: its
+    base and head, the base violet iff the triangle is white, and its left
+    face."""
+    m = t.map
+    base, head = m.vertex_of[d], m.vertex_of[d ^ 1]
+    white = base in t.violet
+    return ((VIOLET, base if white else head), (EMERALD, head if white else base), (RED, m.face_of[d]))
+
+
 def enumerate_tutte_matchings(t: Trinity) -> tuple[tuple[tuple[tuple[str, int], int], ...], ...]:
     """All bijections from non-root vertices to adjacent non-root white triangles."""
     rows = non_root_vertices(t)
     cols = non_root_white_triangles(t)
-    options = [tuple(c for c in cols if _adjacent(t.triangles[c], v)) for v in rows]
+    options = [tuple(c for c in cols if v in triangle_corners(t, c)) for v in rows]
     out: list[tuple[tuple[tuple[str, int], int], ...]] = []
     used: set[int] = set()
     pick: list[int] = []

@@ -121,7 +121,7 @@ def test_two_trinities_of_one_document_derive_separately(monkeypatch):
 def test_default_and_explicit_root_share_one_triangulation(monkeypatch):
     calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
     _doc, t = load_fig7()
-    default_root = t.triangles[t.root_triangle].corner("red")
+    default_root = t.corner(t.root_triangle, "red")
     tr = polytopes.arborescence_triangulation(t, "red")
     assert polytopes.arborescence_triangulation(t, "red", default_root) is tr
     assert len(calls) == 1

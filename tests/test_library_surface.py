@@ -4,13 +4,18 @@ classes, has a caller in the library or the benchmark, so code that only the
 tests take lives in ``tests/helpers.py``, ``tests/oracles.py`` or the test
 that uses it; the rank code and the test-only helpers moved there, and the
 deleted skein switch, tree-size check, triangle-colouring recheck, the
-triangulation and adjacency-matrix wrappers, and the uncertified tree and
-tree-hypertree readers, are gone from the library."""
+triangulation and adjacency-matrix wrappers, the uncertified tree and
+tree-hypertree readers, and the triangle table and the readers built on it,
+are gone from the library; a trinity stores no triangles and a directed dual
+no copy of the white triangles."""
 
 import ast
+import dataclasses
 from collections import Counter
 from importlib import import_module
 from pathlib import Path
+
+from trinities.trinity import DirectedDual, Trinity
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "trinities").glob("*.py"))
@@ -42,6 +47,12 @@ MOVED = {
     "arborescence_trees",
     "triangulation_hypertrees",
     "hypergraph_root_polytope_of",
+    "Triangle",
+    "_adjacent",
+    "red_vertices",
+    "root_vertices",
+    "all_vertices",
+    "head_of",
 }
 
 
@@ -148,6 +159,12 @@ def test_the_moved_names_are_gone_from_the_library():
             for alias in node.names
         }
         assert not (defined | imported) & MOVED, path.name
+
+
+def test_a_trinity_is_its_map():
+    # Every corner is read off the map, so neither record keeps a table.
+    assert "triangles" not in {field.name for field in dataclasses.fields(Trinity)}
+    assert "white_triangles" not in {field.name for field in dataclasses.fields(DirectedDual)}
 
 
 def benchmark_reads() -> set[tuple[str, str]]:

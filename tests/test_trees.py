@@ -98,7 +98,7 @@ def test_arborescences_biject_with_hypertrees():
     t = g1_trinity()
     for colour, code in ((RED, "VE"), (VIOLET, "ER"), (EMERALD, "RV")):
         assert colour_of_hypergraph(code) == colour
-        root = t.triangles[t.root_triangle].corner(colour)
+        root = t.corner(t.root_triangle, colour)
         # Sorted with repeats kept, so equality is a bijection.
         assert tree_hypertrees(t, code, uncertified_trees(t, colour, root)) == hypertree_set(t, code)
         assert len(enumerate_arborescences(directed_dual(t, colour), root)) == len(hypertree_set(t, code))
@@ -107,7 +107,7 @@ def test_arborescences_biject_with_hypertrees():
 def test_arborescence_to_spanning_tree_sizes():
     # One spanning tree of the colour graph per arborescence.
     t = g1_trinity()
-    root = t.triangles[t.root_triangle].red
+    root = t.corner(t.root_triangle, RED)
     tree_sets = uncertified_trees(t, RED, root)
     assert len(tree_sets) == len(enumerate_arborescences(directed_dual(t, RED), root))
     for tree in tree_sets:

@@ -16,6 +16,7 @@ from trinities.trinity import (
     colour_graph,
     colour_of_hypergraph,
     count_tutte_matchings,
+    default_root,
     directed_dual,
     incidence,
     magic_number_report,
@@ -35,24 +36,34 @@ from helpers import (
     random_trinity,
     single_edge_trinity,
 )
-from oracles import det_exact, enumerate_tutte_matchings, hypergraph_view
+from oracles import det_exact, enumerate_tutte_matchings, hypergraph_view, triangle_corners
 
 
 def test_g1_triangles():
     t = g1_trinity()
-    assert len(t.triangles) == 10
+    assert t.map.n_darts == 10
     assert t.white_triangles == (0, 2, 4, 6, 8)
-    # Each white triangle records the two ends of its edge plus the left face.
-    tri = t.triangles[6]
-    assert (tri.violet, tri.emerald, tri.red) == (1, 4, 0)
-    assert tri.colour == "white"
-    assert t.triangles[7].colour == "black"
+    # Each triangle's (violet, emerald, red) corners: the two ends of its
+    # dart's edge plus the face on its left.
+    assert tuple(tuple(t.corner(d, c) for c in COLOURS) for d in range(10)) == (
+        (0, 3, 0),
+        (0, 3, 0),
+        (1, 3, 1),
+        (1, 3, 0),
+        (2, 3, 0),
+        (2, 3, 1),
+        (1, 4, 0),
+        (1, 4, 1),
+        (2, 4, 1),
+        (2, 4, 0),
+    )
+    assert 7 not in t.white_triangles
 
 
 def test_default_root_is_smallest_outer_white_triangle():
     t = g1_trinity()
     assert t.root_triangle == 0
-    assert t.root_vertices == ((VIOLET, 0), (EMERALD, 3), (RED, 0))
+    assert tuple((c, default_root(t, c)) for c in COLOURS) == ((VIOLET, 0), (EMERALD, 3), (RED, 0))
 
 
 def test_root_override_validation():
@@ -193,8 +204,8 @@ def test_g1_directed_duals_frozen():
     violet = directed_dual(t, VIOLET)
     emerald = directed_dual(t, EMERALD)
     red = directed_dual(t, RED)
-    for dd in (violet, emerald, red):
-        assert dd.white_triangles == (0, 2, 4, 6, 8)
+    # Edge i of each directed dual crosses the i-th white triangle.
+    assert t.white_triangles == (0, 2, 4, 6, 8)
     assert violet.edges == ((1, 0), (2, 1), (0, 2), (2, 1), (1, 2))
     assert emerald.edges == ((3, 3), (4, 3), (4, 3), (3, 4), (3, 4))
     # The cut edge of the graph gives a loop at the unbounded region.
@@ -255,6 +266,25 @@ def test_each_colour_graph_is_the_oriented_planar_dual_of_its_directed_dual(case
                 for dart, end in ((left, head), (left ^ 1, tail)):
                     crossing = {d // 2 for d in cm.faces[cm.face_of[dart]]}
                     assert crossing == {j for j, ends in enumerate(dd.edges) if end in ends}, (colour, i, dart)
+
+
+@pytest.mark.parametrize("case", ["fixtures", "grids", *range(10)])
+def test_every_corner_is_the_per_dart_reading(case):
+    # The corner rule against the reference reading of each dart; the white
+    # triangles are the darts at the violet ends, one per edge; and each
+    # adjacency-matrix column has its 1s at its triangle's non-root corners.
+    for t in planar_dual_cases(case):
+        m = t.map
+        for d in range(m.n_darts):
+            assert tuple((c, t.corner(d, c)) for c in COLOURS) == triangle_corners(t, d), d
+        assert [w // 2 for w in t.white_triangles] == list(range(m.n_edges))
+        assert all(dict(triangle_corners(t, w))[VIOLET] == m.vertex_of[w] for w in t.white_triangles)
+        rows = non_root_vertices(t)
+        roots = set(triangle_corners(t, t.root_triangle))
+        entries = adjacency_matrix(t)
+        for j, w in enumerate(non_root_white_triangles(t)):
+            ones = {row for i, row in enumerate(rows) if entries[i][j]}
+            assert ones == set(triangle_corners(t, w)) - roots, w
 
 
 def test_hypergraph_views():
