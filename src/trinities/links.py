@@ -29,7 +29,7 @@ from functools import cache
 from math import comb
 from typing import Optional, Sequence
 
-from .maps import Bipartition, PlanarMap, memo, orbits
+from .maps import Bipartition, PlanarMap, derived, orbits
 from .polytopes import h_vector
 from .trinity import RED, InternalConsistencyError, Trinity
 
@@ -99,11 +99,11 @@ def median_diagram(m: PlanarMap, bip: Bipartition, violet: Optional[frozenset[in
     return LinkDiagram(crossings=tuple(crossings))
 
 
+@derived
 def median_diagram_of(t: Trinity) -> LinkDiagram:
     """The trinity's median diagram (violet circles counter-clockwise), built
     once per trinity."""
-    bip = Bipartition(t.violet, t.emerald)
-    return memo(t, "median_diagram", lambda: median_diagram(t.map, bip, violet=t.violet))
+    return median_diagram(t.map, Bipartition(t.violet, t.emerald), violet=t.violet)
 
 
 def gauss_code(d: LinkDiagram) -> list[tuple[int, ...]]:
@@ -353,18 +353,17 @@ def verify_homfly_h_vector(t: Trinity, crossing_cap: int = CROSSING_CAP) -> dict
     h = h_vector(t, RED)
     exponent = m.n_edges + m.n_vertices - 1
     top_deg = len(h) - 1  # h coefficients run from x^(d+1) down to x^0
-    rhs2 = LaurentPoly2.from_dict(
-        {(exponent - 2 * (top_deg - k), 0): c for k, c in enumerate(h) if c != 0}
-    )
-    rhs1 = LaurentPoly2.from_dict(
-        {(exponent - (top_deg - k), 0): c for k, c in enumerate(h) if c != 0}
-    )
+
+    def scaled_h(step: int) -> LaurentPoly2:  # v^exponent * h(v^-step)
+        return LaurentPoly2.from_dict({(exponent - step * (top_deg - k), 0): c for k, c in enumerate(h) if c != 0})
+
+    rhs2 = scaled_h(2)
     return {
         "homfly": p,
         "top": top,
         "h_vector": h,
         "scaled_h_of_v_minus2": rhs2,
-        "scaled_h_of_v_minus1": rhs1,
+        "scaled_h_of_v_minus1": scaled_h(1),
         "holds": top == rhs2,
     }
 

@@ -13,20 +13,29 @@ smallest dart, and faces come in increasing order of that dart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence, TypeVar
+from functools import wraps
+from typing import Callable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
 
-def memo(obj: object, key: Hashable, build: Callable[[], T]) -> T:
-    """``build()``, computed once per ``key`` and kept in the frozen ``obj``'s
-    ``__dict__``. The value must be immutable and depend only on ``obj`` and
-    ``key``; it lives and dies with ``obj``, and an equal object derives its own."""
-    try:
-        return obj.__dict__["_memo"][key]
-    except KeyError:
-        value = obj.__dict__.setdefault("_memo", {})[key] = build()
-        return value
+def derived(fn: Callable[..., T]) -> Callable[..., T]:
+    """``fn(obj, *args)``, computed once per ``obj`` and positional ``args``
+    and kept in the frozen ``obj``'s ``__dict__`` under ``fn`` itself; a build
+    that raises keeps nothing. The value must be immutable and depend only on
+    ``obj`` and ``args``; it lives and dies with ``obj``, and an equal object
+    derives its own."""
+
+    @wraps(fn)
+    def derive(obj, *args):
+        try:
+            return obj.__dict__[fn][args]
+        except KeyError:
+            value = fn(obj, *args)
+            obj.__dict__.setdefault(fn, {})[args] = value
+            return value
+
+    return derive
 
 
 class MapError(ValueError):
@@ -55,6 +64,7 @@ class PlanarMap:
     vertex_of: tuple[int, ...]
     faces: tuple[tuple[int, ...], ...] = field(compare=False)
     face_of: tuple[int, ...] = field(compare=False)
+    sigma_inverse: tuple[int, ...] = field(compare=False)
 
     @property
     def n_darts(self) -> int:
@@ -72,11 +82,12 @@ class PlanarMap:
         return d ^ 1
 
     def sigma_inv(self, d: int) -> int:
-        return memo(self, "sigma_inv", lambda: _inverse(self.sigma))[d]
+        return self.sigma_inverse[d]
 
     def darts_of_vertex(self, v: int) -> tuple[int, ...]:
-        return memo(self, "vertex_darts", self._vertex_darts)[v]
+        return self._vertex_darts()[v]
 
+    @derived
     def _vertex_darts(self) -> tuple[tuple[int, ...], ...]:
         darts: list[tuple[int, ...]] = [()] * self.n_vertices
         for cycle in orbits(dict(enumerate(self.sigma))):
@@ -149,8 +160,8 @@ def build_map_from_darts(
             raise NotConnectedError("graph is not connected")
         if len({vertex_of[d] for d in seen}) != n_vertices:
             raise NotConnectedError("isolated vertex present")
-    sigma_inv = _inverse(sigma)
-    faces = orbits({d: sigma_inv[d ^ 1] for d in range(n_darts)}) if n_darts else ((),)
+    sigma_inverse = _inverse(sigma)
+    faces = orbits({d: sigma_inverse[d ^ 1] for d in range(n_darts)}) if n_darts else ((),)
     if n_vertices - len(edges) + len(faces) != 2:
         raise NotPlanarError(
             f"Euler check failed: V-E+F = {n_vertices}-{len(edges)}+{len(faces)} != 2 (genus > 0)"
@@ -166,6 +177,7 @@ def build_map_from_darts(
         vertex_of=tuple(vertex_of),
         faces=faces,
         face_of=tuple(face_of),
+        sigma_inverse=sigma_inverse,
     )
 
 

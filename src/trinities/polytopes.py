@@ -21,8 +21,9 @@ root polytope are its generators, and its dimension is |Y| + |X| - 2.
 
 ``arborescence_triangulation`` is the one place that reads a colour's
 spanning trees at a root, the complements of the arborescences of its
-directed dual, and the only function here that takes a root; it returns the
-trees only once certified. The tree simplices
+directed dual, and the only function here that takes a root, which it
+requires: the hypertree polytopes and the h-vectors pass the colour's
+default root. It returns the trees only once certified. The tree simplices
 are proved to triangulate the root polytope in one pass, linear in their
 number: each tree has n - 1 edges that span, and every ridge of a tree
 simplex lies in one simplex on the boundary and in two, on opposite sides,
@@ -43,14 +44,14 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
 from operator import add, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import (
     IntVec,
     canonical_lattice_set,
     lattice_points,  # noqa: F401  (no caller here; perfbench/tests wraps this binding)
 )
-from .maps import memo
+from .maps import derived
 from .trinity import (
     COLOUR_SELECTORS,
     HYPERGRAPH_CODES,
@@ -259,28 +260,26 @@ def _tagged(lattice: tuple[tuple[int, ...], ...]) -> TaggedPolytope:
     return TaggedPolytope(vertices=tuple(vertices), affine_dim=dim, lattice=lattice)
 
 
+@derived
 def _hyperedges_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
     """For each y (in order) the sorted distinct X positions adjacent to it,
     once per trinity and selector."""
-
-    def build():
-        ends, n_y, _ = incidence(t, code)
-        groups: list[set[int]] = [set() for _ in range(n_y)]
-        for y, x in ends:
-            groups[y].add(x)
-        if not all(groups):
-            raise ValueError("hyperedge with no vertices")
-        return tuple(tuple(sorted(g)) for g in groups)
-
-    return memo(t, ("hyperedges", code), build)
+    ends, n_y, _ = incidence(t, code)
+    groups: list[set[int]] = [set() for _ in range(n_y)]
+    for y, x in ends:
+        groups[y].add(x)
+    if not all(groups):
+        raise ValueError("hyperedge with no vertices")
+    return tuple(tuple(sorted(g)) for g in groups)
 
 
+@derived
 def _gp_data_of(t: Trinity, code: str):
     """n, the coverage bound f and the sums of generators of the selector's
     hypergraph on its n vertices, once per trinity and selector: the GP and
     trimmed builds share them."""
     he, n = _hyperedges_of(t, code), incidence(t, code)[2]
-    return memo(t, ("gp_data", code), lambda: (n, _coverage_bound(he, n), _generator_sums(he, n)))
+    return n, tuple(_coverage_bound(he, n)), _generator_sums(he, n)
 
 
 def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -304,20 +303,18 @@ def _trimmed(n: int, coverage: Sequence[int], sums: tuple[tuple[int, ...], ...])
     return lattice
 
 
+@derived
 def _trimmed_of(t: Trinity, code: str):
     """``_trimmed`` of the selector's hypergraph, once per trinity and selector."""
-    return memo(t, ("trimmed", code), lambda: _trimmed(*_gp_data_of(t, code)))
+    return _trimmed(*_gp_data_of(t, code))
 
 
+@derived
 def hypertree_lattice_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
     """The lattice points of Kalman's bound mu, the hypertrees of the
     selector's hypergraph, once per trinity and selector."""
-
-    def build():
-        he = _hyperedges_of(t, code)
-        return _subset_lattice(_hypertree_bound(he), len(he))
-
-    return memo(t, ("hypertree_lattice", code), build)
+    he = _hyperedges_of(t, code)
+    return _subset_lattice(_hypertree_bound(he), len(he))
 
 
 def gp_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
@@ -341,10 +338,12 @@ def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     checks, at the colour's default root, against the hypertrees of the trees
     that triangulate the root polytope: equal sets, no vector repeated.
     """
-    arborescence_triangulation(t, colour_of_hypergraph(code))
+    colour = colour_of_hypergraph(code)
+    arborescence_triangulation(t, colour, default_root(t, colour))
     return _tagged(hypertree_lattice_of(t, code))
 
 
+@derived
 def root_polytope_of(t: Trinity, code: str) -> RootPolytope:
     """Convex hull of e_y - e_x over the edges of the selector's bipartite
     graph, Y coordinates first, built once per trinity and selector.
@@ -355,30 +354,27 @@ def root_polytope_of(t: Trinity, code: str) -> RootPolytope:
     independent on the first, which misses the origin, so affinely
     independent.
     """
-
-    def build() -> RootPolytope:
-        yx, n_y, n_x = incidence(t, code)
-        ends = tuple((y, n_y + x) for y, x in yx)
-        gens = []
-        for u, v in ends:
-            p = [0] * (n_y + n_x)
-            p[u], p[v] = 1, -1
-            gens.append(tuple(p))
-        vertices = canonical_lattice_set(gens)  # every e_y - e_x is a vertex
-        return RootPolytope(
-            generators=tuple(gens), vertices=vertices, affine_dim=n_y + n_x - 2, u_size=n_y, v_size=n_x, ends=ends
-        )
-
-    return memo(t, ("root_polytope", code), build)
+    yx, n_y, n_x = incidence(t, code)
+    ends = tuple((y, n_y + x) for y, x in yx)
+    gens = []
+    for u, v in ends:
+        p = [0] * (n_y + n_x)
+        p[u], p[v] = 1, -1
+        gens.append(tuple(p))
+    vertices = canonical_lattice_set(gens)  # every e_y - e_x is a vertex
+    return RootPolytope(
+        generators=tuple(gens), vertices=vertices, affine_dim=n_y + n_x - 2, u_size=n_y, v_size=n_x, ends=ends
+    )
 
 
-def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+@derived
+def arborescence_triangulation(t: Trinity, colour: str, root: int) -> tuple[tuple[int, ...], ...]:
     """The colour graph's spanning trees dual to the arborescences of its
-    directed dual at the given root (by default the root triangle's corner),
-    proved once per trinity, colour and root to triangulate the colour
-    graph's root polytope Q_G by their simplices, and checked against the
-    hypertree sets of both sides. Directed-dual edge i crosses the colour
-    graph's edge i; a tree is the edges its arborescence does not cross.
+    directed dual at the given root, a vertex of the colour, proved once per
+    trinity, colour and root to triangulate the colour graph's root polytope
+    Q_G by their simplices, and checked against the hypertree sets of both
+    sides. Directed-dual edge i crosses the colour graph's edge i; a tree is
+    the edges its arborescence does not cross.
 
     Full-dimensional simplices spanned by points of a polytope P triangulate
     it iff (i) each of their ridges on the boundary of P lies in one of them
@@ -404,28 +400,23 @@ def arborescence_triangulation(t: Trinity, colour: str, root: Optional[int] = No
     colour's selector and of its reverse: a tree dropped, added or repeated,
     or a wrong mu-lattice, fails here.
     """
-    root = default_root(t, colour) if root is None else root
-
-    def build():
-        code = COLOUR_SELECTORS[colour]
-        rp = root_polytope_of(t, code)
-        arbs = map(set, trees.enumerate_arborescences(directed_dual(t, colour), root))
-        tree_sets = tuple(tuple(e for e in range(len(rp.ends)) if e not in used) for used in arbs)
-        ridge_certificate(rp, tree_sets)
-        degrees = []
-        for tree in tree_sets:
-            degree = [-1] * (rp.u_size + rp.v_size)
-            for e in tree:
-                for x in rp.ends[e]:
-                    degree[x] += 1
-            degrees.append(degree)
-        for selector, side in ((code, slice(rp.u_size)), (code[::-1], slice(rp.u_size, None))):
-            if tuple(sorted(tuple(d[side]) for d in degrees)) != hypertree_lattice_of(t, selector):
-                message = f"the triangulation trees' {selector} hypertrees are not the hypertree set"
-                raise InternalConsistencyError(message)
-        return tree_sets
-
-    return memo(t, ("arborescence_triangulation", colour, root), build)
+    code = COLOUR_SELECTORS[colour]
+    rp = root_polytope_of(t, code)
+    arbs = map(set, trees.enumerate_arborescences(directed_dual(t, colour), root))
+    tree_sets = tuple(tuple(e for e in range(len(rp.ends)) if e not in used) for used in arbs)
+    ridge_certificate(rp, tree_sets)
+    degrees = []
+    for tree in tree_sets:
+        degree = [-1] * (rp.u_size + rp.v_size)
+        for e in tree:
+            for x in rp.ends[e]:
+                degree[x] += 1
+        degrees.append(degree)
+    for selector, side in ((code, slice(rp.u_size)), (code[::-1], slice(rp.u_size, None))):
+        if tuple(sorted(tuple(d[side]) for d in degrees)) != hypertree_lattice_of(t, selector):
+            message = f"the triangulation trees' {selector} hypertrees are not the hypertree set"
+            raise InternalConsistencyError(message)
+    return tree_sets
 
 
 def ridge_certificate(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> None:
@@ -536,6 +527,7 @@ def interior_polynomial(hypertrees: Iterable[tuple[int, ...]]) -> tuple[int, ...
     return tuple(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
+@derived
 def h_vector(t: Trinity, colour: str) -> tuple[int, ...]:
     """Coefficients of h(x) = f(x-1) of the colour's arborescence
     triangulation, highest degree first, once per trinity and colour. Its
@@ -546,31 +538,23 @@ def h_vector(t: Trinity, colour: str) -> tuple[int, ...]:
     polynomials, and a duality theorem for bipartite graphs*, 2017), the same
     at every root, padded with zeros to f's length |Y| + |X|."""
     code = COLOUR_SELECTORS[colour]
-
-    def build() -> tuple[int, ...]:
-        arborescence_triangulation(t, colour)
-        _, n_y, n_x = incidence(t, code)
-        h = interior_polynomial(hypertree_lattice_of(t, code))
-        return h + (0,) * (n_y + n_x - len(h))
-
-    return memo(t, ("h_vector", colour), build)
+    arborescence_triangulation(t, colour, default_root(t, colour))
+    _, n_y, n_x = incidence(t, code)
+    h = interior_polynomial(hypertree_lattice_of(t, code))
+    return h + (0,) * (n_y + n_x - len(h))
 
 
+@derived
 def f_vector(t: Trinity, colour: str) -> tuple[int, ...]:
     """Face counts of the colour's arborescence triangulation, highest degree
     first, once per trinity and colour after ``h_vector`` (which certifies the
     default root): f(y) = h(y+1), whose y^(d+1-k) coefficient counts the
     (k-1)-dimensional faces, from the single empty face at y^(d+1) down to
     the top simplices."""
-    h = h_vector(t, colour)
-
-    def build() -> tuple[int, ...]:
-        f = list(h)
-        for m in range(len(f), 1, -1):  # Taylor shift by 1: prefix sums of ever shorter heads
-            f[:m] = accumulate(f[:m])
-        return tuple(f)
-
-    return memo(t, ("f_vector", colour), build)
+    f = list(h_vector(t, colour))
+    for m in range(len(f), 1, -1):  # Taylor shift by 1: prefix sums of ever shorter heads
+        f[:m] = accumulate(f[:m])
+    return tuple(f)
 
 
 def verify_duality_suite(t: Trinity) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .linalg import integer_det
-from .maps import Bipartition, MapError, PlanarMap, build_map, memo
+from .maps import Bipartition, MapError, PlanarMap, build_map, derived
 
 VIOLET = "violet"
 EMERALD = "emerald"
@@ -66,12 +66,10 @@ class Trinity:
         return v if v in (self.violet if colour == VIOLET else self.emerald) else m.vertex_of[d ^ 1]
 
     @property
+    @derived
     def white_triangles(self) -> tuple[int, ...]:
         """The darts based at a violet vertex, one per edge, in edge order,
         derived once per trinity."""
-        return memo(self, "white_triangles", self._white_triangles)
-
-    def _white_triangles(self) -> tuple[int, ...]:
         m = self.map
         return tuple(d for d in range(m.n_darts) if m.vertex_of[d] in self.violet)
 
@@ -136,6 +134,7 @@ def _black_partner_across(t: Trinity, w: int, colour: str) -> int:
     return m.alpha(m.sigma[w])
 
 
+@derived
 def colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
     """The colour-c subgraph of the trinity as an embedded map, built once per
     trinity and colour.
@@ -148,10 +147,6 @@ def colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
     from the class_a end (Kalman-Postnikov, *Root polytopes, Tutte
     polynomials, and a duality theorem for bipartite graphs*, 2017).
     """
-    return memo(t, ("colour_graph", colour), lambda: _colour_graph(t, colour))
-
-
-def _colour_graph(t: Trinity, colour: str) -> tuple[PlanarMap, Bipartition]:
     if colour == RED:
         return t.map, Bipartition(class_a=t.violet, class_b=t.emerald)
     code = COLOUR_SELECTORS[colour]
@@ -177,30 +172,24 @@ def _whites_around(t: Trinity, colour: str, v: int) -> Sequence[int]:
     return [d for d in m.faces[v] if m.vertex_of[d] in t.violet]
 
 
+@derived
 def incidence(t: Trinity, code: str) -> tuple[tuple[tuple[int, int], ...], int, int]:
     """Each white triangle's (Y position, X position), in white-triangle
     order, with |Y| and |X|, once per trinity and selector: its Y and X
     corners as positions in ``vertices_of_colour``. Edge i of the colour graph
     ``colour_of_hypergraph(code)`` has these ends; the selector's hyperedges,
     root polytope and trees' hypertrees all read them."""
-
-    def build():
-        x_colour, y_colour = hypergraph_classes(code)
-        x_pos = {v: i for i, v in enumerate(t.vertices_of_colour(x_colour))}
-        y_pos = {v: i for i, v in enumerate(t.vertices_of_colour(y_colour))}
-        ends = tuple((y_pos[t.corner(w, y_colour)], x_pos[t.corner(w, x_colour)]) for w in t.white_triangles)
-        return ends, len(y_pos), len(x_pos)
-
-    return memo(t, ("incidence", code), build)
+    x_colour, y_colour = hypergraph_classes(code)
+    x_pos = {v: i for i, v in enumerate(t.vertices_of_colour(x_colour))}
+    y_pos = {v: i for i, v in enumerate(t.vertices_of_colour(y_colour))}
+    ends = tuple((y_pos[t.corner(w, y_colour)], x_pos[t.corner(w, x_colour)]) for w in t.white_triangles)
+    return ends, len(y_pos), len(x_pos)
 
 
+@derived
 def directed_dual(t: Trinity, colour: str) -> DirectedDual:
     """The balanced directed dual of the colour graph, built once per trinity
     and colour."""
-    return memo(t, ("directed_dual", colour), lambda: _directed_dual(t, colour))
-
-
-def _directed_dual(t: Trinity, colour: str) -> DirectedDual:
     edges = tuple(
         (t.corner(_black_partner_across(t, w, colour), colour), t.corner(w, colour)) for w in t.white_triangles
     )
@@ -230,17 +219,14 @@ def non_root_white_triangles(t: Trinity) -> tuple[int, ...]:
     return tuple(w for w in t.white_triangles if w != t.root_triangle)
 
 
+@derived
 def adjacency_matrix(t: Trinity) -> tuple[tuple[int, ...], ...]:
     """The 0/1 entries of the matrix of ``non_root_vertices`` (rows) against
     ``non_root_white_triangles`` (columns), built once per trinity: the
     determinant and the matching count share it. Row (c, v) has a 1 in
     column w iff v is w's corner of colour c."""
-
-    def build():
-        cols = non_root_white_triangles(t)
-        return tuple(tuple(int(t.corner(w, c) == v) for w in cols) for c, v in non_root_vertices(t))
-
-    return memo(t, "adjacency_matrix", build)
+    cols = non_root_white_triangles(t)
+    return tuple(tuple(int(t.corner(w, c) == v) for w in cols) for c, v in non_root_vertices(t))
 
 
 def count_tutte_matchings(t: Trinity) -> int:

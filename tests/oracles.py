@@ -62,7 +62,7 @@ from typing import Iterable, Optional, Sequence
 from trinities.geometry import VPolytope, canonical_lattice_set
 from trinities.linalg import OPTIMAL, DimensionError, RatVec, fvec, integer_det, lp_solve
 from trinities.links import Crossing, LaurentPoly2, LinkDiagram, _drop_kinks, _smoothed, component_count, gauss_code
-from trinities.maps import PlanarMap, memo
+from trinities.maps import PlanarMap, derived
 from trinities.polytopes import RootPolytope, TaggedPolytope
 from trinities.trinity import (
     COLOUR_SELECTORS,
@@ -180,10 +180,11 @@ def enumerate_spanning_trees(n_vertices: int, edges: Sequence[tuple[int, int]]) 
     return tuple(out)
 
 
+@derived
 def spanning_trees_of_map(m: PlanarMap) -> tuple[tuple[int, ...], ...]:
     """The spanning trees of the map, enumerated once per map: a hypergraph
     and its transpose share the enumeration of their colour graph."""
-    return memo(m, "spanning_trees", lambda: enumerate_spanning_trees(m.n_vertices, m.edges))
+    return enumerate_spanning_trees(m.n_vertices, m.edges)
 
 
 def hypertree_of(

@@ -26,7 +26,7 @@ from trinities.polytopes import (
     verify_duality_suite,
 )
 from trinities.trees import hypertree_set
-from trinities.trinity import COLOUR_SELECTORS, COLOURS, RED, magic_number_report
+from trinities.trinity import COLOUR_SELECTORS, COLOURS, RED, default_root, magic_number_report
 
 from helpers import fig7_trinity, g1_trinity, negate, random_trinity
 from oracles import tree_simplex
@@ -62,13 +62,13 @@ def test_criterion_3_worked_example_triangulations():
     # bounded face's uses T2 and T3. Both are validated internally
     # (unimodular simplices, the ridge certificate, volume sum 2).
     by_root = {
-        root: set(arborescence_triangulation(t, RED, root=root)) for root in (0, 1)
+        root: set(arborescence_triangulation(t, RED, root)) for root in (0, 1)
     }
     assert by_root[0] == {trees_lex[0], trees_lex[3]}
     assert by_root[1] == {trees_lex[1], trees_lex[2]}
     rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
     for root in (0, 1):
-        tree_sets = arborescence_triangulation(t, RED, root=root)
+        tree_sets = arborescence_triangulation(t, RED, root)
         assert len([tree_simplex(rp, tree) for tree in tree_sets]) == 2
 
 
@@ -130,7 +130,8 @@ def test_criterion_8_random_corpus():
         magic = report["magic_number"]
         assert verify_duality_suite(t)["all_hold"], i
         rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
-        assert len([tree_simplex(rp, tree) for tree in arborescence_triangulation(t, RED)]) == magic
+        tree_sets = arborescence_triangulation(t, RED, default_root(t, RED))
+        assert len([tree_simplex(rp, tree) for tree in tree_sets]) == magic
         assert sfh_support(t).size == magic
         # Every corpus graph has at most 8 edges, so at most 8 crossings.
         assert verify_homfly_h_vector(t)["holds"], i

@@ -1,23 +1,28 @@
 """Each colour graph, directed dual, selector's incidence, hypertree set,
 selector's hyperedges, coverage bound and generator sums, trimmed lattice,
 root polytope, triangulation, red interior polynomial and median diagram is
-derived once per trinity, and never shared between two trinities: a report
-triangulates every red root and the violet and emerald default roots, and
-verify every root of every colour. No incidence builds a colour graph; a
-report reads the sutured support once, and verify not at all. The counts
-come from wrappers around the builders. No spanning tree is enumerated: the
-hypertree sets are mu-lattices. No Tutte matching is listed: the matchings
-are counted."""
+derived once per trinity by ``maps.derived``, and never shared between two
+trinities: a report triangulates every red root and the violet and emerald
+default roots, and verify every root of every colour; the h-vectors and the
+hypertree polytopes pass the default root, so they share its triangulation.
+Every value a report or verify keeps on a trinity or its map is hashable.
+Nothing calls a colour graph; a report reads the sutured support once, and
+verify not at all. The counts come from wrappers around the builders. No
+spanning tree is enumerated: the hypertree sets are mu-lattices. No Tutte
+matching is listed: the matchings are counted."""
 
 import pkgutil
 from collections import Counter
 from importlib import import_module, resources
+
+import pytest
 
 import trinities
 from trinities import cli, floer, links, polytopes, trees, trinity
 from trinities.cli import EXIT_OK, build_report, main
 from trinities.documents import document_to_map, parse_graph_document
 from trinities.trinity import (
+    COLOUR_SELECTORS,
     COLOURS,
     EMERALD,
     HYPERGRAPH_CODES,
@@ -31,7 +36,7 @@ from trinities.trinity import (
     magic_number_report,
 )
 
-from helpers import count_calls, count_calls_everywhere
+from helpers import count_calls, count_calls_everywhere, document_text, grid_trinity
 
 FIG7 = str(resources.files("trinities") / "fixtures" / "fig7.json")
 
@@ -119,12 +124,16 @@ def test_two_trinities_of_one_document_derive_separately(monkeypatch):
 
 
 def test_default_and_explicit_root_share_one_triangulation(monkeypatch):
+    # The h-vector and the hypertree polytope pass the default root, so an
+    # explicit call at that root and the link identity reuse their trees.
     calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
     _doc, t = load_fig7()
-    default_root = t.corner(t.root_triangle, "red")
-    tr = polytopes.arborescence_triangulation(t, "red")
-    assert polytopes.arborescence_triangulation(t, "red", default_root) is tr
-    assert len(calls) == 1
+    root = default_root(t, RED)
+    polytopes.h_vector(t, RED)
+    polytopes.hypertree_polytope_of(t, COLOUR_SELECTORS[RED])
+    tr = polytopes.arborescence_triangulation(t, RED, root)
+    assert polytopes.arborescence_triangulation(t, RED, root) is tr
+    assert [(dd.colour, r) for dd, r in calls] == [(RED, root)]
     assert links.verify_homfly_h_vector(t)["holds"]
     assert len(calls) == 1
 
@@ -169,7 +178,7 @@ def test_the_incidences_build_no_colour_graph(monkeypatch, capsys):
     # hyperedges and root polytope need no map; the spanning trees dual to a
     # colour's arborescences are their complements in the directed dual's
     # edge ids, so neither a report nor verify builds a colour graph.
-    calls = count_calls(monkeypatch, trinity, "_colour_graph")
+    calls = count_calls_everywhere(monkeypatch, trinity, "colour_graph")
     _doc, t = load_fig7()
     for code in HYPERGRAPH_CODES:
         polytopes._hyperedges_of(t, code)
@@ -209,3 +218,32 @@ def test_main_builds_its_parser_once(capsys):
         assert main(["verify", str(resources.files("trinities") / "fixtures" / "g1.json")]) == EXIT_OK
     assert '"ok": true' in capsys.readouterr().out
     assert cli.make_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("source", ["fig7.json", "g1.json", "single_edge.json", "grid3x3"])
+def test_every_derived_value_hashes_after_report_and_verify(monkeypatch, capsys, tmp_path, source):
+    # A derived value must be immutable; hashing each one on the trinities
+    # that report and verify load, and on their maps, checks that it is.
+    if source == "grid3x3":
+        path = tmp_path / "grid3x3.json"
+        path.write_text(document_text(grid_trinity(3, 3)))
+    else:
+        path = resources.files("trinities") / "fixtures" / source
+    loaded = []
+
+    def load(*args, **kwargs):
+        loaded.append(trinity.build_trinity(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "build_trinity", load)
+    for command in ("report", "verify"):
+        assert main([command, str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(loaded) == 2
+    for t in loaded:
+        assert polytopes._gp_data_of.__wrapped__ in vars(t)
+        for obj in (t, t.map):
+            for fn, values in vars(obj).items():
+                if callable(fn):
+                    for value in values.values():
+                        hash(value)  # a TypeError names a mutable value

@@ -170,7 +170,7 @@ def test_a_mutated_tree_set_fails_the_triangulation(monkeypatch, mutate, message
     mutated = mutate(t, uncertified_trees(t, RED, default_root(t, RED)), i, e, copy)
     enumerate_trees_as(monkeypatch, t, RED, default_root(t, RED), mutated)
     with pytest.raises(InternalConsistencyError, match=message):
-        arborescence_triangulation(t, RED)
+        arborescence_triangulation(t, RED, default_root(t, RED))
 
 
 def test_the_parallel_copy_passes_every_other_check():

@@ -14,7 +14,7 @@ from trinities.polytopes import (
     root_polytope_of,
     trimmed_gp_of,
 )
-from trinities.trinity import COLOUR_SELECTORS, COLOURS, HYPERGRAPH_CODES
+from trinities.trinity import COLOUR_SELECTORS, COLOURS, HYPERGRAPH_CODES, default_root
 
 from helpers import fig7_trinity, g1_trinity, single_edge_trinity
 from oracles import tree_simplex
@@ -35,7 +35,7 @@ def test_fixture_polytopes_have_int_coordinates(build):
         values += coordinates(rp.generators) + coordinates(rp.vertices)
     for colour in COLOURS:
         rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
-        for tree in arborescence_triangulation(t, colour):
+        for tree in arborescence_triangulation(t, colour, default_root(t, colour)):
             values += coordinates(tree_simplex(rp, tree))
     for code in HYPERGRAPH_CODES:
         for build_polytope in (gp_polytope_of, trimmed_gp_of, hypertree_polytope_of, root_polytope_of):

@@ -5,9 +5,10 @@ tests take lives in ``tests/helpers.py``, ``tests/oracles.py`` or the test
 that uses it; the rank code and the test-only helpers moved there, and the
 deleted skein switch, tree-size check, triangle-colouring recheck, the
 triangulation and adjacency-matrix wrappers, the uncertified tree and
-tree-hypertree readers, and the triangle table and the readers built on it,
-are gone from the library; a trinity stores no triangles and a directed dual
-no copy of the white triangles."""
+tree-hypertree readers, the triangle table and the readers built on it, and
+the hand-keyed memo with its twin builders are gone from the library; a
+trinity stores no triangles and a directed dual no copy of the white
+triangles; and only ``maps.derived`` keeps a value on an object."""
 
 import ast
 import dataclasses
@@ -53,6 +54,10 @@ MOVED = {
     "root_vertices",
     "all_vertices",
     "head_of",
+    "memo",
+    "_colour_graph",
+    "_directed_dual",
+    "_white_triangles",
 }
 
 
@@ -165,6 +170,19 @@ def test_a_trinity_is_its_map():
     # Every corner is read off the map, so neither record keeps a table.
     assert "triangles" not in {field.name for field in dataclasses.fields(Trinity)}
     assert "white_triangles" not in {field.name for field in dataclasses.fields(DirectedDual)}
+
+
+def test_only_derived_touches_an_objects_dict():
+    # Every value kept on an object is derived, under its builder's own key.
+    touching = {
+        f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+        for path, module in parsed(LIBRARY).items()
+        for top in module.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+        or isinstance(node, ast.Name) and node.id == "vars"
+    }
+    assert touching == {"maps.derived"}
 
 
 def benchmark_reads() -> set[tuple[str, str]]:

@@ -9,6 +9,7 @@ from trinities.maps import (
     betti1,
     build_map,
     build_map_from_darts,
+    derived,
     orbits,
 )
 
@@ -156,3 +157,50 @@ def test_loops_allowed_only_when_requested():
         build_map(1, ((0, 0),), ((0, 0),))
     m = build_map_from_darts(1, ((0, 0),), ((0, 1),))
     assert m.n_faces == 2
+
+
+def test_derived_keeps_one_value_per_function_object_and_arguments():
+    builds = []
+
+    def builder(name):
+        def build(obj, *args):
+            builds.append((name, id(obj), args))
+            return name, args
+
+        build.__name__ = name
+        return derived(build)
+
+    first, second = builder("first"), builder("second")
+    m, equal = g1_map(), g1_map()
+    assert m == equal and m is not equal
+    for _ in range(2):
+        assert first(m, 1) == ("first", (1,))
+        assert second(m, 1) == ("second", (1,))
+        assert first(m, 1, 2) == ("first", (1, 2))
+        assert first(m) == ("first", ())
+        assert first(equal, 1) == ("first", (1,))
+    assert first(m, 1) is first(m, 1)
+    assert builds == [
+        ("first", id(m), (1,)),
+        ("second", id(m), (1,)),
+        ("first", id(m), (1, 2)),
+        ("first", id(m), ()),
+        ("first", id(equal), (1,)),
+    ]
+    assert first.__name__ == "first"
+
+
+def test_a_derived_build_that_raises_keeps_nothing():
+    attempts = []
+
+    @derived
+    def failing(obj, n):
+        attempts.append(n)
+        raise ValueError("no value")
+
+    m = g1_map()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no value"):
+            failing(m, 3)
+    assert attempts == [3, 3]
+    assert failing.__wrapped__ not in vars(m)

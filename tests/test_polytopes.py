@@ -130,7 +130,7 @@ def test_tree_simplex_rejects_cycles():
 
 def test_g1_red_triangulation():
     t = g1_trinity()
-    tree_sets = arborescence_triangulation(t, RED)
+    tree_sets = arborescence_triangulation(t, RED, default_root(t, RED))
     assert tree_sets == ((0, 2, 3, 4), (0, 1, 2, 3))
     assert len([tree_simplex(root_polytope_of(t, "VE"), tree) for tree in tree_sets]) == 2
     assert f_vector(t, RED) == (1, 5, 9, 7, 2)
@@ -145,7 +145,7 @@ def test_triangulations_exist_for_all_colours_and_roots():
         dd = directed_dual(t, colour)
         for root in dd.vertices:
             rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
-            assert len([tree_simplex(rp, tree) for tree in arborescence_triangulation(t, colour, root=root)]) == 2
+            assert len([tree_simplex(rp, tree) for tree in arborescence_triangulation(t, colour, root)]) == 2
 
 
 def test_cayley_slices_scale_to_gp_polytopes():
@@ -292,7 +292,7 @@ def test_the_hypertree_check_reads_both_sides(monkeypatch):
     # matches the hypertree set and only the X side catches the swap.
     t = fig7_trinity()
     code = COLOUR_SELECTORS[RED]
-    trees_at = arborescence_triangulation(t, RED)
+    trees_at = arborescence_triangulation(t, RED, default_root(t, RED))
     m, x_ids, y_ids = hypergraph_view(t, code)
     i, swap = next(
         (i, tree)
@@ -304,7 +304,7 @@ def test_the_hypertree_check_reads_both_sides(monkeypatch):
     enumerate_trees_as(monkeypatch, t, RED, default_root(t, RED), trees_at[:i] + (swap,) + trees_at[i + 1 :])
     monkeypatch.setattr(polytopes, "ridge_certificate", lambda *args: None)
     with pytest.raises(InternalConsistencyError, match=f"the triangulation trees' {code[::-1]} hypertrees"):
-        arborescence_triangulation(fig7_trinity(), RED)
+        arborescence_triangulation(fig7_trinity(), RED, default_root(t, RED))
 
 
 def test_root_polytope_listing_lattice_points_are_the_generators():

@@ -27,7 +27,7 @@ from trinities.polytopes import (
     verify_duality_suite,
 )
 from trinities.trees import count_arborescences, hypertree_set
-from trinities.trinity import COLOUR_SELECTORS, COLOURS, RED, directed_dual, magic_number_report
+from trinities.trinity import COLOUR_SELECTORS, COLOURS, RED, default_root, directed_dual, magic_number_report
 
 from helpers import mirror, random_trinity
 from oracles import slice_matches_scaled_gp, tree_simplex
@@ -60,7 +60,8 @@ def test_all_invariants_on_random_graphs(chunk):
         # The red triangulation is unimodular, face-to-face and covers the
         # root polytope (validated internally), with one simplex per unit.
         rp = root_polytope_of(t, COLOUR_SELECTORS[RED])
-        assert len([tree_simplex(rp, tree) for tree in arborescence_triangulation(t, RED)]) == magic
+        tree_sets = arborescence_triangulation(t, RED, default_root(t, RED))
+        assert len([tree_simplex(rp, tree) for tree in tree_sets]) == magic
 
         # Support sets and tight-contact counts all equal the magic number.
         assert sfh_support(t).size == magic

@@ -193,11 +193,12 @@ def f_vector_cases(case):
                     yield t, colour, root
     elif case == "grids":
         for rows, columns in GRIDS:
-            yield grid_trinity(rows, columns), RED, None
+            t = grid_trinity(rows, columns)
+            yield t, RED, default_root(t, RED)
     else:
         for t in corpus(case):
             for colour in COLOURS:
-                yield t, colour, None
+                yield t, colour, default_root(t, colour)
 
 
 @pytest.mark.parametrize("case", [*range(10), "fixtures", "grids"])
@@ -258,7 +259,7 @@ def test_a_bad_tree_pair_fails_the_triangulation(monkeypatch):
     assert not tree_simplices_meet_in_common_face(rp, *bad)
     enumerate_trees_as(monkeypatch, t, RED, default_root(t, RED), bad)
     with pytest.raises(InternalConsistencyError, match=RIDGE_FAILURE):
-        polytopes.arborescence_triangulation(t, RED)
+        polytopes.arborescence_triangulation(t, RED, default_root(t, RED))
 
 
 def certificate_accepts(rp, tree_sets):
