@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional
 
-from . import floer, links, polytopes, trees
+from . import floer, links, polytopes
 from .documents import (
     DocumentError,
     GraphDocument,
@@ -30,6 +30,7 @@ from .trinity import (
     InternalConsistencyError,
     Trinity,
     build_trinity,
+    count_arborescences,
     directed_dual,
     magic_number_report,
 )
@@ -133,7 +134,7 @@ def _homfly_section(t: Trinity, crossing_cap: int, emit_pd: bool) -> tuple[dict,
 def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: bool) -> tuple[dict, int]:
     m = t.map
     magic = magic_number_report(t)
-    hyper_sets = {code: trees.hypertree_set(t, code) for code in HYPERGRAPH_CODES}
+    hyper_sets = {code: polytopes.hypertree_set(t, code) for code in HYPERGRAPH_CODES}
     poly_section = {}
     for code in HYPERGRAPH_CODES:
         poly_section[code] = {
@@ -226,7 +227,7 @@ def cmd_verify(args) -> int:
         failures.append("duality-suite")
     for colour in COLOURS:
         dd = directed_dual(t, colour)
-        counts = {r: trees.count_arborescences(dd, r) for r in dd.vertices}
+        counts = {r: count_arborescences(dd, r) for r in dd.vertices}
         if len(set(counts.values())) != 1:
             failures.append(f"arborescence-root-dependence-{colour}")
         # Each root's trees are certified, and both sides' hypertrees checked

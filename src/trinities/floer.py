@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import canonical_lattice_set
+from .polytopes import hypertree_set
 from .trinity import COLOUR_SELECTORS, Trinity
-from . import trees
 
 IntVec = tuple[int, ...]
 
@@ -44,9 +44,9 @@ def canonical_translate(points: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
 def sfh_support(t: Trinity) -> SupportSet:
     """Support of the sutured invariant: the canonical translate of the
     hypertree set over the red class."""
-    return SupportSet(points=canonical_translate(trees.hypertree_set(t, "ER")))
+    return SupportSet(points=canonical_translate(hypertree_set(t, "ER")))
 
 
 def tight_contact_count(t: Trinity, colour: str) -> int:
     """Number of tight classes: the hypertree count of the colour graph."""
-    return len(trees.hypertree_set(t, COLOUR_SELECTORS[colour]))
+    return len(hypertree_set(t, COLOUR_SELECTORS[colour]))

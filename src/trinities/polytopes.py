@@ -1,6 +1,7 @@
-"""Polytopes attached to a trinity: sums of simplices and their trimmed
-versions, hypertree polytopes, root polytopes with their tree-simplex
-triangulations, slice identities and their f- and h-vectors.
+"""Polytopes attached to a trinity: its hypertree sets (the lattice points of
+Kalman's bound mu), sums of simplices and their trimmed versions, hypertree
+polytopes, root polytopes with their tree-simplex triangulations, slice
+identities and their f- and h-vectors.
 
 Hypergraphs are named by two-letter colour selectors ("VE", "ER", ...): the
 first letter is the vertex class X, the second the hyperedge class Y; the
@@ -60,9 +61,9 @@ from .trinity import (
     colour_of_hypergraph,
     default_root,
     directed_dual,
+    enumerate_arborescences,
     incidence,
 )
-from . import trees
 
 
 @dataclass(frozen=True)
@@ -310,9 +311,17 @@ def _trimmed_of(t: Trinity, code: str):
 
 
 @derived
-def hypertree_lattice_of(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
-    """The lattice points of Kalman's bound mu, the hypertrees of the
-    selector's hypergraph, once per trinity and selector."""
+def hypertree_set(t: Trinity, code: str) -> tuple[tuple[int, ...], ...]:
+    """Hypertrees of the (X, Y) hypergraph named by a two-letter selector, in
+    lexicographic order.
+
+    Hyperedges are Y, so the vectors are indexed by the Y-class vertices of the
+    underlying colour graph, in increasing id order. They are the lattice
+    points of {x(S) <= mu(S)} (Kalman, *A version of Tutte's polynomial for
+    hypergraphs*, 2013), derived once per trinity and selector. The bound
+    table has 2^|Y| entries; ``report`` and ``verify`` build such a table for
+    every vertex class anyway, in the trimmed and hypertree polytopes.
+    """
     he = _hyperedges_of(t, code)
     return _subset_lattice(_hypertree_bound(he), len(he))
 
@@ -340,7 +349,7 @@ def hypertree_polytope_of(t: Trinity, code: str) -> TaggedPolytope:
     """
     colour = colour_of_hypergraph(code)
     arborescence_triangulation(t, colour, default_root(t, colour))
-    return _tagged(hypertree_lattice_of(t, code))
+    return _tagged(hypertree_set(t, code))
 
 
 @derived
@@ -402,7 +411,7 @@ def arborescence_triangulation(t: Trinity, colour: str, root: int) -> tuple[tupl
     """
     code = COLOUR_SELECTORS[colour]
     rp = root_polytope_of(t, code)
-    arbs = map(set, trees.enumerate_arborescences(directed_dual(t, colour), root))
+    arbs = map(set, enumerate_arborescences(directed_dual(t, colour), root))
     tree_sets = tuple(tuple(e for e in range(len(rp.ends)) if e not in used) for used in arbs)
     ridge_certificate(rp, tree_sets)
     degrees = []
@@ -413,7 +422,7 @@ def arborescence_triangulation(t: Trinity, colour: str, root: int) -> tuple[tupl
                 degree[x] += 1
         degrees.append(degree)
     for selector, side in ((code, slice(rp.u_size)), (code[::-1], slice(rp.u_size, None))):
-        if tuple(sorted(tuple(d[side]) for d in degrees)) != hypertree_lattice_of(t, selector):
+        if tuple(sorted(tuple(d[side]) for d in degrees)) != hypertree_set(t, selector):
             message = f"the triangulation trees' {selector} hypertrees are not the hypertree set"
             raise InternalConsistencyError(message)
     return tree_sets
@@ -540,7 +549,7 @@ def h_vector(t: Trinity, colour: str) -> tuple[int, ...]:
     code = COLOUR_SELECTORS[colour]
     arborescence_triangulation(t, colour, default_root(t, colour))
     _, n_y, n_x = incidence(t, code)
-    h = interior_polynomial(hypertree_lattice_of(t, code))
+    h = interior_polynomial(hypertree_set(t, code))
     return h + (0,) * (n_y + n_x - len(h))
 
 
@@ -561,11 +570,11 @@ def verify_duality_suite(t: Trinity) -> dict:
     trimmed_matches = {}
     for code in HYPERGRAPH_CODES:
         rev = code[::-1]
-        trimmed_matches[code] = _trimmed_of(t, code) == trees.hypertree_set(t, rev)
+        trimmed_matches[code] = _trimmed_of(t, code) == hypertree_set(t, rev)
     reflections = {}
     for c1, c2 in (("VE", "RE"), ("RV", "EV"), ("VR", "ER")):
-        s1 = trees.hypertree_set(t, c1)
-        s2 = trees.hypertree_set(t, c2)
+        s1 = hypertree_set(t, c1)
+        s2 = hypertree_set(t, c2)
         dim = len(s1[0]) if s1 else 0
         c = tuple(
             min(p[i] for p in s1) + max(p[i] for p in s2) for i in range(dim)

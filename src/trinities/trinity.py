@@ -1,6 +1,6 @@
 """Trinities: three-coloured triangulations of the sphere built from a plane
-bipartite graph, with their colour graphs, balanced directed duals, adjacency
-matrix and the count of its Tutte matchings.
+bipartite graph, with their colour graphs, balanced directed duals and their
+arborescences, adjacency matrix and the count of its Tutte matchings.
 
 A triangle is its dart: the triangle of dart d is the one immediately to the
 left of d, and ``Trinity.corner``, the one corner rule, reads its corners off
@@ -18,7 +18,7 @@ the white triangles around its vertices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import integer_det
@@ -99,28 +99,21 @@ def build_trinity(
     - emerald: alpha(sigma(w)) is on w's face, as its next is w, and its
       head is w's violet vertex.
     The default root is the smallest white triangle whose red corner is the
-    outer face.
+    outer face, found on the map, as an explicit root is checked there.
     """
     if not (0 <= outer_face < m.n_faces):
         raise MapError(f"outer face {outer_face} out of range")
     for e, ends in enumerate(m.edges):
         if sorted((v in bip.class_a, v in bip.class_b) for v in ends) != [(False, True), (True, False)]:
             raise MapError(f"edge {e} does not join class_a to class_b")
-    t = Trinity(
-        map=m,
-        violet=frozenset(bip.class_a),
-        emerald=frozenset(bip.class_b),
-        outer_face=outer_face,
-        root_triangle=-1,  # set below, once the corners can be read
-    )
     if root_triangle is None:
-        outer_whites = [w for w in t.white_triangles if t.corner(w, RED) == outer_face]
+        outer_whites = [d for d in m.faces[outer_face] if m.vertex_of[d] in bip.class_a]
         if not outer_whites:
             raise InternalConsistencyError("outer face meets no white triangle")
         root_triangle = min(outer_whites)
-    elif root_triangle not in t.white_triangles:
+    elif not (0 <= root_triangle < m.n_darts and m.vertex_of[root_triangle] in bip.class_a):
         raise MapError(f"root triangle {root_triangle} is not a white triangle")
-    return replace(t, root_triangle=root_triangle)
+    return Trinity(m, frozenset(bip.class_a), frozenset(bip.class_b), outer_face, root_triangle)
 
 
 def _black_partner_across(t: Trinity, w: int, colour: str) -> int:
@@ -207,6 +200,61 @@ def _check_balanced(dd: DirectedDual) -> None:
     for v in dd.vertices:
         if indeg[v] != outdeg[v]:
             raise InternalConsistencyError(f"directed dual not balanced at vertex {v}")
+
+
+def count_arborescences(dd: DirectedDual, root: int) -> int:
+    """Spanning out-arborescences rooted at ``root`` (every edge points away
+    from the root), by the directed matrix-tree theorem."""
+    idx = {v: i for i, v in enumerate(dd.vertices)}
+    n = len(idx)
+    lap = [[0] * n for _ in range(n)]
+    for tail, head in dd.edges:
+        if tail != head:
+            lap[idx[head]][idx[head]] += 1
+            lap[idx[head]][idx[tail]] -= 1
+    r = idx[root]
+    minor = [[lap[i][j] for j in range(n) if j != r] for i in range(n) if i != r]
+    value = integer_det(minor)
+    if value < 0:
+        raise InternalConsistencyError("arborescence count is negative")
+    return value
+
+
+def enumerate_arborescences(dd: DirectedDual, root: int) -> tuple[tuple[int, ...], ...]:
+    """All spanning out-arborescences as sorted tuples of edge indices, in
+    sorted order. One walk (after Gabow and Myers, *Finding all spanning trees
+    of directed and undirected graphs*, 1978) lets each non-root vertex in turn
+    take an in-edge whose tail's chain of chosen parents does not lead back
+    to it; every chain then ends at the root or at a vertex yet to choose, so
+    the complete choices are exactly the arborescences."""
+    order = [v for v in dd.vertices if v != root]
+    if not order:
+        return ((),)
+    incoming: dict[int, list[tuple[int, int]]] = {v: [] for v in dd.vertices}
+    for i, (tail, head) in enumerate(dd.edges):
+        if tail != head:
+            incoming[head].append((i, tail))
+    parent: dict[int, tuple[int, int]] = {}  # each vertex that has chosen -> its in-edge and tail
+    found = []
+    options = [iter(incoming[order[0]])]  # the in-edges left to try, per vertex of order so far
+    while options:
+        v = order[len(options) - 1]
+        parent.pop(v, None)  # undo v's last choice
+        for i, tail in options[-1]:
+            u = tail
+            while u in parent:
+                u = parent[u][1]
+            if u != v:
+                break
+        else:
+            options.pop()
+            continue
+        parent[v] = i, tail
+        if len(parent) == len(order):
+            found.append(tuple(sorted(e for e, _ in parent.values())))
+        else:
+            options.append(iter(incoming[order[len(options)]]))
+    return tuple(sorted(found))
 
 
 def non_root_vertices(t: Trinity) -> tuple[tuple[str, int], ...]:
@@ -296,14 +344,12 @@ def default_root(t: Trinity, colour: str) -> int:
 
 
 def magic_number_report(t: Trinity) -> dict:
-    from . import trees
+    from . import polytopes
 
     det_route = abs(round_det(t))
     matchings = count_tutte_matchings(t)
-    rho = {}
-    for colour in COLOURS:
-        rho[colour] = trees.count_arborescences(directed_dual(t, colour), default_root(t, colour))
-    hyper = {code: len(trees.hypertree_set(t, code)) for code in HYPERGRAPH_CODES}
+    rho = {c: count_arborescences(directed_dual(t, c), default_root(t, c)) for c in COLOURS}
+    hyper = {code: len(polytopes.hypertree_set(t, code)) for code in HYPERGRAPH_CODES}
     values = [det_route, matchings, *rho.values(), *hyper.values()]
     return {
         "det": det_route,

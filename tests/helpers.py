@@ -28,7 +28,7 @@ from trinities.maps import (
     build_map,
     build_map_from_darts,
 )
-from trinities import trees
+from trinities import trinity
 from trinities.trinity import Trinity, build_trinity, directed_dual, incidence
 
 # Worked 5-edge example: violet v1,v2,v3 = 0,1,2; emerald e1,e2 = 3,4.
@@ -272,7 +272,7 @@ def uncertified_trees(t: Trinity, colour: str, root: int) -> tuple[tuple[int, ..
     arborescence in the edge ids, since directed-dual edge i crosses the
     colour graph's edge i."""
     dd = directed_dual(t, colour)
-    return tuple(_complement(dd, arb) for arb in trees.enumerate_arborescences(dd, root))
+    return tuple(_complement(dd, arb) for arb in trinity.enumerate_arborescences(dd, root))
 
 
 def _complement(dd, edge_ids) -> tuple[int, ...]:
@@ -300,9 +300,10 @@ def enumerate_trees_as(monkeypatch, t: Trinity, colour: str, root: int, tree_set
     reads there. Other calls enumerate as before."""
     dd = directed_dual(t, colour)
     arbs = tuple(_complement(dd, tree) for tree in tree_sets)
-    enumerate_arborescences = trees.enumerate_arborescences
-    monkeypatch.setattr(
-        trees,
+    enumerate_arborescences = trinity.enumerate_arborescences
+    patch_everywhere(
+        monkeypatch,
+        trinity,
         "enumerate_arborescences",
         lambda d, r: arbs if (d, r) == (dd, root) else enumerate_arborescences(d, r),
     )

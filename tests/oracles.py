@@ -16,6 +16,10 @@
   library takes hypertrees from Kalman's mu-lattice and the trees of its
   arborescence triangulations; this enumerates every spanning tree, far more
   trees than hypertrees), each tree's hypertree counted per vertex id;
+- the spanning out-arborescences of a directed dual by generating and
+  testing: every choice of one in-edge per non-root vertex, kept when it
+  reaches every vertex from the root (the library walks only choices that
+  close no cycle, so it filters none);
 - fraction-free integer ranks and the affine dimension of a point set (the
   library reads a GP, trimmed or hypertree polytope's dimension off the
   exchanges its lattice points take, and a root polytope's off |U| + |V|);
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
@@ -69,6 +73,7 @@ from trinities.trinity import (
     EMERALD,
     RED,
     VIOLET,
+    DirectedDual,
     InternalConsistencyError,
     Trinity,
     colour_graph,
@@ -206,6 +211,35 @@ def hypertree_of(
 def hypertree_set_of_graph(m: PlanarMap, side: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The degree-minus-one vectors of every spanning tree on ``side``."""
     return canonical_lattice_set(hypertree_of(t, m.edges, side) for t in spanning_trees_of_map(m))
+
+
+def arborescences_by_filter(dd: DirectedDual, root: int) -> tuple[tuple[int, ...], ...]:
+    """All spanning out-arborescences as sorted tuples of edge indices, in
+    sorted order: each choice of one in-edge per non-root vertex that reaches
+    every vertex from ``root``."""
+    verts = list(dd.vertices)
+    incoming: dict[int, list[int]] = {v: [] for v in verts}
+    for i, (tail, head) in enumerate(dd.edges):
+        if tail != head:
+            incoming[head].append(i)
+    choices = product(*(incoming[v] for v in verts if v != root))
+    return tuple(sorted(tuple(sorted(pick)) for pick in choices if _reaches_all(dd, root, pick)))
+
+
+def _reaches_all(dd: DirectedDual, root: int, choice: Sequence[int]) -> bool:
+    """Whether the chosen edges reach every vertex from ``root``."""
+    adj: dict[int, list[int]] = {v: [] for v in dd.vertices}
+    for i in choice:
+        tail, head = dd.edges[i]
+        adj[tail].append(head)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
 
 
 def triangle_corners(t: Trinity, d: int) -> tuple[tuple[str, int], ...]:

@@ -21,11 +21,11 @@ from trinities.polytopes import (
     gp_polytope_of,
     h_vector,
     hypertree_polytope_of,
+    hypertree_set,
     root_polytope_of,
     trimmed_gp_of,
     verify_duality_suite,
 )
-from trinities.trees import hypertree_set
 from trinities.trinity import COLOUR_SELECTORS, COLOURS, RED, default_root, magic_number_report
 
 from helpers import fig7_trinity, g1_trinity, negate, random_trinity

@@ -18,7 +18,7 @@ from importlib import import_module, resources
 import pytest
 
 import trinities
-from trinities import cli, floer, links, polytopes, trees, trinity
+from trinities import cli, floer, links, polytopes, trinity
 from trinities.cli import EXIT_OK, build_report, main
 from trinities.documents import document_to_map, parse_graph_document
 from trinities.trinity import (
@@ -86,7 +86,7 @@ def test_verify_builds_each_hypertree_lattice_once(monkeypatch, capsys):
 
 def test_verify_triangulates_once_per_colour_and_root(monkeypatch, capsys):
     # The link identity reuses the red triangulation at the default root.
-    calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
+    calls = count_calls_everywhere(monkeypatch, trinity, "enumerate_arborescences")
     certified = count_calls(monkeypatch, polytopes, "ridge_certificate")
     assert main(["verify", FIG7]) == EXIT_OK
     assert '"ok": true' in capsys.readouterr().out
@@ -99,7 +99,7 @@ def test_verify_triangulates_once_per_colour_and_root(monkeypatch, capsys):
 def test_report_triangulates_each_red_root_and_the_other_default_roots_once(monkeypatch, capsys):
     # The red listing reads every red root; the violet and emerald hypertree
     # polytopes read the certified trees at their default roots only.
-    calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
+    calls = count_calls_everywhere(monkeypatch, trinity, "enumerate_arborescences")
     certified = count_calls(monkeypatch, polytopes, "ridge_certificate")
     assert main(["report", FIG7]) == EXIT_OK
     assert '"triangulations_red"' in capsys.readouterr().out
@@ -120,13 +120,13 @@ def test_two_trinities_of_one_document_derive_separately(monkeypatch):
         assert colour_graph(t1, colour) is colour_graph(t1, colour)
         assert colour_graph(t1, colour) is not colour_graph(t2, colour)
         assert colour_graph(t1, colour) == colour_graph(t2, colour)
-        assert trees.hypertree_set(t1, "ER") is trees.hypertree_set(t1, "ER")
+        assert polytopes.hypertree_set(t1, "ER") is polytopes.hypertree_set(t1, "ER")
 
 
 def test_default_and_explicit_root_share_one_triangulation(monkeypatch):
     # The h-vector and the hypertree polytope pass the default root, so an
     # explicit call at that root and the link identity reuse their trees.
-    calls = count_calls(monkeypatch, trees, "enumerate_arborescences")
+    calls = count_calls_everywhere(monkeypatch, trinity, "enumerate_arborescences")
     _doc, t = load_fig7()
     root = default_root(t, RED)
     polytopes.h_vector(t, RED)

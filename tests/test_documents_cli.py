@@ -20,7 +20,7 @@ from trinities.documents import (
     serialize_graph_document,
     format_point,
 )
-from trinities import trees, trinity
+from trinities import trinity
 from trinities.trinity import VIOLET, build_trinity, default_root, directed_dual, magic_number_report
 
 from helpers import bipartition, document_text, grid_trinity, patch_everywhere
@@ -306,12 +306,12 @@ def test_cli_verify_names_a_root_dependent_arborescence_count(monkeypatch, capsy
     m, bip, outer = document_to_map(parse_graph_document(fixture_text("fig7.json")))
     t = build_trinity(m, bip, outer_face=outer)
     root = next(r for r in directed_dual(t, VIOLET).vertices if r != default_root(t, VIOLET))
-    original = trees.count_arborescences
+    original = trinity.count_arborescences
 
     def patched(dd, r):
         return original(dd, r) + (dd.colour == VIOLET and r == root)
 
-    patch_everywhere(monkeypatch, trees, "count_arborescences", patched)
+    patch_everywhere(monkeypatch, trinity, "count_arborescences", patched)
     code, out = run_cli(capsys, "verify", fixture_path("fig7.json"))
     assert code == EXIT_CHECKS_FAILED
     payload = json.loads(out)

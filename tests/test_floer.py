@@ -1,7 +1,7 @@
 import json
 from importlib import resources
 
-from trinities import trees
+from trinities import polytopes
 from trinities.cli import EXIT_CHECKS_FAILED, EXIT_OK, main
 from trinities.floer import canonical_translate, sfh_support, tight_contact_count
 from trinities.trinity import COLOURS, magic_number_report
@@ -61,13 +61,13 @@ def test_verify_lists_a_vr_set_that_is_not_the_reflected_er_set(monkeypatch, cap
     # The VR set replaced by the ER set, which on fig7 is not centrally
     # symmetric: both routes to the support still count 11 points, but the
     # VR|ER reflection of the duality suite fails.
-    original = trees.hypertree_set
+    original = polytopes.hypertree_set
 
     def patched(t, code):
         return original(t, "ER" if code == "VR" else code)
 
     er = original(fig7_trinity(), "ER")
     assert canonical_translate(er) != canonical_translate(negate(er))
-    patch_everywhere(monkeypatch, trees, "hypertree_set", patched)
+    patch_everywhere(monkeypatch, polytopes, "hypertree_set", patched)
     assert main(["verify", fixture_path("fig7.json")]) == EXIT_CHECKS_FAILED
     assert "duality-suite" in json.loads(capsys.readouterr().out)["checks_failed"]

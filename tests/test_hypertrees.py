@@ -12,7 +12,7 @@ from importlib import resources
 
 import pytest
 
-from trinities import trees
+from trinities import polytopes
 from trinities.cli import EXIT_CHECKS_FAILED, EXIT_INTERNAL, main
 from trinities.polytopes import (
     arborescence_triangulation,
@@ -67,7 +67,7 @@ def corpus(chunk):
 def assert_mu_lattice_is_the_spanning_tree_route(t):
     for code in HYPERGRAPH_CODES:
         cm, _x_ids, y_ids = hypergraph_view(t, code)
-        assert trees.hypertree_set(t, code) == hypertree_set_of_graph(cm, y_ids), code
+        assert polytopes.hypertree_set(t, code) == hypertree_set_of_graph(cm, y_ids), code
 
 
 @pytest.mark.parametrize("build", FIXTURES)
@@ -85,7 +85,7 @@ def test_mu_lattice_is_the_spanning_tree_route_on_the_corpus(chunk):
 def test_mu_lattice_is_the_spanning_tree_route_on_grids(rows, columns, magic):
     t = grid_trinity(rows, columns)
     assert_mu_lattice_is_the_spanning_tree_route(t)
-    assert {len(trees.hypertree_set(t, code)) for code in HYPERGRAPH_CODES} == {magic}
+    assert {len(polytopes.hypertree_set(t, code)) for code in HYPERGRAPH_CODES} == {magic}
 
 
 def assert_triangulation_trees_biject_onto_hypertrees(t):
@@ -94,7 +94,7 @@ def assert_triangulation_trees_biject_onto_hypertrees(t):
         for root in directed_dual(t, colour).vertices:
             tree_sets = arborescence_triangulation(t, colour, root)  # a triangulation: validated
             # Sorted with repeats kept, so equality is a bijection.
-            assert tree_hypertrees(t, code, tree_sets) == trees.hypertree_set(t, code), (code, root)
+            assert tree_hypertrees(t, code, tree_sets) == polytopes.hypertree_set(t, code), (code, root)
 
 
 @pytest.mark.parametrize("build", FIXTURES)
@@ -185,7 +185,7 @@ def test_the_parallel_copy_passes_every_other_check():
     assert len(set(simplices)) == len(simplices) - 1
     assert all(simplex_normalized_volume(s) == 1 for s in simplices)
     assert all(tree_simplices_meet_in_common_face(rp, t1, t2) for t1 in tree_sets for t2 in tree_sets)
-    assert len(tree_sets) == len(trees.hypertree_set(t, "VE"))
+    assert len(tree_sets) == len(polytopes.hypertree_set(t, "VE"))
     with pytest.raises(InternalConsistencyError, match="triangulation (boundary|interior) ridge"):
         ridge_certificate(rp, tree_sets)
 

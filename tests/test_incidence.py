@@ -52,4 +52,4 @@ def test_the_incidence_matches_the_map_level_references(code, case):
             # The library checks its trees' hypertrees against the set; the
             # reference reads the same ones off its own generators.
             trees = polytopes.arborescence_triangulation(t, colour, root)
-            assert reference_hypertrees(reference, trees) == polytopes.hypertree_lattice_of(t, code), root
+            assert reference_hypertrees(reference, trees) == polytopes.hypertree_set(t, code), root

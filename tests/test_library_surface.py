@@ -6,9 +6,12 @@ that uses it; the rank code and the test-only helpers moved there, and the
 deleted skein switch, tree-size check, triangle-colouring recheck, the
 triangulation and adjacency-matrix wrappers, the uncertified tree and
 tree-hypertree readers, the triangle table and the readers built on it, and
-the hand-keyed memo with its twin builders are gone from the library; a
-trinity stores no triangles and a directed dual no copy of the white
-triangles; and only ``maps.derived`` keeps a value on an object."""
+the hand-keyed memo with its twin builders, the forwarding hypertree reader
+and the reachability filter of the arborescence enumeration are gone from
+the library; a trinity stores no triangles and a directed dual no copy of
+the white triangles; only ``maps.derived`` keeps a value on an object; the
+library modules import each other in no cycle; and ``trees`` only binds, for
+the benchmark, names that live in ``trinity`` and ``polytopes``."""
 
 import ast
 import dataclasses
@@ -58,6 +61,8 @@ MOVED = {
     "_colour_graph",
     "_directed_dual",
     "_white_triangles",
+    "hypertree_lattice_of",
+    "_reaches_all",
 }
 
 
@@ -223,3 +228,46 @@ def test_the_names_the_benchmark_reaches_exist():
         assert getattr(import_module(f"trinities.{copy}"), name, None) is getattr(
             import_module(f"trinities.{origin}"), original
         ), f"{copy}.{name}"
+
+
+def module_imports() -> dict[str, set[str]]:
+    """The library modules that each library module imports at module level,
+    by ``from .x import y`` or ``from . import x``."""
+    return {
+        path.stem: {
+            name
+            for node in module.body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for name in ([node.module] if node.module else [alias.name for alias in node.names])
+        }
+        for path, module in parsed(LIBRARY).items()
+    }
+
+
+def test_the_library_modules_import_each_other_in_no_cycle():
+    """Peeling off, again and again, the modules that import none of the
+    modules left leaves none. Imports made inside a function are not
+    counted; the one there is, ``trinity.magic_number_report``'s ``from .
+    import polytopes``, runs after both modules are loaded."""
+    left = module_imports()
+    while peeled := {name for name, imports in left.items() if not imports & left.keys()}:
+        left = {name: imports for name, imports in left.items() if name not in peeled}
+    assert sorted(left) == []
+
+
+# The names ``trees`` binds because the benchmark reads them there, and the
+# modules they live in.
+TREES_BINDINGS = {
+    "hypertree_set": "polytopes",
+    "colour_graph": "trinity",
+    "count_arborescences": "trinity",
+    "enumerate_arborescences": "trinity",
+}
+
+
+def test_trees_only_binds_names_that_live_elsewhere():
+    trees = ast.parse((ROOT / "src" / "trinities" / "trees.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(trees) if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    for name, home in TREES_BINDINGS.items():
+        assert getattr(import_module("trinities.trees"), name) is getattr(import_module(f"trinities.{home}"), name)
+    assert [name for name, imports in module_imports().items() if "trees" in imports] == []

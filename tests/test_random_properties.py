@@ -23,11 +23,19 @@ from trinities.maps import Bipartition, betti1
 from trinities.polytopes import (
     arborescence_triangulation,
     gp_polytope_of,
+    hypertree_set,
     root_polytope_of,
     verify_duality_suite,
 )
-from trinities.trees import count_arborescences, hypertree_set
-from trinities.trinity import COLOUR_SELECTORS, COLOURS, RED, default_root, directed_dual, magic_number_report
+from trinities.trinity import (
+    COLOUR_SELECTORS,
+    COLOURS,
+    RED,
+    count_arborescences,
+    default_root,
+    directed_dual,
+    magic_number_report,
+)
 
 from helpers import mirror, random_trinity
 from oracles import slice_matches_scaled_gp, tree_simplex

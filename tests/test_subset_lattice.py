@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from trinities import polytopes, trees
+from trinities import polytopes
 from trinities.polytopes import verify_duality_suite
 from trinities.trinity import (
     HYPERGRAPH_CODES,
@@ -209,7 +209,7 @@ def test_hypertree_sets_of_the_4x5_grid():
     report = magic_number_report(t)
     assert report["all_equal"] and report["magic_number"] == 2_624
     for code in HYPERGRAPH_CODES:
-        assert len(trees.hypertree_set(t, code)) == 2_624, code
+        assert len(polytopes.hypertree_set(t, code)) == 2_624, code
 
 
 def test_duality_suite_of_the_3x6_grid():

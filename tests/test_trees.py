@@ -1,24 +1,40 @@
+import random
+
 import pytest
 
-from trinities.trees import (
-    count_arborescences,
-    enumerate_arborescences,
-    hypertree_set,
-)
 from trinities.maps import build_map
-from trinities.trinity import COLOURS, EMERALD, RED, VIOLET, colour_of_hypergraph, directed_dual
+from trinities.polytopes import hypertree_set
+from trinities.trinity import (
+    COLOURS,
+    EMERALD,
+    RED,
+    VIOLET,
+    colour_of_hypergraph,
+    count_arborescences,
+    directed_dual,
+    enumerate_arborescences,
+)
 
 from helpers import (
     G1_EDGES,
     dual_tree,
     g1_map,
+    fig7_trinity,
     g1_trinity,
+    grid_trinity,
     planar_dual,
+    random_trinity,
     single_edge_trinity,
     tree_hypertrees,
     uncertified_trees,
 )
-from oracles import enumerate_spanning_trees, hypertree_of, hypertree_set_of_graph, spanning_trees_of_map
+from oracles import (
+    arborescences_by_filter,
+    enumerate_spanning_trees,
+    hypertree_of,
+    hypertree_set_of_graph,
+    spanning_trees_of_map,
+)
 
 
 def test_g1_spanning_trees_in_lex_order():
@@ -65,15 +81,31 @@ def test_g1_hypertree_sets():
     assert hypertree_set(t, "RE") == ((0, 1), (1, 0))
 
 
-def test_arborescence_count_matches_enumeration():
-    t = g1_trinity()
-    for colour in COLOURS:
-        dd = directed_dual(t, colour)
-        for root in dd.vertices:
-            arbs = enumerate_arborescences(dd, root)
-            assert count_arborescences(dd, root) == len(arbs)
-            for a in arbs:
-                assert len(a) == len(dd.vertices) - 1
+def trinities_of(case):
+    """The fixtures, the 2x3 to 4x4 grids, or a chunk of the seeded corpus
+    of test_random_properties."""
+    if case == "fixtures":
+        return [single_edge_trinity(), g1_trinity(), fig7_trinity()]
+    if case == "grids":
+        return [grid_trinity(r, c) for r, c in ((2, 3), (3, 3), (3, 4), (4, 4))]
+    rng = random.Random(9000 + case)
+    return [random_trinity(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("case", ["fixtures", "grids", *range(10)])
+def test_arborescence_count_matches_enumeration(case):
+    # At every colour and root the walk lists what generating every choice
+    # of in-edges and testing each finds, and the matrix-tree count is its
+    # length.
+    for t in trinities_of(case):
+        for colour in COLOURS:
+            dd = directed_dual(t, colour)
+            for root in dd.vertices:
+                arbs = enumerate_arborescences(dd, root)
+                assert arbs == arborescences_by_filter(dd, root), (colour, root)
+                assert count_arborescences(dd, root) == len(arbs)
+                for a in arbs:
+                    assert len(a) == len(dd.vertices) - 1
 
 
 def test_arborescence_count_is_root_independent():

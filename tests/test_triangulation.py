@@ -21,7 +21,7 @@ from itertools import combinations
 import pytest
 
 import trinities
-from trinities import geometry, linalg, polytopes, trees
+from trinities import geometry, linalg, polytopes
 from trinities.cli import EXIT_OK, main
 from trinities.maps import build_map
 from trinities.polytopes import ridge_certificate, root_polytope_of
@@ -114,7 +114,7 @@ def test_lemma_12_6_agrees_with_the_lp_on_corpus_tree_pairs(chunk):
 def assert_placing_volume_is_the_hypertree_count(t):
     for code in HYPERGRAPH_CODES:
         rp = root_polytope_of(t, code)
-        assert total_normalized_volume(rp.vertices) == len(trees.hypertree_set(t, code)), code
+        assert total_normalized_volume(rp.vertices) == len(polytopes.hypertree_set(t, code)), code
 
 
 @pytest.mark.parametrize("build", FIXTURES)
@@ -216,11 +216,11 @@ def test_the_interior_polynomial_ignores_the_coordinate_order_and_the_side(chunk
     rng = random.Random(chunk)
     for t in corpus(chunk):
         for code in HYPERGRAPH_CODES:
-            points = trees.hypertree_set(t, code)
+            points = polytopes.hypertree_set(t, code)
             interior = polytopes.interior_polynomial(points)
             assert sum(interior) == len(points) and interior[0] == 1, code
             # I_H = I_{H^T} (Kalman and Postnikov, 2017).
-            assert polytopes.interior_polynomial(trees.hypertree_set(t, code[::-1])) == interior, code
+            assert polytopes.interior_polynomial(polytopes.hypertree_set(t, code[::-1])) == interior, code
             order = list(range(len(points[0])))
             for _ in range(3):
                 rng.shuffle(order)

@@ -3,18 +3,19 @@ import random
 import pytest
 
 from trinities import linalg, trinity
-from trinities.maps import Bipartition, MapError
-from trinities.trees import count_arborescences
+from trinities.maps import Bipartition, MapError, derived
 from trinities.trinity import (
     COLOURS,
     EMERALD,
     RED,
     VIOLET,
     InternalConsistencyError,
+    Trinity,
     adjacency_matrix,
     build_trinity,
     colour_graph,
     colour_of_hypergraph,
+    count_arborescences,
     count_tutte_matchings,
     default_root,
     directed_dual,
@@ -71,6 +72,24 @@ def test_root_override_validation():
         g1_trinity(root_triangle=1)  # a black triangle
     with pytest.raises(MapError):
         g1_trinity(root_triangle=10)  # out of range
+    with pytest.raises(MapError):
+        g1_trinity(root_triangle=-2)  # out of range, though as an index it is dart 8, a white one
+
+
+def test_build_trinity_derives_the_white_triangles_once(monkeypatch):
+    # The root is chosen or checked on the map, so only the trinity returned
+    # derives its white triangles, and only once.
+    whites = Trinity.white_triangles.fget.__wrapped__
+    built = []
+
+    def counted(t):
+        built.append(t)
+        return whites(t)
+
+    monkeypatch.setattr(Trinity, "white_triangles", property(derived(counted)))
+    t = fig7_trinity()
+    assert t.white_triangles is t.white_triangles == whites(t)
+    assert [b is t for b in built] == [True]
 
 
 @pytest.mark.parametrize("class_a", [{0, 1}, {0, 1, 2, 3, 4}])
