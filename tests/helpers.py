@@ -1,7 +1,9 @@
 """Shared builders for the test suite: the worked example graph, the larger
 fixture graph, plane grid graphs, the graph document of a trinity, edge-id
-shuffles of a map, a seeded generator of random plane bipartite maps, the
-negation of a point set, and call counters; the uncertified arborescence
+shuffles of a map, a seeded generator of random plane bipartite maps; the
+cases every cross-route test runs on (the fixtures, the plane grids and the
+seeded corpus) and the path of a fixture document; the negation of a point
+set, and a call counter; the uncertified arborescence
 trees of a colour, their hypertrees, and a patch that makes the library
 enumerate chosen trees; and the map and link operations
 that only the tests take: the bipartition of a map, its planar dual, map
@@ -12,8 +14,10 @@ from __future__ import annotations
 
 import pkgutil
 import random
-from importlib import import_module
+from importlib import import_module, resources
 from typing import Iterable
+
+import pytest
 
 import trinities
 from trinities.documents import GraphDocument, serialize_graph_document
@@ -224,37 +228,80 @@ def random_trinity(rng: random.Random, max_edges: int = 8) -> Trinity:
     return build_trinity(m, bipartition(m), outer_face=0)
 
 
+# The fixture graphs by name, each also a document ``<name>.json`` in the
+# package's fixtures directory.
+FIXTURES = {"single_edge": single_edge_trinity, "g1": g1_trinity, "fig7": fig7_trinity}
+CHUNKS = range(10)
+# One case per fixture and per chunk of the seeded corpus.
+CASES = (*FIXTURES, *CHUNKS)
+
+
+def corpus(chunk: int) -> list[Trinity]:
+    """Chunk 0-9 of the seeded corpus: 20 random plane bipartite trinities
+    from the seed 9000 + chunk, 200 graphs over all ten chunks."""
+    rng = random.Random(9000 + chunk)
+    return [random_trinity(rng) for _ in range(20)]
+
+
+def graphs(*cases: str | int) -> list[Trinity]:
+    """The trinities of the cases, in order: a fixture by name (``"g1"``),
+    the plane grid of a shape (``"3x4"`` is ``grid_trinity(3, 4)``), or a
+    chunk of the seeded corpus (``0`` to ``9``)."""
+    found = []
+    for case in cases:
+        if isinstance(case, int):
+            found += corpus(case)
+        elif case in FIXTURES:
+            found.append(FIXTURES[case]())
+        else:
+            rows, columns = map(int, case.split("x"))
+            found.append(grid_trinity(rows, columns))
+    return found
+
+
+def case_id(case: str | int) -> str:
+    """The test id of a case: a fixture by the name of its builder
+    (``"g1_trinity"``), a grid shape or a chunk as itself."""
+    return f"{case}_trinity" if case in FIXTURES else str(case)
+
+
+def grouped(grids_id: str, *shapes: str) -> list:
+    """The items of a test that takes the three fixtures as one item
+    ``fixtures``, its grid shapes as one item ``grids_id`` and each corpus
+    chunk as an item of its own; each item is a tuple of cases for
+    ``graphs``."""
+    return [
+        pytest.param(tuple(FIXTURES), id="fixtures"),
+        pytest.param(shapes, id=grids_id),
+        *(pytest.param((chunk,), id=str(chunk)) for chunk in CHUNKS),
+    ]
+
+
+def fixture_path(name: str) -> str:
+    """The path of the fixture document ``name``, such as ``"g1.json"``."""
+    return str(resources.files("trinities") / "fixtures" / name)
+
+
 def negate(points):
     """The point set -P, canonically ordered."""
     return canonical_lattice_set(tuple(-x for x in p) for p in points)
 
 
-def count_calls(monkeypatch, module, name):
-    """Replace module.name by a wrapper; returns the list of its call arguments."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def patch_everywhere(monkeypatch, module, name, replacement):
-    """Set module.name to ``replacement`` at every library module that binds
-    that name to the same function, so no import of it escapes."""
+    """Set module.name to ``replacement``, and at every library module that
+    binds that name to the same function, so no import of it escapes."""
     original = getattr(module, name)
+    monkeypatch.setattr(module, name, replacement)
     for info in pkgutil.iter_modules(trinities.__path__):
         binder = import_module(f"trinities.{info.name}")
         if getattr(binder, name, None) is original:
             monkeypatch.setattr(binder, name, replacement)
 
 
-def count_calls_everywhere(monkeypatch, module, name):
-    """``count_calls`` at every library module that binds module.name to the
-    same function, so a call through any import of it is counted."""
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name, and the same function at every library module that
+    binds it, so a call through any of them is counted; returns the list of
+    the call arguments. No other test module is patched."""
     calls = []
     original = getattr(module, name)
 

@@ -13,7 +13,8 @@ matching is listed: the matchings are counted."""
 
 import pkgutil
 from collections import Counter
-from importlib import import_module, resources
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -36,13 +37,13 @@ from trinities.trinity import (
     magic_number_report,
 )
 
-from helpers import count_calls, count_calls_everywhere, document_text, grid_trinity
+from helpers import count_calls, document_text, fixture_path, grid_trinity
 
-FIG7 = str(resources.files("trinities") / "fixtures" / "fig7.json")
+FIG7 = fixture_path("fig7.json")
 
 
 def load_fig7():
-    doc = parse_graph_document((resources.files("trinities") / "fixtures" / "fig7.json").read_text())
+    doc = parse_graph_document(Path(FIG7).read_text())
     m, bip, outer = document_to_map(doc)
     return doc, build_trinity(m, bip, outer_face=outer)
 
@@ -86,7 +87,7 @@ def test_verify_builds_each_hypertree_lattice_once(monkeypatch, capsys):
 
 def test_verify_triangulates_once_per_colour_and_root(monkeypatch, capsys):
     # The link identity reuses the red triangulation at the default root.
-    calls = count_calls_everywhere(monkeypatch, trinity, "enumerate_arborescences")
+    calls = count_calls(monkeypatch, trinity, "enumerate_arborescences")
     certified = count_calls(monkeypatch, polytopes, "ridge_certificate")
     assert main(["verify", FIG7]) == EXIT_OK
     assert '"ok": true' in capsys.readouterr().out
@@ -99,7 +100,7 @@ def test_verify_triangulates_once_per_colour_and_root(monkeypatch, capsys):
 def test_report_triangulates_each_red_root_and_the_other_default_roots_once(monkeypatch, capsys):
     # The red listing reads every red root; the violet and emerald hypertree
     # polytopes read the certified trees at their default roots only.
-    calls = count_calls_everywhere(monkeypatch, trinity, "enumerate_arborescences")
+    calls = count_calls(monkeypatch, trinity, "enumerate_arborescences")
     certified = count_calls(monkeypatch, polytopes, "ridge_certificate")
     assert main(["report", FIG7]) == EXIT_OK
     assert '"triangulations_red"' in capsys.readouterr().out
@@ -126,7 +127,7 @@ def test_two_trinities_of_one_document_derive_separately(monkeypatch):
 def test_default_and_explicit_root_share_one_triangulation(monkeypatch):
     # The h-vector and the hypertree polytope pass the default root, so an
     # explicit call at that root and the link identity reuse their trees.
-    calls = count_calls_everywhere(monkeypatch, trinity, "enumerate_arborescences")
+    calls = count_calls(monkeypatch, trinity, "enumerate_arborescences")
     _doc, t = load_fig7()
     root = default_root(t, RED)
     polytopes.h_vector(t, RED)
@@ -178,7 +179,7 @@ def test_the_incidences_build_no_colour_graph(monkeypatch, capsys):
     # hyperedges and root polytope need no map; the spanning trees dual to a
     # colour's arborescences are their complements in the directed dual's
     # edge ids, so neither a report nor verify builds a colour graph.
-    calls = count_calls_everywhere(monkeypatch, trinity, "colour_graph")
+    calls = count_calls(monkeypatch, trinity, "colour_graph")
     _doc, t = load_fig7()
     for code in HYPERGRAPH_CODES:
         polytopes._hyperedges_of(t, code)
@@ -203,7 +204,7 @@ def test_report_builds_one_median_diagram(monkeypatch):
 
 
 def test_report_reads_the_support_once_and_verify_never(monkeypatch, capsys):
-    calls = count_calls_everywhere(monkeypatch, floer, "sfh_support")
+    calls = count_calls(monkeypatch, floer, "sfh_support")
     doc, t = load_fig7()
     build_report(doc, t, crossing_cap=16, emit_pd=False)
     assert len(calls) == 1
@@ -215,7 +216,7 @@ def test_report_reads_the_support_once_and_verify_never(monkeypatch, capsys):
 def test_main_builds_its_parser_once(capsys):
     cli.make_parser.cache_clear()
     for _ in range(2):
-        assert main(["verify", str(resources.files("trinities") / "fixtures" / "g1.json")]) == EXIT_OK
+        assert main(["verify", fixture_path("g1.json")]) == EXIT_OK
     assert '"ok": true' in capsys.readouterr().out
     assert cli.make_parser.cache_info().misses == 1
 
@@ -228,7 +229,7 @@ def test_every_derived_value_hashes_after_report_and_verify(monkeypatch, capsys,
         path = tmp_path / "grid3x3.json"
         path.write_text(document_text(grid_trinity(3, 3)))
     else:
-        path = resources.files("trinities") / "fixtures" / source
+        path = fixture_path(source)
     loaded = []
 
     def load(*args, **kwargs):

@@ -2,7 +2,7 @@ import gc
 import json
 import random
 import types
-from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -23,15 +23,11 @@ from trinities.documents import (
 from trinities import trinity
 from trinities.trinity import VIOLET, build_trinity, default_root, directed_dual, magic_number_report
 
-from helpers import bipartition, document_text, grid_trinity, patch_everywhere
-
-
-def fixture_path(name: str) -> str:
-    return str(resources.files("trinities") / "fixtures" / name)
+from helpers import bipartition, document_text, fixture_path, grid_trinity, patch_everywhere
 
 
 def fixture_text(name: str) -> str:
-    return (resources.files("trinities") / "fixtures" / name).read_text()
+    return Path(fixture_path(name)).read_text()
 
 
 @pytest.mark.parametrize("name", ["g1.json", "single_edge.json", "fig7.json"])

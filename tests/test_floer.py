@@ -1,16 +1,11 @@
 import json
-from importlib import resources
 
 from trinities import polytopes
 from trinities.cli import EXIT_CHECKS_FAILED, EXIT_OK, main
 from trinities.floer import canonical_translate, sfh_support, tight_contact_count
 from trinities.trinity import COLOURS, magic_number_report
 
-from helpers import fig7_trinity, g1_trinity, negate, patch_everywhere, single_edge_trinity
-
-
-def fixture_path(name):
-    return str(resources.files("trinities") / "fixtures" / name)
+from helpers import fig7_trinity, fixture_path, g1_trinity, negate, patch_everywhere, single_edge_trinity
 
 
 def test_canonical_translate():

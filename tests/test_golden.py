@@ -6,14 +6,13 @@ same way, by the sha256 of their stdout under ``--crossing-cap 40``."""
 
 import hashlib
 import json
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from trinities.cli import main
 
-from helpers import document_text, grid_trinity
+from helpers import document_text, fixture_path, grid_trinity
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
@@ -21,7 +20,7 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 @pytest.mark.parametrize("command", ["report", "verify"])
 @pytest.mark.parametrize("name", ["single_edge", "g1", "fig7"])
 def test_fixture_output_is_the_golden_bytes(capsys, name, command):
-    path = str(resources.files("trinities") / "fixtures" / f"{name}.json")
+    path = fixture_path(f"{name}.json")
     code = main([command, path])
     out = capsys.readouterr().out
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))

@@ -7,9 +7,6 @@ through the arborescence enumeration; the violet and emerald hypertree
 polytopes, and so ``report``, refuse a swapped tree; and ``verify`` names
 each root whose trees miss a hypertree."""
 
-import random
-from importlib import resources
-
 import pytest
 
 from trinities import polytopes
@@ -36,13 +33,16 @@ from trinities.trinity import (
 )
 
 from helpers import (
+    CASES,
+    CHUNKS,
+    case_id,
+    corpus,
     document_text,
     enumerate_trees_as,
     fig7_trinity,
-    g1_trinity,
+    fixture_path,
+    graphs,
     grid_trinity,
-    random_trinity,
-    single_edge_trinity,
     tree_hypertrees,
     uncertified_trees,
 )
@@ -55,29 +55,15 @@ from oracles import (
     tree_simplices_meet_in_common_face,
 )
 
-FIXTURES = [single_edge_trinity, g1_trinity, fig7_trinity]
-
-
-def corpus(chunk):
-    # The same seeded corpus as test_random_properties.
-    rng = random.Random(9000 + chunk)
-    return [random_trinity(rng) for _ in range(20)]
-
-
 def assert_mu_lattice_is_the_spanning_tree_route(t):
     for code in HYPERGRAPH_CODES:
         cm, _x_ids, y_ids = hypergraph_view(t, code)
         assert polytopes.hypertree_set(t, code) == hypertree_set_of_graph(cm, y_ids), code
 
 
-@pytest.mark.parametrize("build", FIXTURES)
-def test_mu_lattice_is_the_spanning_tree_route_on_fixtures(build):
-    assert_mu_lattice_is_the_spanning_tree_route(build())
-
-
-@pytest.mark.parametrize("chunk", range(10))
-def test_mu_lattice_is_the_spanning_tree_route_on_the_corpus(chunk):
-    for t in corpus(chunk):
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_mu_lattice_is_the_spanning_tree_route(case):
+    for t in graphs(case):
         assert_mu_lattice_is_the_spanning_tree_route(t)
 
 
@@ -88,24 +74,15 @@ def test_mu_lattice_is_the_spanning_tree_route_on_grids(rows, columns, magic):
     assert {len(polytopes.hypertree_set(t, code)) for code in HYPERGRAPH_CODES} == {magic}
 
 
-def assert_triangulation_trees_biject_onto_hypertrees(t):
-    for code in HYPERGRAPH_CODES:
-        colour = colour_of_hypergraph(code)
-        for root in directed_dual(t, colour).vertices:
-            tree_sets = arborescence_triangulation(t, colour, root)  # a triangulation: validated
-            # Sorted with repeats kept, so equality is a bijection.
-            assert tree_hypertrees(t, code, tree_sets) == polytopes.hypertree_set(t, code), (code, root)
-
-
-@pytest.mark.parametrize("build", FIXTURES)
-def test_triangulation_trees_biject_onto_hypertrees_on_fixtures(build):
-    assert_triangulation_trees_biject_onto_hypertrees(build())
-
-
-@pytest.mark.parametrize("chunk", range(10))
-def test_triangulation_trees_biject_onto_hypertrees_on_the_corpus(chunk):
-    for t in corpus(chunk):
-        assert_triangulation_trees_biject_onto_hypertrees(t)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_triangulation_trees_biject_onto_hypertrees(case):
+    for t in graphs(case):
+        for code in HYPERGRAPH_CODES:
+            colour = colour_of_hypergraph(code)
+            for root in directed_dual(t, colour).vertices:
+                tree_sets = arborescence_triangulation(t, colour, root)  # a triangulation: validated
+                # Sorted with repeats kept, so equality is a bijection.
+                assert tree_hypertrees(t, code, tree_sets) == polytopes.hypertree_set(t, code), (code, root)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +94,7 @@ def parallel_edge_case(colour=RED):
     """A corpus trinity whose default-root triangulation of the colour has at
     least two trees, with (tree index, edge of that tree, a parallel copy of
     the edge): another edge of the colour graph with the same ends."""
-    for chunk in range(10):
+    for chunk in CHUNKS:
         for t in corpus(chunk):
             ends = incidence(t, COLOUR_SELECTORS[colour])[0]
             tree_sets = uncertified_trees(t, colour, default_root(t, colour))
@@ -207,7 +184,7 @@ def same_hypertrees_swap(colour):
     tree swapped for a spanning tree with the same hypertrees on both sides
     but another simplex: the two hypertree sets come out right, and only a
     certificate sees that the simplices no longer triangulate."""
-    for chunk in range(10):
+    for chunk in CHUNKS:
         for t in corpus(chunk):
             ends = incidence(t, COLOUR_SELECTORS[colour])[0]
             tree_sets = uncertified_trees(t, colour, default_root(t, colour))
@@ -240,7 +217,7 @@ def test_a_swapped_tree_fails_the_hypertree_polytope_and_the_report(monkeypatch,
 def test_verify_names_a_colour_whose_triangulation_misses_a_hypertree(monkeypatch, capsys, colour):
     # Each root's first tree dropped: the trees miss that tree's hypertree
     # and are no triangulation, at every root of the colour.
-    fig7 = str(resources.files("trinities") / "fixtures" / "fig7.json")
+    fig7 = fixture_path("fig7.json")
     t = fig7_trinity()
     roots = directed_dual(t, colour).vertices
     for root in roots:

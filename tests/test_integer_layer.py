@@ -16,7 +16,7 @@ from trinities.polytopes import (
 )
 from trinities.trinity import COLOUR_SELECTORS, COLOURS, HYPERGRAPH_CODES, default_root
 
-from helpers import fig7_trinity, g1_trinity, single_edge_trinity
+from helpers import FIXTURES, case_id, graphs
 from oracles import tree_simplex
 
 FRACTION_IMPORTERS = {"linalg", "geometry"}
@@ -26,9 +26,9 @@ def coordinates(points):
     return [x for p in points for x in p]
 
 
-@pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
-def test_fixture_polytopes_have_int_coordinates(build):
-    t = build()
+@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
+def test_fixture_polytopes_have_int_coordinates(case):
+    (t,) = graphs(case)
     values = []
     for code in HYPERGRAPH_CODES:
         rp = root_polytope_of(t, code)

@@ -10,11 +10,13 @@ the hand-keyed memo with its twin builders, the forwarding hypertree reader
 and the reachability filter of the arborescence enumeration are gone from
 the library; a trinity stores no triangles and a directed dual no copy of
 the white triangles; only ``maps.derived`` keeps a value on an object; the
-library modules import each other in no cycle; and ``trees`` only binds, for
-the benchmark, names that live in ``trinity`` and ``polytopes``."""
+library modules import each other in no cycle; ``trees`` only binds, for
+the benchmark, names that live in ``trinity`` and ``polytopes``; and only
+``tests/helpers.py`` seeds the corpus or spells the fixtures directory."""
 
 import ast
 import dataclasses
+import re
 from collections import Counter
 from importlib import import_module
 from pathlib import Path
@@ -23,6 +25,7 @@ from trinities.trinity import DirectedDual, Trinity
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "trinities").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 MOVED = {
@@ -271,3 +274,14 @@ def test_trees_only_binds_names_that_live_elsewhere():
     for name, home in TREES_BINDINGS.items():
         assert getattr(import_module("trinities.trees"), name) is getattr(import_module(f"trinities.{home}"), name)
     assert [name for name, imports in module_imports().items() if "trees" in imports] == []
+
+
+# A corpus seed, or a path through the fixtures directory.
+BUILDS_THE_CASES = re.compile(r"Random\(9000|[/] ?[\"']fixtures[\"'/]|[/]fixtures[/]")
+
+
+def test_only_the_helpers_seed_the_corpus_or_spell_the_fixtures_directory():
+    # Every cross-route test reads its fixtures, grids and corpus chunks
+    # from ``helpers.graphs`` and its documents from ``helpers.fixture_path``.
+    spelling = [path.name for path in TESTS if BUILDS_THE_CASES.search(path.read_text(encoding="utf-8"))]
+    assert spelling == ["helpers.py"]

@@ -28,17 +28,19 @@ from trinities.polytopes import arborescence_triangulation
 from trinities.trinity import RED
 
 from helpers import (
+    FIXTURES,
     bipartition,
+    case_id,
     count_calls,
     fig7_map,
     fig7_trinity,
     g1_map,
     g1_trinity,
+    graphs,
     grid_trinity,
     mirror,
     permute_edge_ids,
     random_trinity,
-    single_edge_trinity,
     switched,
 )
 import oracles
@@ -308,9 +310,10 @@ def test_negative_crossings_agree_with_the_oracle(every, skein_counts):
     assert assert_agrees_with_the_oracles(skein_counts, mirror(d)) == flipped
 
 
-@pytest.mark.parametrize("build", (single_edge_trinity, g1_trinity, fig7_trinity))
-def test_skein_is_the_relabeling_oracle_on_fixtures(build, skein_counts):
-    d = median_diagram_of(build())
+@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
+def test_skein_is_the_relabeling_oracle_on_fixtures(case, skein_counts):
+    (t,) = graphs(case)
+    d = median_diagram_of(t)
     for dd in (d, mirror(d)):
         assert_agrees_with_the_oracles(skein_counts, dd)
 

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from trinities.maps import (
@@ -18,13 +16,11 @@ from helpers import (
     G1_ROTATIONS,
     NotBipartiteError,
     bipartition,
-    fig7_map,
     g1_map,
-    grid_trinity,
+    graphs,
+    grouped,
     maps_isomorphic,
     planar_dual,
-    random_plane_bipartite,
-    single_edge_trinity,
 )
 
 
@@ -116,23 +112,12 @@ def test_rotation_order_is_respected():
     assert m.sigma[1] == 5 and m.sigma[5] == 3 and m.sigma[3] == 1
 
 
-def canonical_cycle_cases(case):
-    """The fixture maps, the 2x3 to 4x4 grids, or a chunk of the seeded
-    corpus of test_random_properties."""
-    if case == "fixtures":
-        return [single_edge_trinity().map, g1_map(), fig7_map()]
-    if case == "grids":
-        return [grid_trinity(r, c).map for r, c in ((2, 3), (3, 3), (3, 4), (4, 4))]
-    rng = random.Random(9000 + case)
-    return [random_plane_bipartite(rng) for _ in range(20)]
-
-
-@pytest.mark.parametrize("case", ["fixtures", "grids", *range(10)])
-def test_canonical_face_ordering(case):
+@pytest.mark.parametrize("cases", grouped("grids", "2x3", "3x3", "3x4", "4x4"))
+def test_canonical_face_ordering(cases):
     # Each face is a next(d) cycle from its smallest dart, the faces come in
     # the order of that dart and partition the darts, and each vertex's darts
     # are its sigma cycle from its smallest dart.
-    for m in canonical_cycle_cases(case):
+    for m in (t.map for t in graphs(*cases)):
         for orbit in m.faces:
             assert orbit[0] == min(orbit)
             assert [next_in_face(m, d) for d in orbit] == [*orbit[1:], orbit[0]]

@@ -1,6 +1,4 @@
-import random
 from fractions import Fraction
-from importlib import resources
 from itertools import product
 
 import pytest
@@ -30,13 +28,18 @@ from trinities.trinity import (
 )
 
 from helpers import (
+    CHUNKS,
+    FIXTURES,
     bipartition,
-    count_calls_everywhere,
+    case_id,
+    corpus,
+    count_calls,
     enumerate_trees_as,
     fig7_trinity,
+    fixture_path,
     g1_map,
     g1_trinity,
-    random_trinity,
+    graphs,
     single_edge_trinity,
     uncertified_trees,
 )
@@ -219,17 +222,16 @@ def assert_matches_lp_path(t):
             assert tp.vertices == vertices, (code, build.__name__)
 
 
-@pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
-def test_fixture_polytopes_match_the_lp_path(build):
-    assert_matches_lp_path(build())
+@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
+def test_fixture_polytopes_match_the_lp_path(case):
+    for t in graphs(case):
+        assert_matches_lp_path(t)
 
 
-@pytest.mark.parametrize("chunk", range(10))
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_corpus_polytopes_match_the_lp_path(chunk):
-    # The same seeded corpus as test_random_properties.
-    rng = random.Random(9000 + chunk)
-    for _ in range(20):
-        assert_matches_lp_path(random_trinity(rng))
+    for t in corpus(chunk):
+        assert_matches_lp_path(t)
 
 
 def _drop_last(points):
@@ -319,7 +321,7 @@ def test_root_polytope_listing_lattice_points_are_the_generators():
 
 def test_root_listing_solves_no_lp(monkeypatch, capsys):
     counted = [
-        count_calls_everywhere(monkeypatch, module, name)
+        count_calls(monkeypatch, module, name)
         for module, name in (
             (linalg, "lp_solve"),
             (linalg, "fvec"),
@@ -328,7 +330,7 @@ def test_root_listing_solves_no_lp(monkeypatch, capsys):
         )
     ]
     for fixture in ("g1.json", "fig7.json"):
-        path = str(resources.files("trinities") / "fixtures" / fixture)
+        path = fixture_path(fixture)
         for code in HYPERGRAPH_CODES:
             assert main(["polytope", path, "--hypergraph", code, "--which", "root"]) == EXIT_OK
     assert '"lattice_points"' in capsys.readouterr().out

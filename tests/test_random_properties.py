@@ -1,4 +1,5 @@
-"""Property tests over a seeded corpus of random plane bipartite maps.
+"""Property tests over the seeded corpus of random plane bipartite maps
+(``helpers.corpus``).
 
 Every invariant of every module must hold on every graph: the routes to the
 magic number agree, the polytope dualities hold, the arborescence
@@ -37,19 +38,11 @@ from trinities.trinity import (
     magic_number_report,
 )
 
-from helpers import mirror, random_trinity
+from helpers import CHUNKS, corpus, mirror, random_trinity
 from oracles import slice_matches_scaled_gp, tree_simplex
 
-N_CHUNKS = 10
-GRAPHS_PER_CHUNK = 20  # 200 graphs in total
 
-
-def corpus(chunk):
-    rng = random.Random(9000 + chunk)
-    return [random_trinity(rng) for _ in range(GRAPHS_PER_CHUNK)]
-
-
-@pytest.mark.parametrize("chunk", range(N_CHUNKS))
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_all_invariants_on_random_graphs(chunk):
     for k, t in enumerate(corpus(chunk)):
         report = magic_number_report(t)

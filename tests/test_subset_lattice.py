@@ -22,13 +22,15 @@ from trinities.trinity import (
 )
 
 from helpers import (
+    CHUNKS,
+    FIXTURES,
     bipartition,
-    fig7_trinity,
-    g1_trinity,
+    case_id,
+    corpus,
+    graphs,
     grid_trinity,
+    grouped,
     permute_edge_ids,
-    random_trinity,
-    single_edge_trinity,
 )
 from oracles import affine_dim, hypergraph_view, subset_lattice, subset_vertices
 
@@ -49,17 +51,16 @@ def assert_walks_agree(t):
         assert polytopes._subset_lattice(bound, n) == subset_lattice(bound, n), label
 
 
-@pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
-def test_walk_is_the_oracle_on_the_fixtures(build):
-    assert_walks_agree(build())
+@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
+def test_walk_is_the_oracle_on_the_fixtures(case):
+    for t in graphs(case):
+        assert_walks_agree(t)
 
 
-@pytest.mark.parametrize("chunk", range(10))
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_walk_is_the_oracle_on_the_corpus(chunk):
-    # The seeded corpus of test_random_properties: 200 graphs.
-    rng = random.Random(9000 + chunk)
-    for _ in range(20):
-        assert_walks_agree(random_trinity(rng))
+    for t in corpus(chunk):
+        assert_walks_agree(t)
 
 
 @pytest.mark.parametrize("rows, columns", [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (3, 5), (4, 4)])
@@ -76,16 +77,16 @@ def assert_vertex_rules_agree(t):
         assert polytopes._vertices_and_dim(points)[0] == subset_vertices(bound, n, points), label
 
 
-@pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
-def test_vertex_rule_is_the_rank_test_on_the_fixtures(build):
-    assert_vertex_rules_agree(build())
+@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
+def test_vertex_rule_is_the_rank_test_on_the_fixtures(case):
+    for t in graphs(case):
+        assert_vertex_rules_agree(t)
 
 
-@pytest.mark.parametrize("chunk", range(10))
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_vertex_rule_is_the_rank_test_on_the_corpus(chunk):
-    rng = random.Random(9000 + chunk)
-    for _ in range(20):
-        assert_vertex_rules_agree(random_trinity(rng))
+    for t in corpus(chunk):
+        assert_vertex_rules_agree(t)
 
 
 @pytest.mark.parametrize("rows, columns", [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (3, 5)])
@@ -135,19 +136,9 @@ def test_vertex_rule_reads_the_exchanges_of_any_point_set(n):
         assert polytopes._vertices_and_dim(points)[0] == exchange_vertices(points), (k, points)
 
 
-def dimension_cases(case):
-    """The fixtures, a chunk of the seeded corpus, or the 3x4 and 4x4 grids."""
-    if case == "fixtures":
-        return [single_edge_trinity(), g1_trinity(), fig7_trinity()]
-    if case == "grids":
-        return [grid_trinity(3, 4), grid_trinity(4, 4)]
-    rng = random.Random(9000 + case)
-    return [random_trinity(rng) for _ in range(20)]
-
-
-@pytest.mark.parametrize("case", ["fixtures", *range(10), "grids"])
-def test_dimension_rules_are_the_rank_of_the_vertices(case):
-    for t in dimension_cases(case):
+@pytest.mark.parametrize("cases", grouped("grids", "3x4", "4x4"))
+def test_dimension_rules_are_the_rank_of_the_vertices(cases):
+    for t in graphs(*cases):
         for code in HYPERGRAPH_CODES:
             for build in (polytopes.gp_polytope_of, polytopes.trimmed_gp_of, polytopes.hypertree_polytope_of):
                 tp = build(t, code)

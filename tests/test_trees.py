@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from trinities.maps import build_map
@@ -19,11 +17,10 @@ from helpers import (
     G1_EDGES,
     dual_tree,
     g1_map,
-    fig7_trinity,
     g1_trinity,
-    grid_trinity,
+    graphs,
+    grouped,
     planar_dual,
-    random_trinity,
     single_edge_trinity,
     tree_hypertrees,
     uncertified_trees,
@@ -81,23 +78,12 @@ def test_g1_hypertree_sets():
     assert hypertree_set(t, "RE") == ((0, 1), (1, 0))
 
 
-def trinities_of(case):
-    """The fixtures, the 2x3 to 4x4 grids, or a chunk of the seeded corpus
-    of test_random_properties."""
-    if case == "fixtures":
-        return [single_edge_trinity(), g1_trinity(), fig7_trinity()]
-    if case == "grids":
-        return [grid_trinity(r, c) for r, c in ((2, 3), (3, 3), (3, 4), (4, 4))]
-    rng = random.Random(9000 + case)
-    return [random_trinity(rng) for _ in range(20)]
-
-
-@pytest.mark.parametrize("case", ["fixtures", "grids", *range(10)])
-def test_arborescence_count_matches_enumeration(case):
+@pytest.mark.parametrize("cases", grouped("grids", "2x3", "3x3", "3x4", "4x4"))
+def test_arborescence_count_matches_enumeration(cases):
     # At every colour and root the walk lists what generating every choice
     # of in-edges and testing each finds, and the matrix-tree count is its
     # length.
-    for t in trinities_of(case):
+    for t in graphs(*cases):
         for colour in COLOURS:
             dd = directed_dual(t, colour)
             for root in dd.vertices:

@@ -15,7 +15,7 @@ import pkgutil
 import random
 import re
 from collections import Counter
-from importlib import import_module, resources
+from importlib import import_module
 from itertools import combinations
 
 import pytest
@@ -37,12 +37,18 @@ from trinities.trinity import (
 )
 
 from helpers import (
-    count_calls_everywhere,
+    CASES,
+    CHUNKS,
+    FIXTURES,
+    case_id,
+    corpus,
+    count_calls,
     enumerate_trees_as,
-    fig7_trinity,
+    fixture_path,
     g1_trinity,
+    graphs,
     grid_trinity,
-    random_trinity,
+    grouped,
     single_edge_trinity,
     uncertified_trees,
 )
@@ -61,16 +67,6 @@ from oracles import (
 
 RIDGE_FAILURE = "triangulation (boundary|interior) ridge"
 POINT_FAILURE = "triangulation covers a generic point"
-
-FIXTURES = [single_edge_trinity, g1_trinity, fig7_trinity]
-GRIDS = [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4)]
-
-
-def corpus(chunk):
-    # The same seeded corpus as test_random_properties.
-    rng = random.Random(9000 + chunk)
-    return [random_trinity(rng) for _ in range(20)]
-
 
 def tree_pairs(t, colour, limit=None):
     """Pairs of spanning trees of the colour graph: all of them, or a seeded
@@ -96,57 +92,40 @@ def lemma_disagreements(t, limit=None):
     return checked, failing, wrong
 
 
-@pytest.mark.parametrize("build", FIXTURES)
-def test_lemma_12_6_agrees_with_the_lp_on_fixture_tree_pairs(build):
-    checked, failing, wrong = lemma_disagreements(build(), limit=150)
+@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
+def test_lemma_12_6_agrees_with_the_lp_on_fixture_tree_pairs(case):
+    (t,) = graphs(case)
+    checked, failing, wrong = lemma_disagreements(t, limit=150)
     assert not wrong
-    if build is not single_edge_trinity:
+    if case != "single_edge":
         # Both answers occur: the lemma is not vacuously true here.
         assert 0 < failing < checked
 
 
-@pytest.mark.parametrize("chunk", range(10))
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_lemma_12_6_agrees_with_the_lp_on_corpus_tree_pairs(chunk):
     for t in corpus(chunk):
         assert not lemma_disagreements(t)[2]
 
 
-def assert_placing_volume_is_the_hypertree_count(t):
-    for code in HYPERGRAPH_CODES:
-        rp = root_polytope_of(t, code)
-        assert total_normalized_volume(rp.vertices) == len(polytopes.hypertree_set(t, code)), code
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_placing_volume_is_the_hypertree_count(case):
+    for t in graphs(case):
+        for code in HYPERGRAPH_CODES:
+            rp = root_polytope_of(t, code)
+            assert total_normalized_volume(rp.vertices) == len(polytopes.hypertree_set(t, code)), code
 
 
-@pytest.mark.parametrize("build", FIXTURES)
-def test_placing_volume_is_the_hypertree_count_on_fixtures(build):
-    assert_placing_volume_is_the_hypertree_count(build())
-
-
-@pytest.mark.parametrize("chunk", range(10))
-def test_placing_volume_is_the_hypertree_count_on_the_corpus(chunk):
-    for t in corpus(chunk):
-        assert_placing_volume_is_the_hypertree_count(t)
-
-
-def assert_tree_and_placing_simplices_are_unimodular(t):
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_tree_and_placing_simplices_are_unimodular(case):
     # Postnikov's Lemma 12.5, which the library takes as a theorem.
-    for colour in COLOURS:
-        rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
-        for tree in spanning_trees_of_map(colour_graph(t, colour)[0]):
-            assert simplex_normalized_volume(tree_simplex(rp, tree)) == 1, (colour, tree)
-        for s in placing_triangulation(rp.vertices):
-            assert simplex_normalized_volume([rp.vertices[i] for i in s]) == 1, (colour, s)
-
-
-@pytest.mark.parametrize("build", FIXTURES)
-def test_tree_and_placing_simplices_are_unimodular_on_fixtures(build):
-    assert_tree_and_placing_simplices_are_unimodular(build())
-
-
-@pytest.mark.parametrize("chunk", range(10))
-def test_tree_and_placing_simplices_are_unimodular_on_the_corpus(chunk):
-    for t in corpus(chunk):
-        assert_tree_and_placing_simplices_are_unimodular(t)
+    for t in graphs(case):
+        for colour in COLOURS:
+            rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
+            for tree in spanning_trees_of_map(colour_graph(t, colour)[0]):
+                assert simplex_normalized_volume(tree_simplex(rp, tree)) == 1, (colour, tree)
+            for s in placing_triangulation(rp.vertices):
+                assert simplex_normalized_volume([rp.vertices[i] for i in s]) == 1, (colour, s)
 
 
 def assert_the_sign_rule_finds_the_generic_point(t):
@@ -160,18 +139,19 @@ def assert_the_sign_rule_finds_the_generic_point(t):
             holds = simplex_holds_point(tree_simplex(rp, tree), p)
             assert polytopes._certificate_pass(rp, (tree,))[1] == holds, (colour, tree)
             held += holds
-    return held
+    assert held >= len(COLOURS)
 
 
-@pytest.mark.parametrize("build", FIXTURES)
-def test_the_sign_rule_finds_the_generic_point_on_fixtures(build):
-    assert assert_the_sign_rule_finds_the_generic_point(build()) >= len(COLOURS)
+@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
+def test_the_sign_rule_finds_the_generic_point_on_fixtures(case):
+    for t in graphs(case):
+        assert_the_sign_rule_finds_the_generic_point(t)
 
 
-@pytest.mark.parametrize("chunk", range(10))
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_the_sign_rule_finds_the_generic_point_on_the_corpus(chunk):
     for t in corpus(chunk):
-        assert assert_the_sign_rule_finds_the_generic_point(t) >= len(COLOURS)
+        assert_the_sign_rule_finds_the_generic_point(t)
 
 
 def face_counts(simplices):
@@ -180,30 +160,27 @@ def face_counts(simplices):
     return tuple(sum(1 for f in faces if len(f) == k) for k in range(len(simplices[0]) + 1))
 
 
-def f_vector_cases(case):
+def f_vector_cases(cases):
     """(trinity, colour, root) of triangulations whose f-vector, read off the
     interior polynomial, is compared with their faces: every colour at the
-    default root of a corpus chunk, every root of every colour of the
-    fixtures, and the red default root of the plane grids 2x3 to 3x4."""
-    if case == "fixtures":
-        for build in FIXTURES:
-            t = build()
-            for colour in COLOURS:
-                for root in directed_dual(t, colour).vertices:
-                    yield t, colour, root
-    elif case == "grids":
-        for rows, columns in GRIDS:
-            t = grid_trinity(rows, columns)
-            yield t, RED, default_root(t, RED)
-    else:
-        for t in corpus(case):
-            for colour in COLOURS:
-                yield t, colour, default_root(t, colour)
+    default root of a corpus chunk, every root of every colour of a fixture,
+    and the red default root of a plane grid."""
+    for case in cases:
+        for t in graphs(case):
+            if case in FIXTURES:
+                for colour in COLOURS:
+                    for root in directed_dual(t, colour).vertices:
+                        yield t, colour, root
+            elif case in CHUNKS:
+                for colour in COLOURS:
+                    yield t, colour, default_root(t, colour)
+            else:
+                yield t, RED, default_root(t, RED)
 
 
-@pytest.mark.parametrize("case", [*range(10), "fixtures", "grids"])
-def test_f_vector_counts_the_faces_of_the_tree_simplices(case):
-    for t, colour, root in f_vector_cases(case):
+@pytest.mark.parametrize("cases", grouped("grids", "2x3", "2x4", "3x3", "2x5", "3x4"))
+def test_f_vector_counts_the_faces_of_the_tree_simplices(cases):
+    for t, colour, root in f_vector_cases(cases):
         rp = root_polytope_of(t, COLOUR_SELECTORS[colour])
         simplices = [tree_simplex(rp, tree) for tree in polytopes.arborescence_triangulation(t, colour, root)]
         assert polytopes.f_vector(t, colour) == face_counts(simplices)
@@ -211,7 +188,7 @@ def test_f_vector_counts_the_faces_of_the_tree_simplices(case):
         assert polytopes.h_vector(t, colour) is polytopes.h_vector(t, colour)
 
 
-@pytest.mark.parametrize("chunk", range(10))
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_the_interior_polynomial_ignores_the_coordinate_order_and_the_side(chunk):
     rng = random.Random(chunk)
     for t in corpus(chunk):
@@ -305,7 +282,7 @@ def mutation_verdicts(t, rng):
 
 def test_ridge_certificate_agrees_with_lemma_12_6_on_mutated_corpus_tree_sets():
     rng = random.Random(7000)
-    verdicts = [v for chunk in range(10) for t in corpus(chunk) for v in mutation_verdicts(t, rng)]
+    verdicts = [v for chunk in CHUNKS for t in corpus(chunk) for v in mutation_verdicts(t, rng)]
     assert [v for v in verdicts if v[0] != v[1]] == []
     # Both answers occur often: the agreement is not vacuous.
     rejected = sum(1 for certificate, _ in verdicts if not certificate)
@@ -358,8 +335,7 @@ def volume_oracle_verdicts(t, rng):
 
 def test_the_certificate_accepts_what_the_volume_oracle_accepts():
     rng = random.Random(7100)
-    graphs = [build() for build in FIXTURES] + [t for chunk in range(10) for t in corpus(chunk)]
-    verdicts = [v for t in graphs for v in volume_oracle_verdicts(t, rng)]
+    verdicts = [v for case in CASES for t in graphs(case) for v in volume_oracle_verdicts(t, rng)]
     assert [v for v in verdicts if v[0] != v[1]] == []
     accepted = sum(1 for certificate, _oracle, _ridges in verdicts if certificate)
     assert 1000 < accepted < len(verdicts) - 1000
@@ -447,10 +423,10 @@ def test_no_library_module_computes_a_volume():
 
 def test_verify_solves_no_lp(monkeypatch, capsys):
     counted = [
-        count_calls_everywhere(monkeypatch, module, name)
+        count_calls(monkeypatch, module, name)
         for module, name in ((linalg, "lp_solve"), (linalg, "fvec"), (geometry, "prune_to_vertices"))
     ]
-    fig7 = str(resources.files("trinities") / "fixtures" / "fig7.json")
+    fig7 = fixture_path("fig7.json")
     assert main(["report", fig7]) == EXIT_OK
     assert main(["verify", fig7]) == EXIT_OK
     assert '"ok": true' in capsys.readouterr().out

@@ -27,14 +27,19 @@ from trinities.trinity import (
 )
 
 from helpers import (
+    CHUNKS,
+    FIXTURES,
     bipartition,
+    case_id,
+    corpus,
     fig7_trinity,
     g1_map,
     g1_trinity,
+    graphs,
     grid_trinity,
+    grouped,
     patch_everywhere,
     permute_edge_ids,
-    random_trinity,
     single_edge_trinity,
 )
 from oracles import det_exact, enumerate_tutte_matchings, hypergraph_view, triangle_corners
@@ -159,9 +164,9 @@ def rerooted(t, root_triangle):
     return build_trinity(t.map, bip, outer_face=t.outer_face, root_triangle=root_triangle)
 
 
-@pytest.mark.parametrize("build", [single_edge_trinity, g1_trinity, fig7_trinity])
-def test_tutte_count_is_the_enumeration_at_every_root_of_the_fixtures(build):
-    t = build()
+@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
+def test_tutte_count_is_the_enumeration_at_every_root_of_the_fixtures(case):
+    (t,) = graphs(case)
     for w in t.white_triangles:
         tw = rerooted(t, w)
         assert count_tutte_matchings(tw) == len(enumerate_tutte_matchings(tw)), w
@@ -174,11 +179,8 @@ def test_single_edge_has_one_tutte_matching_the_empty_one():
 
 
 def test_tutte_count_is_the_enumeration_on_the_corpus():
-    # The seeded corpus of test_random_properties: 200 graphs.
-    for chunk in range(10):
-        rng = random.Random(9000 + chunk)
-        for k in range(20):
-            t = random_trinity(rng)
+    for chunk in CHUNKS:
+        for k, t in enumerate(corpus(chunk)):
             assert count_tutte_matchings(t) == len(enumerate_tutte_matchings(t)), (chunk, k)
 
 
@@ -258,24 +260,13 @@ def test_g1_colour_graphs():
     assert red_map is t.map
 
 
-def planar_dual_cases(case):
-    """The fixtures, the 2x3 to 4x4 grids, or a chunk of the seeded corpus of
-    test_random_properties."""
-    if case == "fixtures":
-        return [single_edge_trinity(), g1_trinity(), fig7_trinity()]
-    if case == "grids":
-        return [grid_trinity(r, c) for r, c in ((2, 3), (3, 3), (3, 4), (4, 4))]
-    rng = random.Random(9000 + case)
-    return [random_trinity(rng) for _ in range(20)]
-
-
-@pytest.mark.parametrize("case", ["fixtures", "grids", *range(10)])
-def test_each_colour_graph_is_the_oriented_planar_dual_of_its_directed_dual(case):
+@pytest.mark.parametrize("cases", grouped("grids", "2x3", "3x3", "3x4", "4x4"))
+def test_each_colour_graph_is_the_oriented_planar_dual_of_its_directed_dual(cases):
     # Directed-dual edge i crosses colour-graph edge i, from the face on its
     # right to the face on its left, read from the class-a end: the tail is
     # the black triangle's corner, the head the white one's. A mirrored
     # rotation system is still planar but swaps the two sides.
-    for t in planar_dual_cases(case):
+    for t in graphs(*cases):
         for colour in COLOURS:
             cm, bip = colour_graph(t, colour)
             dd = directed_dual(t, colour)
@@ -287,12 +278,12 @@ def test_each_colour_graph_is_the_oriented_planar_dual_of_its_directed_dual(case
                     assert crossing == {j for j, ends in enumerate(dd.edges) if end in ends}, (colour, i, dart)
 
 
-@pytest.mark.parametrize("case", ["fixtures", "grids", *range(10)])
-def test_every_corner_is_the_per_dart_reading(case):
+@pytest.mark.parametrize("cases", grouped("grids", "2x3", "3x3", "3x4", "4x4"))
+def test_every_corner_is_the_per_dart_reading(cases):
     # The corner rule against the reference reading of each dart; the white
     # triangles are the darts at the violet ends, one per edge; and each
     # adjacency-matrix column has its 1s at its triangle's non-root corners.
-    for t in planar_dual_cases(case):
+    for t in graphs(*cases):
         m = t.map
         for d in range(m.n_darts):
             assert tuple((c, t.corner(d, c)) for c in COLOURS) == triangle_corners(t, d), d
