@@ -43,8 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, repeat
-from operator import add, sub
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 from .geometry import (
@@ -117,22 +116,30 @@ def _coverage_bound(he: Sequence[tuple[int, ...]], n: int) -> list[int]:
 def _hypertree_bound(he: Sequence[tuple[int, ...]]) -> list[int]:
     """mu(S) = |N(S)| - c(S) over sets S of hyperedges (Kalman's hypertree
     polytope): N(S) is the union of S and c(S) the number of connected
-    components of the bipartite graph on S and N(S)."""
+    components of the bipartite graph on S and N(S).
+
+    The components of S, as vertex masks, are those of S minus its lowest
+    element y with y's hyperedge merged in: it joins the components it meets
+    into one. mu(S) is the sum over the components of their size minus 1, so
+    it changes by those of the merged ones and the joined one, and each set
+    costs one pass over the components of a smaller set."""
     he_masks = _masks(he)
-    bound = []
-    for s in range(1 << len(he)):
-        comps: list[int] = []  # vertex masks of the components so far
-        for y, h in enumerate(he_masks):
-            if s >> y & 1:
-                merged = h
-                rest = []
-                for c in comps:
-                    if c & merged:
-                        merged |= c
-                    else:
-                        rest.append(c)
-                comps = rest + [merged]
-        bound.append(sum(bin(c).count("1") for c in comps) - len(comps))
+    bound = [0]
+    comps: list[tuple[int, ...]] = [()]  # the vertex masks of the components of each set
+    for s in range(1, 1 << len(he)):
+        low = s & -s
+        joined = he_masks[low.bit_length() - 1]
+        mu = bound[s ^ low] - 1
+        rest = []
+        for c in comps[s ^ low]:
+            if c & joined:
+                joined |= c
+                mu -= c.bit_count() - 1
+            else:
+                rest.append(c)
+        rest.append(joined)
+        comps.append(tuple(rest))
+        bound.append(mu + joined.bit_count())
     return bound
 
 
@@ -145,53 +152,83 @@ def _subset_lattice(bound: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]
     b(all) - b(all - S) - x(S - k), so each set is checked exactly once along
     a branch.
 
-    Those sums are not rescanned at each node. For every nonempty set M of
-    free coordinates (bit 0 the coordinate k) the walk keeps two residual
-    bounds, minima over the sets S of fixed coordinates, at index M - 1:
+    Those sums are not rescanned at each node. For every set M of the free
+    coordinates F the walk keeps one residual bound, a minimum over the sets
+    S of fixed coordinates,
 
         upper[M] = min_S b(S | M) - x(S),
-        lower[M] = min_S b(all - (S | M)) + x(S).
 
-    At the root they are b(1), .., b(all) and b(all - 1), .., b(0). Fixing
-    x_k = v splits each S by whether it holds k, which halves both tables:
-    the child's upper[M] is min(upper[2M], upper[2M + 1] - v), and its lower
-    the same with + v. The sets M whose largest element is j, read as
-    subsets T of the free coordinates below j, are j's own residual table;
-    k's has the one entry M = {k}, and upper[{k}] and b(all) - lower[{k}]
-    are exactly the two bounds above. So the search tree and the order of
-    the points are those of the walk that rescans all 2^k sums at each node
-    (``tests/oracles.subset_lattice``), for any bound, but a child at depth k
-    costs 2^(n-k) table entries instead of 2^k. The leaves of the last two
-    coordinates are listed without building their one-entry tables.
+    which is b(M) at the root. Fixing x_k = v splits each S by whether it
+    holds k, which halves the table: the child's upper[M] is
+    min(upper[M], upper[M | k] - v). The sets whose largest element is k are
+    S | k, so x_k <= upper[{k}] checks all of them from above. Their
+    complements are S' | (F - k), S' = fixed - S, and x(S) = x(fixed) - x(S'),
+    so x_k >= b(all) - x(fixed) - upper[F - k] checks all of them from below.
+    So the search tree and the order of the points are those of the walk
+    that rescans all 2^k sums at each node (``tests/oracles.subset_lattice``),
+    for any bound, but a child at depth k costs 2^(n-k) table entries
+    instead of 2^k. The leaves of the last two coordinates are listed
+    without building their two-entry tables.
+
+    The table is one integer of 2^r fields of W bits, r = |F|, the field of
+    M holding upper[M] + 2^(W-2). The field index is M bit-reversed: the
+    free coordinate k is its top bit, so the sets without k are the low half
+    of the integer and those with k the high half, {k} is the lowest field
+    of the high half and F - k the highest of the low half, and the child is
+    one fieldwise minimum of the low half and the high half minus v times
+    the field of ones. With fields a and c below 2^(W-1), (a + 2^(W-1)) - c
+    lies in (0, 2^W): subtracting c from a with every guard bit W - 1 set
+    borrows across no field, and leaves the guard set exactly where a >= c;
+    widened to a field mask m, the minimum is a ^ ((a ^ c) & m).
+
+    W = ((2n + 3) B).bit_length() + 2, B = max |b|, is wide enough. At a
+    visited node, x_k <= upper[{k}] <= b({k}) <= B and, as x(fixed) +
+    upper[F - k] <= b(all - k) (take S = fixed), x_k >= b(all) - b(all - k)
+    >= -2B, so every fixed value has |v| <= 2B. A table entry at depth k is
+    b(T) - x(S) for some sets T and S, S among the k fixed coordinates, so
+    it lies within (2k + 1) B, and within (2k + 3) B <= (2n + 3) B after v
+    is subtracted. That is below 2^(W-2), so each biased field lies in
+    (0, 2^(W-1)) and its guard bit is clear. B's own width is not enough:
+    with b(all) = -B and b(all - k) = B, x_k = -2B takes an entry B to 3B.
     """
     if n == 0:
         return ((),)
+    width = ((2 * n + 3) * max(map(abs, bound))).bit_length() + 2
+    top, bias, field = width - 1, 1 << width - 2, (1 << width - 1) - 1
+    # Pack b(M) at the index of M: the sets M and M + 2^(n-1-j) differ in
+    # index bit j, so each round joins the blocks of such pairs. Adding, not
+    # or-ing, keeps negative entries exact until the bias lifts every field.
+    table = bound
+    ones = [1]  # ones[j]: 2^j fields of 1
+    for j in range(n):
+        h, shift = 1 << n - 1 - j, width << j
+        table = [a + (c << shift) for a, c in zip(table[:h], table[h:])]
+        ones.append(ones[j] | ones[j] << shift)
     out: list[tuple[int, ...]] = []
-    _descend(out, bound[-1], (), bound[1:], bound[-2::-1])
+    # The nodes still to expand, the next one last: each one's prefix, its
+    # table, b(all) - x(fixed) and its number of free coordinates.
+    stack = [((), table[0] + bias * ones[n], bound[-1], n)]
+    while stack:
+        prefix, upper, rest, r = stack.pop()
+        half = width << r - 1
+        hi = (upper >> half & field) - bias
+        lo = rest + bias - (upper >> half - width & field)
+        if r == 1:
+            out.extend([prefix + (v,) for v in range(lo, hi + 1)])
+        elif r == 2:  # upper of {}, {k + 1} and {k, k + 1}; hi is upper[{k}]
+            u0, u1, u3 = (upper & field) - bias, (upper >> width & field) - bias, (upper >> 3 * width) - bias
+            for v in range(lo, hi + 1):
+                out.extend([prefix + (v, x) for x in range(rest - min(u0 + v, hi), min(u1, u3 - v) + 1)])
+        elif lo <= hi:
+            one = ones[r - 1]
+            guard = one << top
+            low = upper & (1 << half) - 1
+            high = (upper >> half) - hi * one
+            for v in range(hi, lo - 1, -1):  # pushed last to first
+                d = ((low | guard) - high) & guard  # guard bits where low >= high
+                stack.append((prefix + (v,), low ^ ((low ^ high) & (d - (d >> top))), rest - v, r - 1))
+                high += one
     return tuple(out)
-
-
-def _descend(out: list, total: int, prefix: tuple[int, ...], upper: Sequence[int], lower: Sequence[int]) -> None:
-    """Append the lattice points that extend ``prefix``, in order, to ``out``:
-    the walk of ``_subset_lattice`` below one node, whose residual tables are
-    ``upper`` and ``lower``."""
-    hi, lo = upper[0], total - lower[0]
-    if len(upper) == 1:
-        out.extend([prefix + (v,) for v in range(lo, hi + 1)])
-    elif len(upper) == 3:
-        _, u0, u1 = upper
-        _, w0, w1 = lower
-        for v in range(lo, hi + 1):
-            out.extend([prefix + (v, x) for x in range(total - min(w0, w1 + v), min(u0, u1 - v) + 1)])
-    else:
-        for v in range(lo, hi + 1):
-            _descend(
-                out,
-                total,
-                prefix + (v,),
-                list(map(min, upper[1::2], map(sub, upper[2::2], repeat(v)))),
-                list(map(min, lower[1::2], map(add, lower[2::2], repeat(v)))),
-            )
 
 
 def _vertices_and_dim(points: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:

@@ -38,9 +38,13 @@
   common-face test of two simplices (the library checks its triangulations
   by one ridge certificate instead);
 - the Cayley slices of a root polytope, against the scaled GP polytopes;
+- Kalman's bound mu by merging each set's hyperedges afresh, |S| merges
+  per set (the library builds each set's components from those of the set
+  without its lowest element, one merge per set);
 - the lattice points of a subset-inequality description by the walk that
   recomputes every prefix subset sum at each node, 2^k of them at depth k
-  (the library carries residual bound tables down the walk instead);
+  (the library carries one residual bound table down the walk instead,
+  packed into an integer);
 - the vertices among those lattice points by the rank of their tight rows
   (the library reads them off the lattice instead: a point is a vertex iff
   no two coordinates can be exchanged, one up and one down, both ways);
@@ -675,8 +679,31 @@ def slice_matches_scaled_gp(rp: RootPolytope, side: str, gp: TaggedPolytope) -> 
 
 
 # ---------------------------------------------------------------------------
-# Subset-lattice walk over every prefix sum, and vertices by rank.
+# Kalman's mu by merging every set's hyperedges afresh, the subset-lattice
+# walk over every prefix sum, and vertices by rank.
 # ---------------------------------------------------------------------------
+
+
+def hypertree_bound_by_merging(he: Sequence[tuple[int, ...]]) -> list[int]:
+    """mu(S) = |N(S)| - c(S) over sets S of hyperedges, each set's
+    components built afresh by merging its hyperedges in turn into the
+    vertex masks of the components so far."""
+    he_masks = [sum(1 << i for i in h) for h in he]
+    bound = []
+    for s in range(1 << len(he)):
+        comps: list[int] = []  # vertex masks of the components so far
+        for y, h in enumerate(he_masks):
+            if s >> y & 1:
+                merged = h
+                rest = []
+                for c in comps:
+                    if c & merged:
+                        merged |= c
+                    else:
+                        rest.append(c)
+                comps = rest + [merged]
+        bound.append(sum(bin(c).count("1") for c in comps) - len(comps))
+    return bound
 
 
 def subset_lattice(bound: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:

@@ -3,8 +3,6 @@ seeded random-corpus sweep, each criterion in its own test, all exact."""
 
 import random
 
-import pytest
-
 from trinities.floer import canonical_translate, sfh_support, tight_contact_count
 from trinities.links import (
     LaurentPoly2,
@@ -20,7 +18,6 @@ from trinities.polytopes import (
     f_vector,
     gp_polytope_of,
     h_vector,
-    hypertree_polytope_of,
     hypertree_set,
     root_polytope_of,
     trimmed_gp_of,

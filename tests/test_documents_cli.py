@@ -23,7 +23,7 @@ from trinities.documents import (
 from trinities import trinity
 from trinities.trinity import VIOLET, build_trinity, default_root, directed_dual, magic_number_report
 
-from helpers import bipartition, document_text, fixture_path, grid_trinity, patch_everywhere
+from helpers import document_text, fixture_path, grid_trinity, patch_everywhere
 
 
 def fixture_text(name: str) -> str:

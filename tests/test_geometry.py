@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from trinities.geometry import (
     VPolytope,
     canonical_lattice_set,

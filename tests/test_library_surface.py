@@ -12,7 +12,8 @@ the library; a trinity stores no triangles and a directed dual no copy of
 the white triangles; only ``maps.derived`` keeps a value on an object; the
 library modules import each other in no cycle; ``trees`` only binds, for
 the benchmark, names that live in ``trinity`` and ``polytopes``; and only
-``tests/helpers.py`` seeds the corpus or spells the fixtures directory."""
+``tests/helpers.py`` seeds the corpus or spells the fixtures directory.
+Every name a test file imports at module level is read in that file."""
 
 import ast
 import dataclasses
@@ -285,3 +286,26 @@ def test_only_the_helpers_seed_the_corpus_or_spell_the_fixtures_directory():
     # from ``helpers.graphs`` and its documents from ``helpers.fixture_path``.
     spelling = [path.name for path in TESTS if BUILDS_THE_CASES.search(path.read_text(encoding="utf-8"))]
     assert spelling == ["helpers.py"]
+
+
+def test_every_module_level_import_of_a_test_file_is_read():
+    # Read means loaded as a bare name, the base of an attribute among them,
+    # or taken as a test function's parameter, which pytest fills with the
+    # fixture of that name.
+    unread = []
+    for path, module in parsed(TESTS).items():
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in module.body
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        fixtures = {
+            arg.arg
+            for node in ast.walk(module)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test")
+            for arg in node.args.args
+        }
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read - fixtures)]
+    assert unread == []

@@ -12,8 +12,6 @@ from trinities.maps import (
 )
 
 from helpers import (
-    G1_EDGES,
-    G1_ROTATIONS,
     NotBipartiteError,
     bipartition,
     g1_map,

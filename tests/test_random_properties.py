@@ -20,7 +20,7 @@ from trinities.links import (
     median_diagram,
     verify_homfly_h_vector,
 )
-from trinities.maps import Bipartition, betti1
+from trinities.maps import Bipartition
 from trinities.polytopes import (
     arborescence_triangulation,
     gp_polytope_of,

@@ -1,7 +1,11 @@
-"""The lattice walk of the subset-inequality descriptions against the walk
-that rescans every prefix sum (``oracles.subset_lattice``): Kalman's mu, the
-coverage bound f and f - 1 of every selector, and random bounds that need
-not be submodular, the smallest ones also against a scan of a box. The
+"""Kalman's mu table, built from each set without its lowest hyperedge,
+against merging every set's hyperedges afresh
+(``oracles.hypertree_bound_by_merging``). The lattice walk of the
+subset-inequality descriptions against the walk that rescans every prefix
+sum (``oracles.subset_lattice``): Kalman's mu, the coverage bound f and
+f - 1 of every selector, random bounds that need not be submodular, the
+smallest ones also against a scan of a box, and bounds with entries near
+10^6, from -3..3 and all zero, which fill the packed table's fields. The
 vertex rule, no exchange of two coordinates possible both ways, against the
 rank of the tight rows (``oracles.subset_vertices``) on the same three
 bounds. The dimension rules, n minus the components of the exchange graph
@@ -22,6 +26,7 @@ from trinities.trinity import (
 )
 
 from helpers import (
+    CASES,
     CHUNKS,
     FIXTURES,
     bipartition,
@@ -32,7 +37,7 @@ from helpers import (
     grouped,
     permute_edge_ids,
 )
-from oracles import affine_dim, hypergraph_view, subset_lattice, subset_vertices
+from oracles import affine_dim, hypergraph_view, hypertree_bound_by_merging, subset_lattice, subset_vertices
 
 
 def selector_bounds(t):
@@ -69,6 +74,17 @@ def test_walk_is_the_oracle_on_grids_with_shuffled_edge_ids(rows, columns):
     mm = permute_edge_ids(m, random.Random(f"lattice:{rows}x{columns}"))
     assert_walks_agree(grid_trinity(rows, columns))
     assert_walks_agree(build_trinity(mm, bipartition(mm), outer_face=0))
+
+
+@pytest.mark.parametrize("case", [*CASES, "2x3", "2x4", "3x3", "2x5", "3x4", "3x5", "4x4"], ids=case_id)
+def test_mu_recurrence_is_the_merging_oracle(case):
+    rng = random.Random(f"mu:{case}")
+    for t in graphs(case):
+        mm = permute_edge_ids(t.map, rng)
+        for u in (t, build_trinity(mm, bipartition(mm), outer_face=0)):
+            for code in HYPERGRAPH_CODES:
+                he = polytopes._hyperedges_of(u, code)
+                assert polytopes._hypertree_bound(he) == hypertree_bound_by_merging(he), code
 
 
 def assert_vertex_rules_agree(t):
@@ -188,6 +204,47 @@ def test_walk_is_the_oracle_on_random_bounds(n):
             assert points == box_scan(bound, n), (k, bound)
         empty += not points
     # One coordinate always has its one point x_0 = b(all).
+    assert empty < 400 and (empty > 0 or n == 1)
+
+
+def large_bound(rng, n):
+    """b(0) = 0 and, on every other set S, p(S) plus a slack for a random
+    integer point p whose coordinates, negative ones among them, reach
+    10^6 / 2n in size; each set of 2 to n - 2 elements gets up to 5 * 10^5
+    more with probability 1/3, so entries reach about 10^6. The slacks are
+    draws from 0..3, 0..1 on the whole set, and for a quarter of the bounds
+    from -1 up, which makes many of those infeasible; every singleton and
+    its complement keep a small slack, so each coordinate's range stays
+    small."""
+    scale = 10**6 // (2 * n)
+    p = [rng.randint(-scale, scale) for _ in range(n)]
+    least = -1 if rng.random() < 0.25 else 0
+    full = (1 << n) - 1
+    bound = [0]
+    for s in range(1, 1 << n):
+        b = sum(v for i, v in enumerate(p) if s >> i & 1) + rng.randint(least, 1 if s == full else 3)
+        if 2 <= s.bit_count() <= n - 2 and rng.random() < 1 / 3:
+            b += rng.randint(0, 5 * 10**5)
+        bound.append(b)
+    return bound
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_walk_is_the_oracle_on_large_and_symmetric_bounds(n):
+    # The walk packs its table into fields as wide as the bound's largest
+    # entry B needs: bounds of entries near 10^6, the all-zero bound, whose
+    # fields are two bits wide, and bounds of entries from -3..3, on which
+    # an entry minus a fixed value reaches 3B, must give the oracle's points.
+    zero = [0] * (1 << n)
+    assert polytopes._subset_lattice(zero, n) == subset_lattice(zero, n) == ((0,) * n,)
+    rng = random.Random(f"large bounds:{n}")
+    bounds = [large_bound(rng, n) for _ in range(200)]
+    bounds += [[0] + [rng.randint(-3, 3) for _ in range((1 << n) - 1)] for _ in range(200)]
+    empty = 0
+    for k, bound in enumerate(bounds):
+        points = polytopes._subset_lattice(bound, n)
+        assert points == subset_lattice(bound, n), (k, bound)
+        empty += not points
     assert empty < 400 and (empty > 0 or n == 1)
 
 

@@ -1,6 +1,5 @@
 import pytest
 
-from trinities.maps import build_map
 from trinities.polytopes import hypertree_set
 from trinities.trinity import (
     COLOURS,
