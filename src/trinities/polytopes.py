@@ -25,18 +25,20 @@ spanning trees at a root, the complements of the arborescences of its
 directed dual, and the only function here that takes a root, which it
 requires: the hypertree polytopes and the h-vectors pass the colour's
 default root. It returns the trees only once certified. The tree simplices
-are proved to triangulate the root polytope in one pass, linear in their
-number: each tree has n - 1 edges that span, and every ridge of a tree
-simplex lies in one simplex on the boundary and in two, on opposite sides,
-inside, and one generic point lies in exactly one simplex. Then each
-hypertree of either side is the degree-minus-one vector of exactly one tree
-(Postnikov, *Permutohedra, associahedra, and beyond*, 2009, section 12), and
-both sides' vectors are checked against the two hypertree sets. The
-simplices are unimodular by Postnikov's Lemma 12.5, so no volume is
-computed, and h is the interior polynomial of the hypertree set, once per
-colour, so no face is counted. Every point is an integer vector; ranks,
-volumes, the placing triangulation, the Cayley slices, Lemma 12.6 and face
-counts live in the test oracles.
+are proved to triangulate the root polytope in one leaves-first sweep of
+each tree, linear in their number: each tree has n - 1 edges that span,
+every ridge of a tree simplex lies in one simplex on the boundary and in
+two, on opposite sides, inside, and one generic point lies in exactly one
+simplex; each ridge's boundary status, each simplex's side of it and the
+point's sign are read off sums over the subtree that the ridge cuts off.
+Then each hypertree of either side is the degree-minus-one vector of
+exactly one tree (Postnikov, *Permutohedra, associahedra, and beyond*,
+2009, section 12), and both sides' vectors are checked against the two
+hypertree sets. The simplices are unimodular by Postnikov's Lemma 12.5, so
+no volume is computed, and h is the interior polynomial of the hypertree
+set, once per colour, so no face is counted. Every point is an integer
+vector; ranks, volumes, the placing triangulation, the Cayley slices,
+Lemma 12.6 and face counts live in the test oracles.
 """
 
 from __future__ import annotations
@@ -122,23 +124,26 @@ def _hypertree_bound(he: Sequence[tuple[int, ...]]) -> list[int]:
     element y with y's hyperedge merged in: it joins the components it meets
     into one. mu(S) is the sum over the components of their size minus 1, so
     it changes by those of the merged ones and the joined one, and each set
-    costs one pass over the components of a smaller set."""
+    costs one pass over the components of a smaller set. That set lacks its
+    lowest element, so it is even, and only even sets keep their components:
+    the set 2j at index j."""
     he_masks = _masks(he)
     bound = [0]
-    comps: list[tuple[int, ...]] = [()]  # the vertex masks of the components of each set
+    comps: list[tuple[int, ...]] = [()]  # the vertex masks of the components of each even set
     for s in range(1, 1 << len(he)):
         low = s & -s
         joined = he_masks[low.bit_length() - 1]
         mu = bound[s ^ low] - 1
         rest = []
-        for c in comps[s ^ low]:
+        for c in comps[(s ^ low) >> 1]:
             if c & joined:
                 joined |= c
                 mu -= c.bit_count() - 1
             else:
                 rest.append(c)
         rest.append(joined)
-        comps.append(tuple(rest))
+        if not s & 1:
+            comps.append(tuple(rest))
         bound.append(mu + joined.bit_count())
     return bound
 
@@ -430,7 +435,8 @@ def arborescence_triangulation(t: Trinity, colour: str, root: int) -> tuple[tupl
     simplex for another, so every generic point lies in the same number of
     simplices; (ii) makes that number 1. ``ridge_certificate`` checks (i) on
     the ridges, keyed by vertex set, and (ii) at one point perturbed off every
-    ridge hyperplane, in one pass over the trees.
+    ridge hyperplane, in one leaves-first sweep of each tree that reads every
+    fact it needs about a ridge off the subtree the ridge cuts off.
 
     Each tree has n - 1 edges and spans the colour graph (the certificate),
     so it has no cycle and its n - 1 generators are affinely independent in
@@ -468,92 +474,110 @@ def arborescence_triangulation(t: Trinity, colour: str, root: int) -> tuple[tupl
 def ridge_certificate(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> None:
     """Raise unless each boundary ridge of the spanning trees' simplices lies
     in one of them and each interior ridge in two, on opposite sides, and the
-    generic point of ``_certificate_pass`` lies in exactly one of them.
-
-    T - e splits the vertices into the side A holding e's U-end and the side
-    B. The sum of the coordinates in A is 0 on the ridge, 1 at e, and 1 or -1
-    at an edge crossing (A, B) as its U-end lies in A or B: the ridge is on
-    the boundary of Q_G iff every crossing edge has its U-end in A. Ridges are
-    keyed by vertex set, not edge ids (parallel edges share a generator), so
-    a repeated simplex puts two simplices on one side of a ridge."""
+    generic point of ``_certificate_pass`` lies in exactly one of them. The
+    pass reads each ridge's boundary status and each simplex's side of it."""
     ridges, holding = _certificate_pass(rp, tree_sets)
-    ends = rp.ends
-    n = rp.u_size + rp.v_size
-    u_neighbours = [sum({1 << u for u, w in ends if w == v}) for v in range(n)]  # of each V coordinate
-    for sides in ridges.values():
-        a = sides[0]
-        if not any(a >> v & 1 and u_neighbours[v] & ~a for v in range(rp.u_size, n)):
+    for boundary, *sides in ridges.values():
+        if boundary:
             if len(sides) != 1:
                 raise InternalConsistencyError("triangulation boundary ridge lies in more than one simplex")
-        elif len(sides) != 2 or a == sides[1]:
+        elif len(sides) != 2 or sides[0] == sides[1]:
             raise InternalConsistencyError("triangulation interior ridge is not in two simplices on opposite sides")
     if holding != 1:
         raise InternalConsistencyError(f"triangulation covers a generic point {holding} times, not once")
 
 
 def _certificate_pass(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]):
-    """One pass over each tree T and edge e of T: the sides A of T - e of the
-    simplices on each ridge, keyed by the bitmask of the ridge's vertex set,
-    and the number of simplices that hold the generic point p.
+    """One leaves-first sweep of each tree T from vertex 0: for each ridge,
+    keyed by the bitmask of its vertex set, a list of whether it lies on the
+    boundary of Q_G and the side bit of each simplex on it; and the number of
+    simplices that hold the generic point p. Raises unless each tree has
+    n - 1 edges that span the n vertices, which makes it a tree.
 
-    p = sum_k (1 + eps^(k+1)) g_k / sum_k (1 + eps^(k+1)), over the
+    The edge e from a vertex x to its parent cuts T - e into x's subtree S
+    and the rest, and A, the side holding e's U-end, is one of them; the
+    side bit is 1 when A is the rest, which holds vertex 0. Each vertex
+    carries, for its subtree, its vertex mask, its weight sum and the OR of
+    its vertices' neighbour masks, each folded into its parent's after it.
+
+    Boundary. The sum of the coordinates in A is 0 on the ridge, 1 at e, and
+    1 or -1 at an edge crossing (A, B) as its U-end lies in A or B, so the
+    ridge is on the boundary of Q_G iff no crossing edge has its U-end in B.
+    Such an edge has its end in S in the class of e's end outside S: V when
+    A = S, U when A is the rest. So the ridge is on the boundary iff no
+    vertex of S in that class has a neighbour outside S. The graph is
+    bipartite, so only that class's vertices have neighbours in the other
+    class, and this holds iff the OR of S's neighbour masks has no bit
+    outside S among the other class's coordinates: the U coordinates when
+    A = S, the V coordinates when A is the rest.
+
+    Sides. The simplex of T lies where x(A) >= 0, and x(A) + x(B) = 0 on the
+    span of Q_G. Ridges are keyed by vertex set, not edge ids: parallel edges
+    share a generator, so two forests T - e on one ridge join the same pairs
+    of vertices and cut the same vertex partition, and two simplices lie on
+    opposite sides of the ridge iff their side bits differ. A repeated
+    simplex puts two simplices on one side.
+
+    Point. p = sum_k (1 + eps^(k+1)) g_k / sum_k (1 + eps^(k+1)), over the
     generators g_k in edge-id order and for every small enough eps > 0, lies
     inside Q_G. Every edge of T other than e has both ends on one side of
     T - e, so p's barycentric coordinate at e in the simplex of T is p(A),
     with g_k(A) = [u_k in A] - [v_k in A]. Its sign is that of the first
     nonzero entry of (sum_k g_k(A), g_0(A), g_1(A), ...): g_k(A) is nonzero
     exactly at the edges crossing (A, B), e among them, so the entry is
-    always found, and p lies on no ridge hyperplane of any tree simplex.
+    always found, and p lies on no ridge hyperplane of any tree simplex. The
+    first entry is A's weight sum, each vertex weighing its entry of
+    sum_k g_k. All weights sum to 0 and every g_k has coordinate sum 0, so
+    on the rest each entry is the negative of that on S: the sign is read
+    on S and negated when A is the rest.
     """
     ends = rp.ends
     n = rp.u_size + rp.v_size
     vertex_bit = {g: 1 << i for i, g in enumerate(rp.vertices)}
     generator_bit = [vertex_bit[g] for g in rp.generators]
     weight = [0] * n  # sum_k g_k: each vertex's degree, negated on V
+    reach = [0] * n  # each vertex's neighbours, as a vertex mask
     for u, v in ends:
         weight[u] += 1
         weight[v] -= 1
-    ridges: dict[int, list[int]] = {}  # ridge vertex set -> the sides A of its simplices
+        reach[u] |= 1 << v
+        reach[v] |= 1 << u
+    classes = ((1 << rp.u_size) - 1, (1 << n) - (1 << rp.u_size))  # the U and the V coordinates
+    ridges: dict[int, list[bool]] = {}  # ridge vertex set -> [on the boundary, then each simplex's side bit]
     holding = 0
     for tree in tree_sets:
+        if len(tree) != n - 1:
+            raise InternalConsistencyError(f"triangulation tree has {len(tree)} edges, not {n - 1}")
+        adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e in tree:
+            u, v = ends[e]
+            adjacent[u].append((v, e))
+            adjacent[v].append((u, e))
+        up, order = {0: -1}, [0]  # the edge to each vertex's parent; breadth first
+        for x in order:
+            for y, e in adjacent[x]:
+                if y not in up:
+                    up[y] = e
+                    order.append(y)
+        if len(order) != n:
+            raise InternalConsistencyError("triangulation tree does not span the colour graph")
         tree_bits = sum({generator_bit[e] for e in tree})
+        below, total, near = [1 << x for x in range(n)], weight[:], reach[:]  # per subtree
         inside = True
-        for e, side in _tree_edge_sides(tree, ends, n):
-            ridges.setdefault(tree_bits ^ generator_bit[e], []).append(side)
+        for x in reversed(order[1:]):
+            u, v = ends[up[x]]
+            rest, s = u != x, below[x]  # whether A is the rest; S
+            parent = u if rest else v
+            below[parent] |= s
+            total[parent] += total[x]
+            near[parent] |= near[x]
+            boundary = not near[x] & ~s & classes[rest]
+            ridges.setdefault(tree_bits ^ generator_bit[up[x]], [boundary]).append(rest)
             if inside:
-                entry = sum(weight[x] for x in range(n) if side >> x & 1)
-                if not entry:  # g_k(A) at the first edge k crossing (A, B)
-                    entry = next((side >> u & 1) - (side >> v & 1) for u, v in ends if (side >> u ^ side >> v) & 1)
-                inside = entry > 0
+                entry = total[x] or next((s >> u & 1) - (s >> v & 1) for u, v in ends if (s >> u ^ s >> v) & 1)
+                inside = (-entry if rest else entry) > 0
         holding += inside
     return ridges, holding
-
-
-def _tree_edge_sides(tree: Sequence[int], ends: Sequence[tuple[int, int]], n: int):
-    """(e, the vertex mask of the side of T - e holding e's U-end) per edge e.
-
-    Raises unless the n - 1 edges span the n vertices, which makes them a tree.
-    """
-    if len(tree) != n - 1:
-        raise InternalConsistencyError(f"triangulation tree has {len(tree)} edges, not {n - 1}")
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in tree:
-        u, v = ends[e]
-        adjacent[u].append((v, e))
-        adjacent[v].append((u, e))
-    up, order = {0: -1}, [0]  # the edge to each vertex's parent; breadth first
-    for x in order:
-        for y, e in adjacent[x]:
-            if y not in up:
-                up[y] = e
-                order.append(y)
-    if len(order) != n:
-        raise InternalConsistencyError("triangulation tree does not span the colour graph")
-    below = [1 << x for x in range(n)]  # the vertices of each subtree
-    for x in reversed(order[1:]):
-        u, v = ends[up[x]]
-        below[v if u == x else u] |= below[x]
-        yield up[x], below[x] if u == x else (1 << n) - 1 ^ below[x]
 
 
 def interior_polynomial(hypertrees: Iterable[tuple[int, ...]]) -> tuple[int, ...]:

@@ -31,6 +31,11 @@
   12.5), and one generic point proves they cover the root polytope once;
 - that generic point as a rational point, and whether a simplex holds it,
   from exact barycentric coordinates;
+- the ridge certificate that takes each side of T - e as a vertex mask from
+  a walk of the tree, sums the side's weights vertex by vertex for the
+  generic point's sign, and scans each ridge's side against a table of
+  U-neighbours for its boundary status (the library reads all three off
+  sums over the subtree the ridge cuts off, in one sweep of each tree);
 - the simplex of a tree, its edges checked for a cycle by union-find (the
   library's ridge certificate proves its trees are trees: n - 1 edges that
   span);
@@ -514,6 +519,117 @@ def simplex_holds_point(simplex: Sequence[Sequence[int]], point: RatVec) -> bool
     if weights is None:
         return False
     return all(w > 0 for w in weights)
+
+
+# ---------------------------------------------------------------------------
+# The ridge certificate that rescans each side.
+# ---------------------------------------------------------------------------
+
+
+def ridge_certificate_by_rescan(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]) -> None:
+    """Raise unless each boundary ridge of the spanning trees' simplices lies
+    in one of them and each interior ridge in two, on opposite sides, and the
+    generic point of ``certificate_pass_by_rescan`` lies in exactly one of
+    them, with the library certificate's messages in its order
+    (``polytopes.ridge_certificate``, which reads the boundary status, the
+    sides and the point's signs off subtree sums of one sweep instead).
+
+    T - e splits the vertices into the side A holding e's U-end and the side
+    B. The sum of the coordinates in A is 0 on the ridge, 1 at e, and 1 or -1
+    at an edge crossing (A, B) as its U-end lies in A or B: the ridge is on
+    the boundary of Q_G iff every crossing edge has its U-end in A. Ridges are
+    keyed by vertex set, not edge ids (parallel edges share a generator), so
+    a repeated simplex puts two simplices on one side of a ridge."""
+    ridges, holding = certificate_pass_by_rescan(rp, tree_sets)
+    boundary = boundary_ridges_by_rescan(rp, ridges)
+    for key, sides in ridges.items():
+        if key in boundary:
+            if len(sides) != 1:
+                raise InternalConsistencyError("triangulation boundary ridge lies in more than one simplex")
+        elif len(sides) != 2 or sides[0] == sides[1]:
+            raise InternalConsistencyError("triangulation interior ridge is not in two simplices on opposite sides")
+    if holding != 1:
+        raise InternalConsistencyError(f"triangulation covers a generic point {holding} times, not once")
+
+
+def boundary_ridges_by_rescan(rp: RootPolytope, ridges: dict[int, list[int]]) -> set[int]:
+    """The keys of the ridges on the boundary of Q_G: those whose first side
+    A holds no V coordinate with a U-neighbour outside A, scanned against a
+    table of each V coordinate's U-neighbours."""
+    n = rp.u_size + rp.v_size
+    u_neighbours = [sum({1 << u for u, w in rp.ends if w == v}) for v in range(n)]  # of each V coordinate
+    return {
+        key
+        for key, (a, *_) in ridges.items()
+        if not any(a >> v & 1 and u_neighbours[v] & ~a for v in range(rp.u_size, n))
+    }
+
+
+def certificate_pass_by_rescan(rp: RootPolytope, tree_sets: Sequence[Sequence[int]]):
+    """One pass over each tree T and edge e of T: the sides A of T - e of the
+    simplices on each ridge, keyed by the bitmask of the ridge's vertex set,
+    as vertex masks, and the number of simplices that hold the generic point
+    p, whose sign rule sums A's weights vertex by vertex.
+
+    p = sum_k (1 + eps^(k+1)) g_k / sum_k (1 + eps^(k+1)), over the
+    generators g_k in edge-id order and for every small enough eps > 0, lies
+    inside Q_G. Every edge of T other than e has both ends on one side of
+    T - e, so p's barycentric coordinate at e in the simplex of T is p(A),
+    with g_k(A) = [u_k in A] - [v_k in A]. Its sign is that of the first
+    nonzero entry of (sum_k g_k(A), g_0(A), g_1(A), ...): g_k(A) is nonzero
+    exactly at the edges crossing (A, B), e among them, so the entry is
+    always found, and p lies on no ridge hyperplane of any tree simplex.
+    """
+    ends = rp.ends
+    n = rp.u_size + rp.v_size
+    vertex_bit = {g: 1 << i for i, g in enumerate(rp.vertices)}
+    generator_bit = [vertex_bit[g] for g in rp.generators]
+    weight = [0] * n  # sum_k g_k: each vertex's degree, negated on V
+    for u, v in ends:
+        weight[u] += 1
+        weight[v] -= 1
+    ridges: dict[int, list[int]] = {}  # ridge vertex set -> the sides A of its simplices
+    holding = 0
+    for tree in tree_sets:
+        tree_bits = sum({generator_bit[e] for e in tree})
+        inside = True
+        for e, side in _tree_edge_sides(tree, ends, n):
+            ridges.setdefault(tree_bits ^ generator_bit[e], []).append(side)
+            if inside:
+                entry = sum(weight[x] for x in range(n) if side >> x & 1)
+                if not entry:  # g_k(A) at the first edge k crossing (A, B)
+                    entry = next((side >> u & 1) - (side >> v & 1) for u, v in ends if (side >> u ^ side >> v) & 1)
+                inside = entry > 0
+        holding += inside
+    return ridges, holding
+
+
+def _tree_edge_sides(tree: Sequence[int], ends: Sequence[tuple[int, int]], n: int):
+    """(e, the vertex mask of the side of T - e holding e's U-end) per edge e,
+    from a breadth-first walk of T from vertex 0, its vertices leaves first.
+
+    Raises unless the n - 1 edges span the n vertices, which makes them a tree.
+    """
+    if len(tree) != n - 1:
+        raise InternalConsistencyError(f"triangulation tree has {len(tree)} edges, not {n - 1}")
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in tree:
+        u, v = ends[e]
+        adjacent[u].append((v, e))
+        adjacent[v].append((u, e))
+    up, order = {0: -1}, [0]  # the edge to each vertex's parent; breadth first
+    for x in order:
+        for y, e in adjacent[x]:
+            if y not in up:
+                up[y] = e
+                order.append(y)
+    if len(order) != n:
+        raise InternalConsistencyError("triangulation tree does not span the colour graph")
+    below = [1 << x for x in range(n)]  # the vertices of each subtree
+    for x in reversed(order[1:]):
+        u, v = ends[up[x]]
+        below[v if u == x else u] |= below[x]
+        yield up[x], below[x] if u == x else (1 << n) - 1 ^ below[x]
 
 
 # ---------------------------------------------------------------------------

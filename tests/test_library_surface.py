@@ -67,6 +67,7 @@ MOVED = {
     "_white_triangles",
     "hypertree_lattice_of",
     "_reaches_all",
+    "_tree_edge_sides",
 }
 
 

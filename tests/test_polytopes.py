@@ -28,11 +28,9 @@ from trinities.trinity import (
 )
 
 from helpers import (
-    CHUNKS,
-    FIXTURES,
+    CASES,
     bipartition,
     case_id,
-    corpus,
     count_calls,
     enumerate_trees_as,
     fig7_trinity,
@@ -222,15 +220,9 @@ def assert_matches_lp_path(t):
             assert tp.vertices == vertices, (code, build.__name__)
 
 
-@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
-def test_fixture_polytopes_match_the_lp_path(case):
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_polytopes_match_the_lp_path(case):
     for t in graphs(case):
-        assert_matches_lp_path(t)
-
-
-@pytest.mark.parametrize("chunk", CHUNKS)
-def test_corpus_polytopes_match_the_lp_path(chunk):
-    for t in corpus(chunk):
         assert_matches_lp_path(t)
 
 

@@ -27,11 +27,8 @@ from trinities.trinity import (
 
 from helpers import (
     CASES,
-    CHUNKS,
-    FIXTURES,
     bipartition,
     case_id,
-    corpus,
     graphs,
     grid_trinity,
     grouped,
@@ -56,15 +53,9 @@ def assert_walks_agree(t):
         assert polytopes._subset_lattice(bound, n) == subset_lattice(bound, n), label
 
 
-@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
-def test_walk_is_the_oracle_on_the_fixtures(case):
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_walk_is_the_oracle(case):
     for t in graphs(case):
-        assert_walks_agree(t)
-
-
-@pytest.mark.parametrize("chunk", CHUNKS)
-def test_walk_is_the_oracle_on_the_corpus(chunk):
-    for t in corpus(chunk):
         assert_walks_agree(t)
 
 
@@ -93,15 +84,9 @@ def assert_vertex_rules_agree(t):
         assert polytopes._vertices_and_dim(points)[0] == subset_vertices(bound, n, points), label
 
 
-@pytest.mark.parametrize("case", FIXTURES, ids=case_id)
-def test_vertex_rule_is_the_rank_test_on_the_fixtures(case):
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_vertex_rule_is_the_rank_test(case):
     for t in graphs(case):
-        assert_vertex_rules_agree(t)
-
-
-@pytest.mark.parametrize("chunk", CHUNKS)
-def test_vertex_rule_is_the_rank_test_on_the_corpus(chunk):
-    for t in corpus(chunk):
         assert_vertex_rules_agree(t)
 
 
