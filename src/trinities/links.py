@@ -16,10 +16,12 @@ count: a Reidemeister-I move and a smoothing are tuple splices, and no arc is
 relabelled. Each splice keeps the start of the component it edits, so the
 descending test reads from fixed base points.
 
-One reading per skein node: a node drops its kinks, then reads its code once,
-in order, pushing the smoothing of each crossing first met on its under-strand
-as a child; no visit or sign is rewritten (see ``homfly``). The leaves' terms
-are summed into one polynomial.
+One reading per skein node, resumed where its parent's stopped: only the
+root drops kinks from its whole code. A node reads its code once, in order,
+pushing the smoothing of each crossing first met on its under-strand as a
+child whose kinks are cancelled at the splice's junctions only, and whose
+reading resumes after the visits its parent had read; no visit or sign is
+rewritten (see ``homfly``). The leaves' terms are summed into one polynomial.
 """
 
 from __future__ import annotations
@@ -229,7 +231,9 @@ def format_poly(p: LaurentPoly2) -> str:
 def _drop_kinks(comps: list[tuple[int, ...]], free: int) -> tuple[list[tuple[int, ...]], int]:
     """Undo Reidemeister-I kinks: drop two cyclically adjacent visits of one
     crossing, never rotating a component. A component left empty becomes a
-    free circle. Returns the components and the updated free count."""
+    free circle. Returns the components and the updated free count. The
+    skein runs it on the diagram's own code only; ``_smoothing`` keeps its
+    children free of kinks."""
     out = []
     for comp in comps:
         stack: list[int] = []
@@ -247,18 +251,69 @@ def _drop_kinks(comps: list[tuple[int, ...]], free: int) -> tuple[list[tuple[int
     return out, free
 
 
-def _smoothed(comps: list[tuple[int, ...]], c: int) -> list[tuple[int, ...]]:
-    """Oriented smoothing of crossing c: each strand that arrives at c leaves
-    along the other strand. One component splits in two, two join in one; the
-    edited component keeps its start."""
-    (i, k1), (j, k2) = sorted(
-        (i, comp.index(v)) for v in (2 * c, 2 * c + 1) for i, comp in enumerate(comps) if v in comp
-    )
+def _joined(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """x + y for two words free of kinks, with the kinks at their junction
+    cancelled, a cascade of adjacent visits of one crossing; also how many
+    visits of x are left."""
+    n = len(x)
+    t, most = 0, min(n, len(y))
+    while t < most and x[n - 1 - t] >> 1 == y[t] >> 1:
+        t += 1
+    return x[: n - t] + y[t:], n - t
+
+
+def _trimmed(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """A word free of kinks with the kinks at its cyclic ends cancelled;
+    also how many visits left its start."""
+    lo, hi = 0, len(word)
+    while hi - lo > 1 and word[lo] >> 1 == word[hi - 1] >> 1:
+        lo += 1
+        hi -= 1
+    return word[lo:hi], lo
+
+
+def _smoothing(
+    comps: list[tuple[int, ...]], free: int, i: int, k1: int, w: int
+) -> tuple[list[tuple[int, ...]], int, int, int]:
+    """The smoothing child of a node whose reading meets crossing c first at
+    ``comps[i][k1]``, w being c's other visit: the child's code and free
+    circles, with every kink that the splice makes dropped, and the place
+    where its reading resumes.
+
+    Each strand that arrives at c leaves along the other strand. If w lies
+    later in the same component a, a splits into ``a[:k1] + a[k2 + 1:]``,
+    which keeps the start, and ``a[k1 + 1:k2]`` after it; otherwise w lies
+    in a later component b, and the two join at a's place as ``a[:k1] +
+    b[k2 + 1:] + b[:k2] + a[k1 + 1:]``. Kinks are cancelled at the one or
+    two junctions, then each edited piece is trimmed at its cyclic ends. A
+    join left empty becomes a free circle; a split leaves no piece empty
+    (see ``homfly``). The other components pass through as they are. The
+    reading resumes in the edited component, just after what is left of
+    ``a[:k1]``, or at its start if the trim took more than that."""
     a = comps[i]
-    if i == j:
-        return comps[:i] + [a[:k1] + a[k2 + 1 :], a[k1 + 1 : k2]] + comps[i + 1 :]
-    b = comps[j]
-    return comps[:i] + [a[:k1] + b[k2 + 1 :] + b[:k2] + a[k1 + 1 :]] + comps[i + 1 : j] + comps[j + 1 :]
+    try:
+        k2 = a.index(w, k1 + 1)
+    except ValueError:
+        j = i + 1
+        while w not in comps[j]:
+            j += 1
+        b = comps[j]
+        k2 = b.index(w)
+        head, kept = _joined(a[:k1], b[k2 + 1 :] + b[:k2])
+        head, left = _joined(head, a[k1 + 1 :])
+        head, lo = _trimmed(head)
+        if head:
+            edited = [head]
+        else:
+            edited, free = [], free + 1
+        kept = min(kept, left)
+        rest = comps[i + 1 : j] + comps[j + 1 :]
+    else:
+        head, kept = _joined(a[:k1], a[k2 + 1 :])
+        head, lo = _trimmed(head)
+        edited = [head, _trimmed(a[k1 + 1 : k2])[0]]
+        rest = comps[i + 1 :]
+    return comps[:i] + edited + rest, free, i, max(0, kept - lo)
 
 
 @cache
@@ -273,15 +328,17 @@ def homfly(d: LinkDiagram, crossing_cap: int = CROSSING_CAP) -> LaurentPoly2:
     """HOMFLY-PT polynomial by the skein relation on the diagram's Gauss
     code, one reading per skein node.
 
-    A node is a code, its free circles, the bitmask ``met`` of the crossings
-    its ancestors had met when it was pushed, and a weight. It drops its
-    kinks, then reads its code once, in order, from ``met``. At the first
-    visit of any other crossing c, of sign s, c joins ``met``; if that visit
-    is an under-visit, P_s = v^(2s) P_-s + s v^s z P_0: the smoothing of c is
-    pushed as a child weighted s v^s z, with ``met`` as it is then, and the
-    switch multiplies the weight by v^(2s). Once read, the switched diagram
-    is descending, an unlink of its k components, and the node adds weight *
-    ((v^-1 - v)/z)^(k-1) to the sum.
+    A node is a code free of kinks, its free circles, the place where its
+    reading resumes, the bitmask ``met`` of the crossings its ancestors had
+    met when it was pushed, and a weight. It reads its code once, in order,
+    from that place. At the first visit of any other crossing c, of sign s,
+    c joins ``met``; if that visit is an under-visit, P_s = v^(2s) P_-s +
+    s v^s z P_0: the smoothing of c, spliced by ``_smoothing``, is pushed as
+    a child weighted s v^s z, with ``met`` as it is then, and the switch
+    multiplies the weight by v^(2s). Once read, the switched diagram is
+    descending, an unlink of its k components, and the node adds weight *
+    ((v^-1 - v)/z)^(k-1) to the sum. Only the root runs ``_drop_kinks``,
+    since the diagram's own code may hold kinks; it reads from the start.
 
     This is the recursion that switches the first under-first crossing, each
     chain of its switch children read in one pass: a switch changes no
@@ -293,6 +350,32 @@ def homfly(d: LinkDiagram, crossing_cap: int = CROSSING_CAP) -> LaurentPoly2:
     of them over-first there, met over-first or switched at that visit; a
     crossing outside ``met`` has both visits after that prefix, with the same
     bits in both.
+
+    A child is its parent's smoothed code with all its kinks dropped, as
+    ``_drop_kinks`` drops them, and its reading meets what a reading from
+    the start would meet, by three facts:
+
+    1. The untouched components are free of kinks: the parent's were (the
+       root's by ``_drop_kinks``, every other node's by these facts), and a
+       switch changes no crossing id.
+    2. Words free of kinks reduce only at their junctions. Two kinks that
+       overlap would share a visit, and so need three visits of one
+       crossing, which has two; the cancellations commute, and every order
+       of them ends at the same code. In a concatenation of kink-free words
+       only the pair across a junction can cancel, and each cancellation
+       exposes just the next pair across it; the pairs across a piece's
+       cyclic ends go last, as in ``_drop_kinks``. So a split leaves no
+       piece empty: ``a[k1 + 1:k2]`` holds a visit, as c is no kink, a
+       kink-free word cannot trim to nothing, and ``a[:k1] + a[k2 + 1:]``
+       could cancel away only if a began and ended at one crossing.
+    3. The skipped prefix holds only visits of met crossings: the parent read
+       ``comps[:i]`` and ``a[:k1]`` before it met c, so their crossings are
+       all in ``met``; the child keeps ``comps[:i]``, and what is left of
+       ``a[:k1]`` at the start of its edited component, and a reading from
+       the start would skip every one of their visits.
+
+    So the nodes, their order and the sum are those of the skein that drops
+    the kinks of each node's whole code and reads it from its start.
     """
     if d.n_crossings > crossing_cap:
         raise CrossingCapExceeded(
@@ -301,20 +384,24 @@ def homfly(d: LinkDiagram, crossing_cap: int = CROSSING_CAP) -> LaurentPoly2:
     _validate_arcs(d.crossings)
     signs = tuple(c.sign for c in d.crossings)
     terms: dict[tuple[int, int], int] = {}
-    # (components, free circles, crossings met, weight coeff * v^dv * z^dz)
-    stack = [(gauss_code(d), d.free_circles, 0, 1, 0, 0)]
+    comps, free = _drop_kinks(gauss_code(d), d.free_circles)
+    # (components, free circles, where reading resumes, crossings met,
+    # weight coeff * v^dv * z^dz)
+    stack = [(comps, free, 0, 0, 0, 1, 0, 0)]
     while stack:
-        comps, free, met, coeff, dv, dz = stack.pop()
-        comps, free = _drop_kinks(comps, free)
-        for comp in comps:
-            for v in comp:
+        comps, free, i0, k0, met, coeff, dv, dz = stack.pop()
+        for i in range(i0, len(comps)):
+            comp = comps[i]
+            for k in range(k0, len(comp)):
+                v = comp[k]
                 c = v >> 1
                 if not met >> c & 1:
                     met |= 1 << c
                     if v & 1:
                         s = signs[c]
-                        stack.append((_smoothed(comps, c), free, met, s * coeff, dv + s, dz + 1))
+                        stack.append((*_smoothing(comps, free, i, k, v ^ 1), met, s * coeff, dv + s, dz + 1))
                         dv += 2 * s
+            k0 = 0
         for (uv, uz), u in _unlink(len(comps) + free):
             key = (dv + uv, dz + uz)
             terms[key] = terms.get(key, 0) + coeff * u

@@ -60,7 +60,11 @@
   at every switch child, builds a polynomial per node and multiplies the
   unlink factor out one component at a time (the library reads each node's
   code once from the crossings its ancestors met, switching nothing, and
-  sums its leaves into one polynomial).
+  sums its leaves into one polynomial);
+- the one-reading skein that drops the kinks of each node's whole code and
+  reads it from its start, its children the whole smoothed codes (the
+  library cancels kinks only at a smoothing's junctions and resumes each
+  child's reading after the prefix its parent met).
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from typing import Iterable, Optional, Sequence
 
 from trinities.geometry import VPolytope, canonical_lattice_set
 from trinities.linalg import OPTIMAL, DimensionError, RatVec, fvec, integer_det, lp_solve
-from trinities.links import Crossing, LaurentPoly2, LinkDiagram, _drop_kinks, _smoothed, component_count, gauss_code
+from trinities.links import Crossing, LaurentPoly2, LinkDiagram, _drop_kinks, _unlink, component_count, gauss_code
 from trinities.maps import PlanarMap, derived
 from trinities.polytopes import RootPolytope, TaggedPolytope
 from trinities.trinity import (
@@ -866,6 +870,54 @@ def subset_vertices(bound: Sequence[int], n: int, points: Sequence[tuple[int, ..
         if integer_rank(tight) == n:
             out.append(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Skein on Gauss codes, each node re-read from its start.
+# ---------------------------------------------------------------------------
+
+
+def _smoothed(comps: list[tuple[int, ...]], c: int) -> list[tuple[int, ...]]:
+    """Oriented smoothing of crossing c: each strand that arrives at c leaves
+    along the other strand. One component splits in two, two join in one; the
+    edited component keeps its start. Kinks are left in place."""
+    (i, k1), (j, k2) = sorted(
+        (i, comp.index(v)) for v in (2 * c, 2 * c + 1) for i, comp in enumerate(comps) if v in comp
+    )
+    a = comps[i]
+    if i == j:
+        return comps[:i] + [a[:k1] + a[k2 + 1 :], a[k1 + 1 : k2]] + comps[i + 1 :]
+    b = comps[j]
+    return comps[:i] + [a[:k1] + b[k2 + 1 :] + b[:k2] + a[k1 + 1 :]] + comps[i + 1 : j] + comps[j + 1 :]
+
+
+def homfly_by_rereading(d: LinkDiagram) -> LaurentPoly2:
+    """HOMFLY-PT polynomial by the one-reading skein whose every node drops
+    the kinks of its whole code with ``_drop_kinks`` and reads that code
+    from its start, skipping the crossings its ancestors met; a child is the
+    whole smoothed code, kinks and all. Same nodes, same order and same sum
+    as ``links.homfly``, which cancels kinks only at the splice and resumes
+    reading after the met prefix."""
+    signs = tuple(c.sign for c in d.crossings)
+    terms: dict[tuple[int, int], int] = {}
+    # (components, free circles, crossings met, weight coeff * v^dv * z^dz)
+    stack = [(gauss_code(d), d.free_circles, 0, 1, 0, 0)]
+    while stack:
+        comps, free, met, coeff, dv, dz = stack.pop()
+        comps, free = _drop_kinks(comps, free)
+        for comp in comps:
+            for v in comp:
+                c = v >> 1
+                if not met >> c & 1:
+                    met |= 1 << c
+                    if v & 1:
+                        s = signs[c]
+                        stack.append((_smoothed(comps, c), free, met, s * coeff, dv + s, dz + 1))
+                        dv += 2 * s
+        for (uv, uz), u in _unlink(len(comps) + free):
+            key = (dv + uv, dz + uz)
+            terms[key] = terms.get(key, 0) + coeff * u
+    return LaurentPoly2.from_dict(terms)
 
 
 # ---------------------------------------------------------------------------

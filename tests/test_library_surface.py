@@ -44,6 +44,7 @@ MOVED = {
     "_hypergraph_view",
     "_incidence",
     "_homfly",
+    "_smoothed",
     "_first_under",
     "_split_factor",
     "shift",

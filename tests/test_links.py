@@ -1,6 +1,7 @@
 import pkgutil
 import random
 from importlib import import_module
+from itertools import chain, combinations, permutations
 
 import pytest
 
@@ -44,7 +45,7 @@ from helpers import (
     switched,
 )
 import oracles
-from oracles import DELTA, ONE, homfly_by_recursion, homfly_by_relabeling
+from oracles import DELTA, ONE, homfly_by_recursion, homfly_by_relabeling, homfly_by_rereading
 
 def monomial(coeff=1, v=0, z=0):
     return LaurentPoly2.from_dict({(v, z): coeff})
@@ -268,35 +269,137 @@ def test_nested_kinks_that_empty_a_component_leave_a_free_circle():
 
 def test_smoothing_one_component_splits_it_and_keeps_its_start():
     # The trefoil O0 U1 O2 U0 O1 U2 smoothed at crossing 0 is a Hopf link.
-    assert links._smoothed([(0, 3, 4, 1, 2, 5)], 0) == [(2, 5), (3, 4)]
+    assert oracles._smoothed([(0, 3, 4, 1, 2, 5)], 0) == [(2, 5), (3, 4)]
+    assert links._smoothing([(0, 3, 4, 1, 2, 5)], 0, 0, 0, 1) == ([(2, 5), (3, 4)], 0, 0, 0)
     # Crossing 1 lies inside: the start (visit 6) stays first.
-    assert links._smoothed([(9, 6, 3, 8, 2, 7)], 1) == [(9, 6, 7), (8,)]
+    assert oracles._smoothed([(9, 6, 3, 8, 2, 7)], 1) == [(9, 6, 7), (8,)]
+    # The splice cancels the kink 6 7 at its junction, and the reading
+    # resumes after the one visit left of the prefix 9 6.
+    assert links._smoothing([(9, 6, 3, 8, 2, 7)], 0, 0, 2, 2) == ([(9,), (8,)], 0, 0, 1)
 
 
 def test_smoothing_two_components_joins_them_at_the_first_ones_start():
-    assert links._smoothed([(5,), (2, 0, 7), (4, 1, 3)], 0) == [(5,), (2, 3, 4, 7)]
+    assert oracles._smoothed([(5,), (2, 0, 7), (4, 1, 3)], 0) == [(5,), (2, 3, 4, 7)]
+    # The splice also cancels the kink 2 3 at its first junction, so the
+    # reading resumes at the start of the joined component.
+    assert links._smoothing([(5,), (2, 0, 7), (4, 1, 3)], 0, 1, 1, 1) == ([(5,), (4, 7)], 0, 1, 0)
     # The Hopf link's smoothing is a kinked unknot.
-    assert links._smoothed([(0, 3), (1, 2)], 0) == [(2, 3)]
+    assert oracles._smoothed([(0, 3), (1, 2)], 0) == [(2, 3)]
     assert homfly(braid_closure(2, (1, 1))) == homfly_by_relabeling(braid_closure(2, (1, 1)))
+
+
+def rebuilt(comps, free, c):
+    """The smoothing of crossing c with the whole code re-read for kinks."""
+    return links._drop_kinks(oracles._smoothed(comps, c), free)
+
+
+def test_a_join_that_cancels_to_nothing_is_a_free_circle():
+    # The Hopf link read from its start meets crossing 1 under-first at
+    # (0, 1): the join 0 + 1 is the kink 0 1, and nothing is left.
+    assert links._smoothing([(0, 3), (1, 2)], 0, 0, 1, 2) == ([], 1, 0, 0)
+    # 2 4 U0 joined with b = O0 5 3: the cascade cancels 4 5, then 2 3.
+    comps = [(2, 4, 1), (0, 5, 3)]
+    assert links._smoothing(comps, 2, 0, 2, 0) == ([], 3, 0, 0)
+    assert links._smoothing(comps, 2, 0, 2, 0)[:2] == rebuilt(comps, 2, 0)
+
+
+def test_a_join_cascade_uses_up_the_tail_of_b_and_carries_on_into_its_head():
+    # a = 6 2 4 U0 8 meets b = 3 O0 5: b's tail 5 cancels 4, then its head 3
+    # cancels 2, and 6 8 is left; the reading resumes after the 6.
+    comps = [(6, 2, 4, 1, 8), (3, 0, 5), (7, 9)]
+    assert links._smoothing(comps, 0, 0, 3, 0) == ([(6, 8), (7, 9)], 0, 0, 1)
+    assert links._smoothing(comps, 0, 0, 3, 0)[:2] == rebuilt(comps, 0, 0)
+    # a = 8 2 4 U0 7 3 10 meets b = O0 5 6: b's 5 cancels 4 and its 6 the 7
+    # after the splice, so 2 meets 3 and cancels too; one visit of the
+    # prefix is left.
+    comps = [(8, 2, 4, 1, 7, 3, 10), (0, 5, 6), (9, 11)]
+    assert links._smoothing(comps, 0, 0, 3, 0) == ([(8, 10), (9, 11)], 0, 0, 1)
+    assert links._smoothing(comps, 0, 0, 3, 0)[:2] == rebuilt(comps, 0, 0)
+
+
+def test_a_split_cascade_takes_the_whole_prefix():
+    # 2 4 U0 6 O0 5 3 7: the junction cancels 4 5 and 2 3, and the piece
+    # that keeps the start is 7; the reading resumes at its start.
+    comps = [(2, 4, 1, 6, 0, 5, 3, 7)]
+    assert links._smoothing(comps, 0, 0, 2, 0) == ([(7,), (6,)], 0, 0, 0)
+    assert links._smoothing(comps, 0, 0, 2, 0)[:2] == rebuilt(comps, 0, 0)
+
+
+def test_a_trim_past_the_prefix_resumes_at_the_start():
+    # U1 4 O1 6 5 7: the kept piece 6 5 7 trims its ends 6 and 7, one visit
+    # more than the empty prefix; the reading resumes at 0, not at -1 (which
+    # would read the last visit first).
+    comps = [(3, 4, 2, 6, 5, 7)]
+    assert links._smoothing(comps, 0, 0, 0, 2) == ([(5,), (4,)], 0, 0, 0)
+    assert links._smoothing(comps, 0, 0, 0, 2)[:2] == rebuilt(comps, 0, 1)
+    # Joined: a = U3 alone meets b at O3, and the joined word
+    # 10 9 4 3 5 11 trims its ends 10 and 11, one visit more than a's empty
+    # prefix.
+    comps = [(8, 2), (7,), (11, 6, 10, 9, 4, 3, 5)]
+    assert links._smoothing(comps, 0, 1, 0, 6) == ([(8, 2), (9, 4, 3, 5)], 0, 1, 0)
+    assert links._smoothing(comps, 0, 1, 0, 6)[:2] == rebuilt(comps, 0, 3)
+
+
+def kink_free(visits, cuts):
+    ends = (0, *cuts, len(visits))
+    return links._drop_kinks([tuple(visits[a:b]) for a, b in zip(ends, ends[1:])], 0)
+
+
+def every_small_code(n):
+    """Every code of n crossings on at most three components, its kinks
+    dropped."""
+    for visits in permutations(range(2 * n)):
+        for cuts in chain.from_iterable(combinations(range(1, 2 * n), r) for r in range(3)):
+            yield kink_free(visits, cuts)
+
+
+def random_codes(seed):
+    """600 codes of 4 to 7 crossings on at most four components, their
+    kinks dropped."""
+    rng = random.Random(f"codes:{seed}")
+    for _ in range(600):
+        n = rng.randint(4, 7)
+        yield kink_free(rng.sample(range(2 * n), 2 * n), sorted(rng.sample(range(1, 2 * n), rng.randint(0, 3))))
+
+
+@pytest.mark.parametrize("codes,arg", (("every", 1), ("every", 2), ("every", 3), ("random", 0), ("random", 1)))
+def test_the_splice_is_the_whole_code_rebuilt(codes, arg):
+    # At every visit whose other visit lies later, as the reading meets
+    # them: the code and free circles of dropping every kink of the whole
+    # smoothed code, a split never emptying a piece, and a resume place
+    # before which the edited component holds only visits of the prefix.
+    for comps, free in every_small_code(arg) if codes == "every" else random_codes(arg):
+        for i, a in enumerate(comps):
+            for k1, v in enumerate(a):
+                if v ^ 1 in a[:k1] or any(v ^ 1 in b for b in comps[:i]):
+                    continue
+                child, child_free, ci, ck = links._smoothing(comps, free, i, k1, v ^ 1)
+                assert (child, child_free) == rebuilt(comps, free, v >> 1)
+                assert ci == i and ck >= 0
+                if v ^ 1 in a:
+                    assert child_free == free
+                if ci < len(child):
+                    assert set(child[ci][:ck]) <= set(a[:k1])
 
 
 @pytest.fixture
 def skein_counts(monkeypatch):
-    """The library's skein nodes (one ``_drop_kinks`` each) and the leaves of
-    the Gauss-code recursion oracle (one ``_split_factor`` each)."""
-    return count_calls(monkeypatch, links, "_drop_kinks"), count_calls(monkeypatch, oracles, "_split_factor")
+    """The library's skein children (one ``_smoothing`` each, beside the
+    root) and the leaves of the Gauss-code recursion oracle (one
+    ``_split_factor`` each)."""
+    return count_calls(monkeypatch, links, "_smoothing"), count_calls(monkeypatch, oracles, "_split_factor")
 
 
 def assert_agrees_with_the_oracles(skein_counts, d):
     """Both oracle skeins give the library's polynomial, and the library
     visits one node per leaf of the recursion: one node per chain of its
     switch children."""
-    nodes, leaves = skein_counts
-    nodes.clear()
+    children, leaves = skein_counts
+    children.clear()
     leaves.clear()
     p = homfly(d, crossing_cap=d.n_crossings)
     assert p == homfly_by_recursion(d)
-    assert len(nodes) == len(leaves)
+    assert len(children) + 1 == len(leaves)
     assert p == homfly_by_relabeling(d)
     return p
 
@@ -349,17 +452,39 @@ def test_skein_is_the_relabeling_oracle_on_grids_with_shuffled_edge_ids(rows, co
         assert_agrees_with_the_oracles(skein_counts, median_diagram(mm, bipartition(mm)))
 
 
+@pytest.mark.parametrize("rows,columns", ((3, 5), (4, 4)))
+def test_skein_is_the_rereading_skein_on_the_largest_grids(rows, columns, monkeypatch):
+    # The benchmark's largest rungs, their mirrors and two shuffled edge-id
+    # labelings of each: the same polynomial and the same nodes as the skein
+    # that drops the kinks of each node's whole code and reads it from its
+    # start (one ``_drop_kinks`` per node there).
+    children = count_calls(monkeypatch, links, "_smoothing")
+    nodes = []
+    rereading_drop_kinks = oracles._drop_kinks
+    monkeypatch.setattr(oracles, "_drop_kinks", lambda *args: nodes.append(args) or rereading_drop_kinks(*args))
+    m = grid_trinity(rows, columns).map
+    rng = random.Random(f"rereading:{rows}x{columns}")
+    for mm in (m, permute_edge_ids(m, rng), permute_edge_ids(m, rng)):
+        d = median_diagram(mm, bipartition(mm))
+        for dd in (d, mirror(d)):
+            children.clear()
+            nodes.clear()
+            assert homfly(dd, crossing_cap=dd.n_crossings) == homfly_by_rereading(dd)
+            assert len(children) + 1 == len(nodes)
+
+
 def test_skein_keeps_base_points_on_the_3x5_grid(monkeypatch):
     # Each splice keeps the start of the component it edits, so the reading
     # order stays put: 3,220 skein nodes on 3x5, the leaves of a 6,439-node
     # recursion that switches one crossing per node; the arc-label recursion
-    # takes 39,279, and moving a start at each splice far more.
-    calls = count_calls(monkeypatch, links, "_drop_kinks")
-    for rows, columns, nodes in ((3, 4, 423), (3, 5, 3_220)):
-        calls.clear()
+    # takes 39,279, and moving a start at each splice far more. A node is
+    # the root or one ``_smoothing`` child.
+    children = count_calls(monkeypatch, links, "_smoothing")
+    for rows, columns, nodes in ((3, 4, 423), (3, 5, 3_220), (4, 4, 7_530)):
+        children.clear()
         d = median_diagram_of(grid_trinity(rows, columns))
         homfly(d, crossing_cap=d.n_crossings)
-        assert len(calls) == nodes
+        assert 1 + len(children) == nodes
 
 
 @pytest.mark.parametrize("rows,columns,magic", ((3, 5, 209), (4, 4, 384)))
