@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional
 
@@ -20,6 +19,7 @@ from .documents import (
     document_to_map,
     format_point,
     parse_graph_document,
+    write_json,
 )
 from .maps import MapError, betti1
 from .trinity import (
@@ -57,7 +57,7 @@ def _load_trinity(path: str, root_triangle: Optional[int]) -> tuple[GraphDocumen
 def _emit(obj: dict, fmt: str) -> None:
     """Write the document to stdout: tuples as lists, link polynomials formatted."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, default=links.format_poly) + "\n")
+        write_json(obj)
     else:
         _emit_text(obj, 0)
 
@@ -253,6 +253,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_CHECKS_FAILED
 
 
+def _crossing_cap(text: str) -> int:
+    """A ``--crossing-cap`` value: an integer, 0 or more. argparse reports
+    any other value as a usage error, exit 2."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {cap}")
+    return cap
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use (not at
@@ -265,7 +277,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--root-triangle", type=int, default=None, help="white triangle id overriding the default root")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if crossing_cap:  # only the commands that run the skein read it
-            p.add_argument("--crossing-cap", type=int, default=links.CROSSING_CAP)
+            p.add_argument("--crossing-cap", type=_crossing_cap, default=links.CROSSING_CAP)
 
     p = sub.add_parser("report", help="full report: every route to the magic number")
     common(p)

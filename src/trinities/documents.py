@@ -7,13 +7,20 @@ unbounded region: `outer_face_hint` names an edge and one of its ends, and the
 unbounded face is the one to the left of that edge when walking away from the
 named end. Serialization is canonical — parse followed by serialize is the
 identity on bytes.
+
+Every JSON text the library writes, documents and reports alike, comes from
+one writer, `write_json`: the bytes of `json.dumps(obj, indent=2,
+sort_keys=True, default=links.format_poly)` and a newline, in pieces.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Sequence
 
 from .maps import Bipartition, PlanarMap, build_map
 
@@ -130,7 +137,9 @@ def serialize_graph_document(doc: GraphDocument) -> str:
         "rotations": {k: list(v) for k, v in sorted(doc.rotations.items())},
         "outer_face_hint": {"edge": doc.outer_face_hint[0], "side": doc.outer_face_hint[1]},
     }
-    return json.dumps(raw, indent=2, sort_keys=True) + "\n"
+    chunks: list[str] = []
+    _write_json(raw, chunks.append)
+    return "".join(chunks)
 
 
 def document_to_map(doc: GraphDocument) -> tuple[PlanarMap, Bipartition, int]:
@@ -153,3 +162,123 @@ def document_to_map(doc: GraphDocument) -> tuple[PlanarMap, Bipartition, int]:
 
 def format_point(p: Sequence[int]) -> list[str]:
     return [str(x) for x in p]
+
+
+# ---------------------------------------------------------------------------
+# The one JSON writer.
+
+
+def write_json(obj) -> None:
+    """Write the canonical JSON text of obj to ``sys.stdout``, read at each
+    call, one chunk at a time, so no whole-document string is built."""
+    _write_json(obj, sys.stdout.write)
+
+
+def _write_json(obj, write: Callable[[str], object]) -> None:
+    """Pass ``write`` the text of ``json.dumps(obj, indent=2, sort_keys=True,
+    default=links.format_poly)`` and a newline in chunks: one per entry of
+    every dict at depth at most 2 (the top level is depth 0), where an entry
+    whose value is such a dict writes its key, then that dict's entries, then
+    its closing brace; every other value is encoded whole into the chunk of
+    its entry.
+
+    Dicts are walked in sorted key order, and a key that is not a ``str``
+    raises ``TypeError``; lists and tuples are arrays. Strings go through the
+    C ``encode_basestring_ascii``, ints through ``int.__repr__``, ``True``,
+    ``False`` and ``None`` are literals, and a ``LaurentPoly2`` is the string
+    ``format_poly`` gives; anything else raises ``TypeError``."""
+    _write_entries(obj, "\n", 2, write)
+    write("\n")
+
+
+def _write_entries(obj, pad: str, levels: int, write) -> None:
+    """Write obj, a nonempty dict one chunk per entry, and its dict values the
+    same way for ``levels`` more levels."""
+    if not (isinstance(obj, dict) and obj):
+        write(_encoded(obj, pad))
+        return
+    inner = pad + "  "
+    opening = "{" + inner
+    for key in sorted(obj):
+        value = obj[key]
+        head = opening + encode_basestring_ascii(key) + ": "
+        opening = "," + inner
+        if levels and isinstance(value, dict) and value:
+            write(head)
+            _write_entries(value, inner, levels - 1, write)
+        else:
+            write(head + _encoded(value, inner))
+    write(pad + "}")
+
+
+def _encoded(obj, pad: str) -> str:
+    """obj as JSON whose lines after the first start with ``pad`` (a newline
+    and the current indent)."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is list or kind is tuple:
+        return _json_array(obj, pad)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is dict:
+        return _json_object(obj, pad)
+    # A subclass is written as its base type, as json.dumps writes it.
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        return _json_array(obj, pad)
+    if isinstance(obj, dict):
+        return _json_object(obj, pad)
+    # Only reports hold link polynomials: reading and writing a graph
+    # document loads no library module beyond ``maps``.
+    from .links import LaurentPoly2, format_poly
+
+    if isinstance(obj, LaurentPoly2):
+        return encode_basestring_ascii(format_poly(obj))
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_array(items: list | tuple, pad: str) -> str:
+    """A list of ints or of strings is one join; a list of equal-length
+    nonempty tuples of ints (no ``bool``) is one ``%d`` template applied per
+    tuple; any other list is encoded item by item."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    kinds = set(map(type, items))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is int:
+        parts = map(int.__repr__, items)
+    elif kind is str:
+        parts = map(encode_basestring_ascii, items)
+    elif kind is tuple and (width := _int_width(items)):
+        deeper = inner + "  "
+        template = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+        parts = map(template.__mod__, items)
+    else:
+        parts = [_encoded(item, inner) for item in items]
+    return "[" + inner + ("," + inner).join(parts) + pad + "]"
+
+
+def _int_width(rows: list | tuple) -> int:
+    """The common length of rows that hold only ints, or 0 when their
+    lengths differ or they hold anything else."""
+    widths = set(map(len, rows))
+    if len(widths) == 1 and set(map(type, chain.from_iterable(rows))) == {int}:
+        return widths.pop()
+    return 0
+
+
+def _json_object(obj: dict, pad: str) -> str:
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    entries = [encode_basestring_ascii(k) + ": " + _encoded(obj[k], inner) for k in sorted(obj)]
+    return "{" + inner + ("," + inner).join(entries) + pad + "}"

@@ -272,6 +272,20 @@ def test_removed_noop_flags_fail_argument_parsing(capsys, flags):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "homfly", "verify"])
+def test_a_negative_crossing_cap_fails_argument_parsing(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture_path("g1.json"), "--crossing-cap", "-1"])
+    assert exc.value.code == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--crossing-cap: must be 0 or more, not -1" in captured.err
+    # A cap of 0 is valid: it refuses every diagram with a crossing.
+    assert main([command, fixture_path("g1.json"), "--crossing-cap", "0"]) == (
+        EXIT_OK if command == "verify" else EXIT_CROSSING_CAP
+    )
+
+
 def test_cli_verify_lists_the_skipped_link_identity(tmp_path, capsys):
     # The 3x4 grid has 17 edges, one over the default cap.
     doc = tmp_path / "grid.json"

@@ -12,8 +12,9 @@ the library; a trinity stores no triangles and a directed dual no copy of
 the white triangles; only ``maps.derived`` keeps a value on an object; the
 library modules import each other in no cycle; ``trees`` only binds, for
 the benchmark, names that live in ``trinity`` and ``polytopes``; and only
-``tests/helpers.py`` seeds the corpus or spells the fixtures directory.
-Every name a test file imports at module level is read in that file."""
+``tests/helpers.py`` seeds the corpus or spells the fixtures directory; and
+no ``json`` call in the library passes ``indent``. Every name a test file
+imports at module level is read in that file."""
 
 import ast
 import dataclasses
@@ -253,8 +254,9 @@ def module_imports() -> dict[str, set[str]]:
 def test_the_library_modules_import_each_other_in_no_cycle():
     """Peeling off, again and again, the modules that import none of the
     modules left leaves none. Imports made inside a function are not
-    counted; the one there is, ``trinity.magic_number_report``'s ``from .
-    import polytopes``, runs after both modules are loaded."""
+    counted; the two there are, ``trinity.magic_number_report``'s ``from .
+    import polytopes`` and ``documents._encoded``'s ``from .links import
+    ...``, run after both modules are loaded."""
     left = module_imports()
     while peeled := {name for name, imports in left.items() if not imports & left.keys()}:
         left = {name: imports for name, imports in left.items() if name not in peeled}
@@ -288,6 +290,22 @@ def test_only_the_helpers_seed_the_corpus_or_spell_the_fixtures_directory():
     # from ``helpers.graphs`` and its documents from ``helpers.fixture_path``.
     spelling = [path.name for path in TESTS if BUILDS_THE_CASES.search(path.read_text(encoding="utf-8"))]
     assert spelling == ["helpers.py"]
+
+
+def test_no_json_call_in_the_library_passes_indent():
+    # ``indent`` runs CPython's pure-Python encoder; ``documents.write_json``
+    # writes the same text.
+    indented = [
+        f"{path.stem}:{node.lineno}"
+        for path, module in parsed(LIBRARY).items()
+        for node in ast.walk(module)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and (node.func.value.id, node.func.attr) in {("json", "dump"), ("json", "dumps")}
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert indented == []
 
 
 def test_every_module_level_import_of_a_test_file_is_read():
