@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 failed verification checks, 2 invalid input,
 3 internal consistency failure, 4 crossing cap exceeded (a report is still
-emitted, minus the link polynomial).
+emitted, minus the link polynomial), 141 stdout closed by its reader before
+the document was written (128 + SIGPIPE, nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import floer, links, polytopes
 from .documents import (
@@ -40,6 +42,7 @@ EXIT_CHECKS_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_CROSSING_CAP = 4
+EXIT_PIPE_CLOSED = 141
 
 
 def _load_trinity(path: str, root_triangle: Optional[int]) -> tuple[GraphDocument, Trinity]:
@@ -54,33 +57,26 @@ def _load_trinity(path: str, root_triangle: Optional[int]) -> tuple[GraphDocumen
     return doc, t
 
 
-def _emit(obj: dict, fmt: str) -> None:
-    """Write the document to stdout: tuples as lists, link polynomials formatted."""
-    if fmt == "json":
-        write_json(obj)
-    else:
-        _emit_text(obj, 0)
-
-
-def _emit_text(obj, depth: int) -> None:
+def _write_text(obj: dict | list | tuple, write: Callable[[str], object], depth: int = 0) -> None:
+    """Pass ``write`` the ``--format text`` lines of obj: a dict's entries in
+    sorted key order, a list's items as ``-`` lines, each nested container
+    on the lines after its key or dash, indented two more spaces."""
     pad = "  " * depth
     if isinstance(obj, dict):
         for k in sorted(obj):
             v = obj[k]
             if isinstance(v, (dict, list, tuple)) and v:
-                sys.stdout.write(f"{pad}{k}:\n")
-                _emit_text(v, depth + 1)
+                write(f"{pad}{k}:\n")
+                _write_text(v, write, depth + 1)
             else:
-                sys.stdout.write(f"{pad}{k}: {_inline(v)}\n")
-    elif isinstance(obj, (list, tuple)):
+                write(f"{pad}{k}: {_inline(v)}\n")
+    else:
         for v in obj:
             if isinstance(v, (dict, list, tuple)):
-                sys.stdout.write(f"{pad}-\n")
-                _emit_text(v, depth + 1)
+                write(f"{pad}-\n")
+                _write_text(v, write, depth + 1)
             else:
-                sys.stdout.write(f"{pad}- {_inline(v)}\n")
-    else:
-        sys.stdout.write(f"{pad}{_inline(obj)}\n")
+                write(f"{pad}- {_inline(v)}\n")
 
 
 def _inline(v) -> str:
@@ -187,15 +183,11 @@ def build_report(doc: GraphDocument, t: Trinity, crossing_cap: int, emit_pd: boo
     return report, code
 
 
-def cmd_report(args) -> int:
-    doc, t = _load_trinity(args.path, args.root_triangle)
-    report, code = build_report(doc, t, args.crossing_cap, args.emit_pd)
-    _emit(report, args.format)
-    return code
+def cmd_report(args, doc: GraphDocument, t: Trinity) -> tuple[dict, int]:
+    return build_report(doc, t, args.crossing_cap, args.emit_pd)
 
 
-def cmd_polytope(args) -> int:
-    doc, t = _load_trinity(args.path, args.root_triangle)
+def cmd_polytope(args, doc: GraphDocument, t: Trinity) -> tuple[dict, int]:
     code = args.hypergraph  # one of HYPERGRAPH_CODES, which the parser enforces
     build = {
         "gp": polytopes.gp_polytope_of,
@@ -204,19 +196,14 @@ def cmd_polytope(args) -> int:
         "root": polytopes.root_polytope_of,
     }[args.which]
     listing = _polytope_listing(build(t, code))
-    _emit({"hypergraph": code, "which": args.which, "polytope": listing}, args.format)
-    return EXIT_OK
+    return {"hypergraph": code, "which": args.which, "polytope": listing}, EXIT_OK
 
 
-def cmd_homfly(args) -> int:
-    doc, t = _load_trinity(args.path, args.root_triangle)
-    section, code = _homfly_section(t, args.crossing_cap, args.emit_pd)
-    _emit(section, args.format)
-    return code
+def cmd_homfly(args, doc: GraphDocument, t: Trinity) -> tuple[dict, int]:
+    return _homfly_section(t, args.crossing_cap, args.emit_pd)
 
 
-def cmd_verify(args) -> int:
-    doc, t = _load_trinity(args.path, args.root_triangle)
+def cmd_verify(args, doc: GraphDocument, t: Trinity) -> tuple[dict, int]:
     failures: list[str] = []
 
     magic = magic_number_report(t)
@@ -249,8 +236,7 @@ def cmd_verify(args) -> int:
     # Present only when a check was skipped: a complete run emits no such key.
     if skipped:
         result["checks_skipped"] = skipped
-    _emit(result, args.format)
-    return EXIT_OK if not failures else EXIT_CHECKS_FAILED
+    return result, EXIT_OK if not failures else EXIT_CHECKS_FAILED
 
 
 def _crossing_cap(text: str) -> int:
@@ -299,17 +285,35 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """The one place that reads the input and writes the output: each
+    ``cmd_<command>(args, doc, t)`` only computes and returns ``(document,
+    exit code)``, and ``main`` writes the document to ``sys.stdout`` with the
+    writer ``--format`` picks."""
     args = make_parser().parse_args(argv)
     try:
+        doc, t = _load_trinity(args.path, args.root_triangle)
         # By name, so a cached parser holds no handler and the module's
         # current cmd_* binding runs.
-        return globals()[f"cmd_{args.command}"](args)
+        result, code = globals()[f"cmd_{args.command}"](args, doc, t)
     except (DocumentError, MapError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency error: {exc}\n")
         return EXIT_INTERNAL
+    write = write_json if args.format == "json" else _write_text
+    try:
+        write(result, sys.stdout.write)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point its descriptor at the null device,
+        # as the Python docs' note on SIGPIPE does, so the flush at exit
+        # cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE_CLOSED
+    return code
 
 
 if __name__ == "__main__":

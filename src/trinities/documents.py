@@ -9,14 +9,15 @@ named end. Serialization is canonical — parse followed by serialize is the
 identity on bytes.
 
 Every JSON text the library writes, documents and reports alike, comes from
-one writer, `write_json`: the bytes of `json.dumps(obj, indent=2,
-sort_keys=True, default=links.format_poly)` and a newline, in pieces.
+one writer, `write_json(obj, write)`: it passes the callable `write` the
+bytes of `json.dumps(obj, indent=2, sort_keys=True,
+default=links.format_poly)` and a newline, in pieces. `cli.main` passes
+`sys.stdout.write`, and `serialize_graph_document` a list's `append`.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -138,7 +139,7 @@ def serialize_graph_document(doc: GraphDocument) -> str:
         "outer_face_hint": {"edge": doc.outer_face_hint[0], "side": doc.outer_face_hint[1]},
     }
     chunks: list[str] = []
-    _write_json(raw, chunks.append)
+    write_json(raw, chunks.append)
     return "".join(chunks)
 
 
@@ -168,13 +169,7 @@ def format_point(p: Sequence[int]) -> list[str]:
 # The one JSON writer.
 
 
-def write_json(obj) -> None:
-    """Write the canonical JSON text of obj to ``sys.stdout``, read at each
-    call, one chunk at a time, so no whole-document string is built."""
-    _write_json(obj, sys.stdout.write)
-
-
-def _write_json(obj, write: Callable[[str], object]) -> None:
+def write_json(obj, write: Callable[[str], object]) -> None:
     """Pass ``write`` the text of ``json.dumps(obj, indent=2, sort_keys=True,
     default=links.format_poly)`` and a newline in chunks: one per entry of
     every dict at depth at most 2 (the top level is depth 0), where an entry
@@ -186,15 +181,16 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
     raises ``TypeError``; lists and tuples are arrays. Strings go through the
     C ``encode_basestring_ascii``, ints through ``int.__repr__``, ``True``,
     ``False`` and ``None`` are literals, and a ``LaurentPoly2`` is the string
-    ``format_poly`` gives; anything else raises ``TypeError``."""
+    ``format_poly`` gives; anything else, a subclass of ``str``, ``int``,
+    ``list``, ``tuple`` or ``dict`` among them, raises ``TypeError``."""
     _write_entries(obj, "\n", 2, write)
     write("\n")
 
 
 def _write_entries(obj, pad: str, levels: int, write) -> None:
-    """Write obj, a nonempty dict one chunk per entry, and its dict values the
-    same way for ``levels`` more levels."""
-    if not (isinstance(obj, dict) and obj):
+    """Write obj, a dict one chunk per entry, and its dict values the same
+    way for ``levels`` more levels; anything else is one chunk."""
+    if type(obj) is not dict:
         write(_encoded(obj, pad))
         return
     inner = pad + "  "
@@ -203,12 +199,12 @@ def _write_entries(obj, pad: str, levels: int, write) -> None:
         value = obj[key]
         head = opening + encode_basestring_ascii(key) + ": "
         opening = "," + inner
-        if levels and isinstance(value, dict) and value:
+        if levels and type(value) is dict:
             write(head)
             _write_entries(value, inner, levels - 1, write)
         else:
             write(head + _encoded(value, inner))
-    write(pad + "}")
+    write(pad + "}" if obj else "{}")
 
 
 def _encoded(obj, pad: str) -> str:
@@ -226,16 +222,9 @@ def _encoded(obj, pad: str) -> str:
     if obj is None:
         return "null"
     if kind is dict:
-        return _json_object(obj, pad)
-    # A subclass is written as its base type, as json.dumps writes it.
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        return _json_array(obj, pad)
-    if isinstance(obj, dict):
-        return _json_object(obj, pad)
+        chunks: list[str] = []
+        _write_entries(obj, pad, 0, chunks.append)
+        return "".join(chunks)
     # Only reports hold link polynomials: reading and writing a graph
     # document loads no library module beyond ``maps``.
     from .links import LaurentPoly2, format_poly
@@ -274,11 +263,3 @@ def _int_width(rows: list | tuple) -> int:
     if len(widths) == 1 and set(map(type, chain.from_iterable(rows))) == {int}:
         return widths.pop()
     return 0
-
-
-def _json_object(obj: dict, pad: str) -> str:
-    if not obj:
-        return "{}"
-    inner = pad + "  "
-    entries = [encode_basestring_ascii(k) + ": " + _encoded(obj[k], inner) for k in sorted(obj)]
-    return "{" + inner + ("," + inner).join(entries) + pad + "}"

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from trinities.cli import (
     EXIT_CROSSING_CAP,
     EXIT_INVALID_INPUT,
     EXIT_OK,
+    EXIT_PIPE_CLOSED,
     main,
 )
 from trinities.documents import (
@@ -20,7 +24,7 @@ from trinities.documents import (
     serialize_graph_document,
     format_point,
 )
-from trinities import trinity
+from trinities import links, trinity
 from trinities.trinity import VIOLET, build_trinity, default_root, directed_dual, magic_number_report
 
 from helpers import document_text, fixture_path, grid_trinity, patch_everywhere
@@ -60,6 +64,9 @@ def test_fig7_fixture_magic_number():
         lambda raw: raw["rotations"].__setitem__("v1", [0, 0]),
         lambda raw: raw["edges"].append(["v1", "v2"]),
         lambda raw: raw["outer_face_hint"].__setitem__("side", "red"),
+        lambda raw: raw.__setitem__("outer_face_hint", [0, "violet"]),
+        lambda raw: raw["emerald"].append(raw["violet"][0]),  # a name in both classes
+        lambda raw: raw["rotations"].pop(raw["violet"][0]),  # a vertex with no rotation
     ],
 )
 def test_parse_rejects_malformed_documents(mutate):
@@ -286,6 +293,35 @@ def test_a_negative_crossing_cap_fails_argument_parsing(capsys, command):
     )
 
 
+@pytest.mark.parametrize("command", ["report", "homfly", "verify"])
+def test_a_crossing_cap_that_is_not_an_integer_fails_argument_parsing(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture_path("g1.json"), "--crossing-cap", "abc"])
+    assert exc.value.code == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--crossing-cap: invalid int value: 'abc'" in captured.err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_stdout_early_gets_exit_141_and_an_empty_stderr(tmp_path, unbuffered):
+    # The 3x4 grid's report is over 400 kB, more than a pipe holds, so the
+    # process is still writing when the reader closes after 10 bytes.
+    path = tmp_path / "grid3x4.json"
+    path.write_text(document_text(grid_trinity(3, 4)), encoding="utf-8")
+    src = str(Path(trinity.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "trinities.cli", "report", "--crossing-cap", "40", str(path)]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "duali'
+    proc.stdout.close()
+    _out, err = proc.communicate(timeout=300)
+    assert (proc.returncode, err) == (EXIT_PIPE_CLOSED, b"")
+
+
 def test_cli_verify_lists_the_skipped_link_identity(tmp_path, capsys):
     # The 3x4 grid has 17 edges, one over the default cap.
     doc = tmp_path / "grid.json"
@@ -310,6 +346,18 @@ def test_cli_verify_names_only_the_magic_routes_when_they_disagree(monkeypatch, 
     code, out = run_cli(capsys, "verify", fixture_path("fig7.json"))
     assert code == EXIT_CHECKS_FAILED
     assert json.loads(out)["checks_failed"] == ["magic-routes-disagree"]
+    code, out = run_cli(capsys, "verify", fixture_path("fig7.json"), "--format", "text")
+    assert code == EXIT_CHECKS_FAILED
+    assert out == "checks_failed:\n  - magic-routes-disagree\nmagic_number: null\nok: false\n"
+
+
+def test_cli_verify_names_a_failed_link_identity(monkeypatch, capsys):
+    # Every h coefficient one more: top = v^(E+V-1) h(v^-2) no longer holds.
+    original = links.h_vector
+    monkeypatch.setattr(links, "h_vector", lambda t, colour: [c + 1 for c in original(t, colour)])
+    code, out = run_cli(capsys, "verify", fixture_path("g1.json"))
+    assert code == EXIT_CHECKS_FAILED
+    assert json.loads(out) == {"checks_failed": ["homfly-h-vector-identity"], "magic_number": 2, "ok": False}
 
 
 def test_cli_verify_names_a_root_dependent_arborescence_count(monkeypatch, capsys):

@@ -2,7 +2,9 @@
 exactly the bytes and return exactly the exit codes recorded in
 ``perfbench/golden/``, the regression oracle of every refactor. The golden
 files are only read here. The plane grids 2x3, 3x3 and 3x4 are pinned the
-same way, by the sha256 of their stdout under ``--crossing-cap 40``."""
+same way, by the sha256 of their stdout under ``--crossing-cap 40``, and
+``--format text`` of ``report``, ``verify`` and ``homfly --emit-pd`` by the
+sha256 of its stdout on the three fixtures and on the 3x4 grid."""
 
 import hashlib
 import json
@@ -46,3 +48,36 @@ def test_grid_output_is_pinned(tmp_path, capsys, rows, columns, command):
     assert main([command, "--crossing-cap", "40", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GRID_OUTPUTS[rows, columns, command]
+
+
+# (document, command) -> sha256 of stdout under ``--format text``; every run
+# exits 0. The grid runs under ``--crossing-cap 40``.
+TEXT_OUTPUTS = {
+    ("single_edge", "report"): "8909435886751de2a85508db1f0a6daeae6b99fc07869be1007e0eca3ca615e0",
+    ("single_edge", "verify"): "123c2ef2eca6c678db0d3501df1c45e41111927d74282221186cb65bcf2a8415",
+    ("single_edge", "homfly"): "146d6924a7cb8749b5ab4aa7369c7ff884a30b9f9f34ef4f34a50582f91d65d7",
+    ("g1", "report"): "8a99eb9acdab407b0110c62320b2fa5b95f313d80e438ff22d01c01f795ad241",
+    ("g1", "verify"): "5471eba8911dba846b19b260384885c0bd642d13835e9e8068a5aca9c792480d",
+    ("g1", "homfly"): "d9f0a87298601181c5b79a46798ac08f2b489d64920d2f156c00af450169565e",
+    ("fig7", "report"): "f7f5486e56ec537d2afed803a244a6748c35414879693e5c21f51e29b4895b17",
+    ("fig7", "verify"): "e2b8e910c962f2495e4866fcb5af72ee3360233466e2112d8d90afda68519096",
+    ("fig7", "homfly"): "f86ea32b2279dd26f71ac394f8865baac3046e4c44f6cfa6229fa8d9648a4404",
+    ("grid3x4", "report"): "2d273c400013967aa49c388e82040b65a0211782910370c0d89df58a9a7f5793",
+    ("grid3x4", "verify"): "dd9db1708240b38d4d599b6d9f10965dbca067e0fa5e42327e3638baa2c42bd4",
+    ("grid3x4", "homfly"): "88976ba5d46134e51f67f72337930fd944ae2f1eae5f6c20355b4dd6deeb7c49",
+}
+
+
+@pytest.mark.parametrize("name, command", list(TEXT_OUTPUTS))
+def test_text_output_is_pinned(tmp_path, capsys, name, command):
+    if name == "grid3x4":
+        path = tmp_path / "grid3x4.json"
+        path.write_text(document_text(grid_trinity(3, 4)), encoding="utf-8")
+        argv = [command, str(path), "--crossing-cap", "40"]
+    else:
+        argv = [command, fixture_path(f"{name}.json")]
+    if command == "homfly":
+        argv.append("--emit-pd")
+    assert main([*argv, "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_OUTPUTS[name, command]

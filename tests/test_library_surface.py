@@ -12,9 +12,10 @@ the library; a trinity stores no triangles and a directed dual no copy of
 the white triangles; only ``maps.derived`` keeps a value on an object; the
 library modules import each other in no cycle; ``trees`` only binds, for
 the benchmark, names that live in ``trinity`` and ``polytopes``; and only
-``tests/helpers.py`` seeds the corpus or spells the fixtures directory; and
-no ``json`` call in the library passes ``indent``. Every name a test file
-imports at module level is read in that file."""
+``tests/helpers.py`` seeds the corpus or spells the fixtures directory; no
+``json`` call in the library passes ``indent``; and only ``cli.main`` reads
+``sys.stdout`` or ``sys.stderr``. Every name a test file imports at module
+level is read in that file."""
 
 import ast
 import dataclasses
@@ -306,6 +307,23 @@ def test_no_json_call_in_the_library_passes_indent():
         and any(keyword.arg == "indent" for keyword in node.keywords)
     ]
     assert indented == []
+
+
+def test_only_cli_main_reads_the_standard_streams():
+    # ``cli.main`` writes every document and message and handles a reader
+    # that closes stdout early; a ``print`` or a read of ``sys.stdout`` or
+    # ``sys.stderr`` anywhere else would write around it.
+    readers = {
+        f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+        for path, module in parsed(LIBRARY).items()
+        for top in module.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and (node.value.id, node.attr) in {("sys", "stdout"), ("sys", "stderr")}
+        or isinstance(node, ast.Name) and node.id == "print"
+    }
+    assert readers == {"cli.main"}
 
 
 def test_every_module_level_import_of_a_test_file_is_read():

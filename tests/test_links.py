@@ -26,7 +26,7 @@ from trinities.links import (
 )
 from trinities.maps import build_map
 from trinities.polytopes import arborescence_triangulation
-from trinities.trinity import RED
+from trinities.trinity import RED, InternalConsistencyError
 
 from helpers import (
     FIXTURES,
@@ -151,6 +151,33 @@ def test_pd_code_is_deterministic():
     assert len(lines) == 5
     assert all(line.endswith("+") for line in lines)
     assert lines[0] == "X(1,3,0,0) +"
+
+
+def test_pd_code_runs_a_negative_crossing_over_from_the_second_label_to_the_fourth():
+    # KnotTheory's rule: X[i, j, k, l] starts at the incoming under-strand
+    # and runs counter-clockwise; a negative crossing's over-strand is j -> l.
+    d = mirror(median_diagram_of(g1_trinity()))
+    assert pd_code(d) == "X(0,1,3,0) -\nX(2,7,9,6) -\nX(4,9,7,8) -\nX(6,3,5,2) -\nX(8,5,1,4) -"
+    over = {c.under_in: (c.over_in, c.over_out) for c in d.crossings}
+    for line in pd_code(d).splitlines():
+        i, j, _k, l = map(int, line[2 : line.index(")")].split(","))
+        assert over[i] == (j, l)
+
+
+def test_homfly_refuses_a_diagram_whose_arcs_do_not_match():
+    # Arc 0 enters the crossing and arc 3 leaves it, but nothing leaves 0.
+    d = LinkDiagram(crossings=(Crossing(sign=1, over_in=0, over_out=1, under_in=2, under_out=3),))
+    with pytest.raises(InternalConsistencyError, match="each arc must enter one crossing and leave one"):
+        homfly(d)
+
+
+def test_homfly_top_refuses_a_polynomial_with_no_top():
+    with pytest.raises(ValueError, match="zero polynomial has no top"):
+        homfly_top(LaurentPoly2(()))
+    # v z - v^-1 z + v^2 - v^-2: both z-coefficients vanish at v = 1.
+    p = LaurentPoly2.from_dict({(1, 1): 1, (-1, 1): -1, (2, 0): 1, (-2, 0): -1})
+    with pytest.raises(ValueError, match="every z-coefficient vanishes at v = 1"):
+        homfly_top(p)
 
 
 def test_seifert_data():

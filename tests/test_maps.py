@@ -84,6 +84,11 @@ def test_disconnected_rejected():
         build_map(4, ((0, 1), (2, 3)), ((0,), (0,), (1,), (1,)))
 
 
+def test_an_empty_graph_on_two_vertices_is_disconnected():
+    with pytest.raises(NotConnectedError, match="empty graph must be a single vertex"):
+        build_map_from_darts(2, (), ((), ()))
+
+
 PATH_EDGES = ((0, 1), (1, 2))  # the path 0 - 1 - 2; its rotations are (0,), (0, 1), (1,)
 
 

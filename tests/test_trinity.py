@@ -81,6 +81,13 @@ def test_root_override_validation():
         g1_trinity(root_triangle=-2)  # out of range, though as an index it is dart 8, a white one
 
 
+@pytest.mark.parametrize("outer_face", [2, -1])
+def test_an_outer_face_out_of_range_is_a_map_error(outer_face):
+    m = g1_map()  # two faces
+    with pytest.raises(MapError, match=f"outer face {outer_face} out of range"):
+        build_trinity(m, bipartition(m), outer_face=outer_face)
+
+
 def test_build_trinity_derives_the_white_triangles_once(monkeypatch):
     # The root is chosen or checked on the map, so only the trinity returned
     # derives its white triangles, and only once.
